@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.intervals import TOP, Interval
+from repro.errors import IRError
 from repro.ir.expr import (
     BinOp,
     Const,
@@ -247,7 +248,7 @@ class _BoundsWalk:
                 self._scan_exprs_numeric([s.value], idx_values, env)
                 try:
                     env[s.name] = _numeric_of(s.value, idx_values, env)
-                except _Unanalysable:
+                except (_Unanalysable, IRError):  # IRError: a scalar zero divisor
                     env[s.name] = None  # poisoned: depends on memory
             elif isinstance(s, For):
                 # the interval phase numbers the body's sites once; replay
@@ -278,7 +279,7 @@ class _BoundsWalk:
                 continue
             try:
                 val = np.asarray(_numeric_of(comp, idx_values, env))
-            except _Unanalysable:
+            except (_Unanalysable, IRError):  # IRError: a scalar zero divisor
                 continue  # stays data-dependent
             lo, hi = int(val.min()), int(val.max())
             if prev.exact is not None:  # For-loop revisit: widen

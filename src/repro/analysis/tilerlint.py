@@ -21,7 +21,7 @@ from repro.arrayol.model import (
     RepetitiveTask,
     Task,
 )
-from repro.tilers import Tiler, duplicate_element_count, uncovered_element_count
+from repro.tilers import Tiler, coverage_counts
 
 __all__ = ["lint_tiler", "lint_model"]
 
@@ -30,7 +30,7 @@ def lint_tiler(tiler: Tiler, role: str = "output", location: str = "") -> list[D
     """Diagnostics for one tiler used as an ``"input"`` or ``"output"``."""
     where = location or f"{role} tiler over array {tiler.array_shape}"
     out: list[Diagnostic] = []
-    dups = duplicate_element_count(tiler)
+    dups, missing = coverage_counts(tiler)
     if role == "output" and dups:
         out.append(
             Diagnostic(
@@ -44,7 +44,6 @@ def lint_tiler(tiler: Tiler, role: str = "output", location: str = "") -> list[D
                 hint="adjust paving/fitting so repetitions write disjoint tiles",
             )
         )
-    missing = uncovered_element_count(tiler)
     if missing:
         out.append(
             Diagnostic(

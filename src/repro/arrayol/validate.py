@@ -24,7 +24,7 @@ from repro.arrayol.model import (
     RepetitiveTask,
     Task,
 )
-from repro.tilers import is_exact, is_injective
+from repro.tilers import coverage_counts
 
 __all__ = ["validate_model", "validate_task", "dataflow_graph"]
 
@@ -88,13 +88,14 @@ def _validate_repetitive(task: RepetitiveTask) -> None:
                 )
             # single assignment: every element written at most once, and the
             # task must produce its whole output array
-            if not is_injective(t):
+            duplicates, uncovered = coverage_counts(t)
+            if duplicates:
                 raise ModelValidationError(
                     f"output tiler on {conn.inner_port!r} writes elements twice "
                     f"(single assignment violated)",
                     task.name,
                 )
-            if not is_exact(t):
+            if uncovered:
                 raise ModelValidationError(
                     f"output tiler on {conn.inner_port!r} does not produce the "
                     f"whole array",

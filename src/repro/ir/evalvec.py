@@ -179,10 +179,11 @@ def _apply_binop(op: str, lhs, rhs):
         return np.subtract(lhs, rhs)
     if op == "*":
         return np.multiply(lhs, rhs)
-    if op == "/":
-        return c_div(lhs, rhs)
-    if op == "%":
-        return c_mod(lhs, rhs)
+    if op in ("/", "%"):
+        # both branches of a Select run, so a zero scalar divisor may be dead:
+        # evaluate it as one zero lane, which gives 0 instead of raising
+        rhs = rhs if np.ndim(rhs) or rhs else np.zeros(1, np.asarray(rhs).dtype)
+        return c_div(lhs, rhs) if op == "/" else c_mod(lhs, rhs)
     if op == "min":
         return np.minimum(lhs, rhs)
     if op == "max":

@@ -51,24 +51,28 @@ _ALL_BINOPS = BINARY_OPS | COMPARISON_OPS | LOGICAL_OPS
 
 def c_div(a, b):
     """C integer division (truncation towards zero), elementwise."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if np.issubdtype(a.dtype, np.floating) or np.issubdtype(b.dtype, np.floating):
+    a, b = np.asarray(a), np.asarray(b)
+    if "f" in (a.dtype.kind, b.dtype.kind):
         return a / b
-    q = a // b
-    r = a - q * b
-    # floor division rounded towards -inf; fix up where signs differ
-    fix = (r != 0) & ((a < 0) != (b < 0))
-    return q + fix
+    if b.ndim == 0 and b > 0 and a.min(initial=0) >= 0:  # floor is truncation here
+        return a // b
+    with np.errstate(divide="ignore"):
+        # a - c_mod(a, b) is an exact multiple of b, so floor division truncates
+        return (a - c_mod(a, b)) // b
 
 
 def c_mod(a, b):
-    """C remainder (sign of the dividend), elementwise."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if np.issubdtype(a.dtype, np.floating) or np.issubdtype(b.dtype, np.floating):
+    """C remainder (sign of the dividend), elementwise: ``np.fmod``.
+
+    A scalar integer zero divisor raises :class:`IRError`.  Zero lanes of
+    an array divisor give 0, for ``c_div`` too: such a lane need not be
+    live (a vectorised ``Select`` evaluates both branches).
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if b.ndim == 0 and not b and "f" not in (a.dtype.kind, b.dtype.kind):
+        raise IRError("integer division or modulo by zero")
+    with np.errstate(divide="ignore"):  # a float zero divisor still warns
         return np.fmod(a, b)
-    return a - c_div(a, b) * b
 
 
 class Expr:

@@ -8,11 +8,13 @@ observer records the flat address of every read and store.  The address
 delta between the two probe points is the per-access stride.  This handles
 arbitrary index arithmetic — affine or not — without a symbolic engine.
 
-:func:`unique_read_bytes` estimates the DRAM traffic of a launch: the number
-of *distinct* elements the whole grid reads (overlapping windows within one
-kernel hit in cache and are not re-fetched, but the same data re-read by a
-*different* kernel is — the effect the paper blames for the SaC slowdown in
-Section VIII-C).
+:func:`unique_access_bytes` estimates the DRAM traffic of a launch: the
+number of *distinct* elements the whole grid reads and writes (overlapping
+windows within one kernel hit in cache and are not re-fetched, but the same
+data re-read by a *different* kernel is — the effect the paper blames for
+the SaC slowdown in Section VIII-C).  Every access is marked on a boolean
+occupancy grid per (array, read or store), so the count never sorts or
+hashes the address stream.
 """
 
 from __future__ import annotations
@@ -63,17 +65,9 @@ def _probe_space(space: IndexSpace) -> IndexSpace:
     upper = [lo + 1 for lo in lower]
     last = space.rank - 1
     if space.extent[last] >= 2:
-        upper[last] = lower[last] + 2 * step[last] - (step[last] - 1)
         # enumerate exactly the first two points: lower, lower+step
         upper[last] = lower[last] + step[last] + 1
     return IndexSpace(tuple(lower), tuple(upper), tuple(step))
-
-
-def _flat_strides(shape: tuple[int, ...]) -> np.ndarray:
-    strides = np.ones(len(shape), dtype=np.int64)
-    for d in range(len(shape) - 2, -1, -1):
-        strides[d] = strides[d + 1] * shape[d + 1]
-    return strides
 
 
 def probe_access_profile(kernel: Kernel) -> AccessProfile:
@@ -88,9 +82,7 @@ def probe_access_profile(kernel: Kernel) -> AccessProfile:
     write_strides: list[int] = []
 
     def observer(kind: str, array: str, idx: tuple[np.ndarray, ...]) -> None:
-        strides = _flat_strides(shapes[array])
-        flat = sum(np.asarray(i, dtype=np.int64) * s for i, s in zip(idx, strides))
-        flat = np.asarray(flat).reshape(-1)
+        flat = np.ravel_multi_index(idx, shapes[array]).reshape(-1)
         if two_points and flat.size == 2:
             delta = int(flat[1] - flat[0])
         else:
@@ -111,32 +103,23 @@ def probe_access_profile(kernel: Kernel) -> AccessProfile:
 def unique_access_bytes(kernel: Kernel) -> tuple[int, int]:
     """(unique bytes read, unique bytes written) over the whole launch.
 
-    Evaluates the kernel over its full index space with an observer and
-    counts distinct flat addresses per array.  Intended for cost modelling;
-    cached by the executor per kernel structure.
+    Evaluates the kernel over its full index space with an observer that
+    marks each accessed element on a per-(array, read or store) occupancy
+    grid and counts the marked cells.  Intended for cost modelling; cached
+    by the executor per kernel structure.
     """
-    shapes = {a.name: a.shape for a in kernel.arrays}
-    dtypes = {a.name: np.dtype(a.dtype) for a in kernel.arrays}
     buffers = {a.name: np.zeros(a.shape, dtype=a.dtype) for a in kernel.arrays}
     scalars = {s.name: 0 for s in kernel.scalars}
-
-    read_sets: dict[str, list[np.ndarray]] = {}
-    write_sets: dict[str, list[np.ndarray]] = {}
+    grids: dict[tuple[str, str], np.ndarray] = {}
 
     def observer(kind: str, array: str, idx: tuple[np.ndarray, ...]) -> None:
-        strides = _flat_strides(shapes[array])
-        flat = sum(np.asarray(i, dtype=np.int64) * s for i, s in zip(idx, strides))
-        flat = np.unique(np.asarray(flat).reshape(-1))
-        target = read_sets if kind == "read" else write_sets
-        target.setdefault(array, []).append(flat)
+        grid = grids.get((kind, array))
+        if grid is None:
+            grid = grids[kind, array] = np.zeros(buffers[array].shape, dtype=bool)
+        grid[idx] = True
 
     evaluate_kernel(kernel, buffers, scalars, observer=observer)
-
-    def total(sets: dict[str, list[np.ndarray]]) -> int:
-        out = 0
-        for array, chunks in sets.items():
-            uniq = np.unique(np.concatenate(chunks))
-            out += int(uniq.size) * dtypes[array].itemsize
-        return out
-
-    return total(read_sets), total(write_sets)
+    totals = {"read": 0, "store": 0}
+    for (kind, array), grid in grids.items():
+        totals[kind] += int(np.count_nonzero(grid)) * buffers[array].itemsize
+    return totals["read"], totals["store"]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import IRError
 from repro.ir import expr as ir
 from repro.ir import stmt as irs
 from repro.ir.kernel import IndexSpace
@@ -79,7 +80,7 @@ def _index_local_env(body, idx_values) -> dict[str, np.ndarray]:
         if isinstance(s, irs.Assign):
             try:
                 env[s.name] = _eval_index_expr(s.value, idx_values, env)
-            except _Unanalysable:
+            except (_Unanalysable, IRError):  # IRError: a scalar zero divisor
                 env.pop(s.name, None)  # poisoned
     return env
 
@@ -163,7 +164,7 @@ def split_wrap_regions(
         c = int(mod.rhs.value)
         try:
             val = _eval_index_expr(mod.lhs, idx_values, env)
-        except _Unanalysable:
+        except (_Unanalysable, IRError):  # IRError: a scalar zero divisor
             analysable = False
             continue
         val = np.broadcast_to(np.asarray(val), gen.space.extent)

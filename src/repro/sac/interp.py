@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from repro.errors import SacRuntimeError
+from repro.errors import IRError, SacRuntimeError
 from repro.ir.expr import c_div, c_mod
 from repro.sac import ast
 from repro.sac.builtins import BUILTINS, FOLD_FUNS, call_builtin
@@ -274,7 +274,7 @@ class Interpreter:
                 out = np.logical_or(lhs, rhs)
             else:
                 raise SacRuntimeError(f"unknown operator {op!r}", e.loc)
-        except ValueError as err:
+        except (ValueError, IRError) as err:
             raise SacRuntimeError(f"operator {op!r}: {err}", e.loc) from None
         if is_scalar(lhs) and is_scalar(rhs):
             return to_python(out)

@@ -194,8 +194,10 @@ class _Folder:
         rhs, ra = self.fold(e.rhs)
         op = e.op
 
-        # fully constant
-        if la.value is not None and ra.value is not None:
+        # fully constant, unless it divides by zero: the program may never
+        # run that division (``false && 1 / 0 == 0`` is valid)
+        zero_divisor = op in ("/", "%") and _is_const_zero(ra)
+        if la.value is not None and ra.value is not None and not zero_divisor:
             val = _apply_op(op, la.value, ra.value, e.loc)
             lit = _literal(val, e.loc)
             if lit is not None:

@@ -9,6 +9,7 @@ WITH-loops (paper Section VI).
 from repro.tilers.analysis import (
     TilerAccessGeometry,
     access_geometry,
+    coverage_counts,
     covers_array,
     duplicate_element_count,
     is_exact,
@@ -29,6 +30,7 @@ __all__ = [
     "flat_element_indices",
     "access_geometry",
     "TilerAccessGeometry",
+    "coverage_counts",
     "is_injective",
     "covers_array",
     "is_exact",

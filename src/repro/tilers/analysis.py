@@ -21,6 +21,8 @@ from repro.tilers.ops import flat_element_indices
 from repro.tilers.tiler import Tiler
 
 __all__ = [
+    "multiplicity",
+    "coverage_counts",
     "is_injective",
     "covers_array",
     "is_exact",
@@ -31,21 +33,27 @@ __all__ = [
 ]
 
 
-def _flat_sorted(tiler: Tiler) -> np.ndarray:
-    return np.sort(flat_element_indices(tiler).reshape(-1))
+def multiplicity(tiler: Tiler) -> np.ndarray:
+    """How often the tiling addresses each array element (flat, row-major)."""
+    size = int(np.prod(tiler.array_shape))
+    return np.bincount(flat_element_indices(tiler).reshape(-1), minlength=size)
+
+
+def coverage_counts(tiler: Tiler) -> tuple[int, int]:
+    """``(duplicate_element_count, uncovered_element_count)`` in one pass."""
+    mult = multiplicity(tiler)
+    covered = int(np.count_nonzero(mult))
+    return int(mult.sum()) - covered, mult.size - covered
 
 
 def duplicate_element_count(tiler: Tiler) -> int:
     """Number of (rep, pat) points that collide with an earlier one."""
-    flat = _flat_sorted(tiler)
-    return int(flat.size - np.unique(flat).size)
+    return coverage_counts(tiler)[0]
 
 
 def uncovered_element_count(tiler: Tiler) -> int:
     """Number of array elements never addressed by the tiling."""
-    flat = np.unique(_flat_sorted(tiler))
-    total = int(np.prod(tiler.array_shape))
-    return total - int(flat.size)
+    return coverage_counts(tiler)[1]
 
 
 def is_injective(tiler: Tiler) -> bool:
@@ -64,9 +72,7 @@ def is_exact(tiler: Tiler) -> bool:
     This is the ArrayOL validity condition for a tiler that *produces* an
     array (every element written exactly once, honouring single assignment).
     """
-    flat = _flat_sorted(tiler)
-    total = int(np.prod(tiler.array_shape))
-    return flat.size == total and duplicate_element_count(tiler) == 0
+    return coverage_counts(tiler) == (0, 0)
 
 
 @dataclass(frozen=True)

@@ -124,14 +124,14 @@ def coarsen_paving(tiler: Tiler, rep_dim: int, factor: int) -> Tiler:
 _DENSE_LIMIT = 1 << 24
 
 
-def _separable_axis_sets(tiler: Tiler):
-    """Per-dimension touched coordinate sets, when the footprint factors.
+def _separable_axis_occupancy(tiler: Tiler):
+    """Per-dimension touched-coordinate masks, when the footprint factors.
 
     The footprint of a tiler is the product of per-dimension 1-D sets
     exactly when every pattern/repetition index component contributes to
     at most one array dimension (no column of ``F`` or ``P`` couples two
-    dims).  Returns one sorted unique ``ndarray`` per dimension, or
-    ``None`` when the tiler is not separable.
+    dims).  Returns one boolean occupancy mask of length ``array_shape[d]``
+    per dimension, or ``None`` when the tiler is not separable.
     """
     import numpy as np
 
@@ -146,17 +146,21 @@ def _separable_axis_sets(tiler: Tiler):
         if sum(1 for c in col if c) > 1:
             return None
     counts = tuple(tiler.pattern_shape) + tuple(tiler.repetition_shape)
-    sets = []
+    masks = []
     for d, n in enumerate(tiler.array_shape):
-        values = np.asarray([tiler.origin[d]], dtype=np.int64)
+        # addressing is modular: reducing each partial sum mod n keeps
+        # the footprint and bounds the mask by the extent
+        mask = np.zeros(n, dtype=bool)
+        mask[tiler.origin[d] % n] = True
         for (col, cnt) in zip(columns, counts):
             c = col[d]
             if c == 0 or cnt == 1:
                 continue
-            values = (values[:, None] + c * np.arange(cnt, dtype=np.int64)).ravel()
-            values = np.unique(values)
-        sets.append(np.unique(values % n))
-    return sets
+            values = np.flatnonzero(mask)[:, None] + c * np.arange(cnt)
+            mask = np.zeros(n, dtype=bool)
+            mask[values % n] = True
+        masks.append(mask)
+    return masks
 
 
 def paving_equivalent(base: Tiler, alt: Tiler) -> bool:
@@ -167,16 +171,16 @@ def paving_equivalent(base: Tiler, alt: Tiler) -> bool:
     tiler_access_box`; mutual containment of *exact* boxes is equality of
     the addressed sets.  When a wrap widened either box (the downscaler's
     input tilers wrap at the frame edge, so their boxes are inexact), the
-    footprints are compared densely — per dimension when both tilers are
-    separable (each index component moves one array dim, so the footprint
-    is a product of 1-D sets), otherwise over the full enumeration up to
-    ``_DENSE_LIMIT`` points, past which the conservative answer is
-    ``False``.
+    footprints are compared as occupancy masks — per dimension when both
+    tilers are separable (each index component moves one array dim, so the
+    footprint is a product of 1-D sets), otherwise over the whole array
+    from :func:`~repro.tilers.analysis.multiplicity` up to ``_DENSE_LIMIT``
+    enumerated points, past which the conservative answer is ``False``.
     """
     import numpy as np
 
     from repro.analysis.regions import box_contains
-    from repro.tilers.ops import flat_element_indices
+    from repro.tilers.analysis import multiplicity
 
     if base.array_shape != alt.array_shape:
         return False
@@ -184,20 +188,14 @@ def paving_equivalent(base: Tiler, alt: Tiler) -> bool:
     abox = tiler_access_box(alt)
     if bbox.exact and abox.exact:
         return box_contains(bbox, abox) and box_contains(abox, bbox)
-    base_sets = _separable_axis_sets(base)
-    alt_sets = _separable_axis_sets(alt)
-    if base_sets is not None and alt_sets is not None:
-        return all(
-            np.array_equal(b, a) for b, a in zip(base_sets, alt_sets)
-        )
+    base_masks = _separable_axis_occupancy(base)
+    alt_masks = _separable_axis_occupancy(alt)
+    if base_masks is not None and alt_masks is not None:
+        return all(np.array_equal(b, a) for b, a in zip(base_masks, alt_masks))
     points = (
         base.repetition_size * base.pattern_size
         + alt.repetition_size * alt.pattern_size
     )
     if points > _DENSE_LIMIT:
         return False
-    base_set = np.unique(flat_element_indices(base))
-    alt_set = np.unique(flat_element_indices(alt))
-    return base_set.shape == alt_set.shape and bool(
-        np.array_equal(base_set, alt_set)
-    )
+    return bool(np.array_equal(multiplicity(base) > 0, multiplicity(alt) > 0))

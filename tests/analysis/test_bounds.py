@@ -12,6 +12,7 @@ from repro.ir import (
     ParamRef,
     Read,
     ScalarParam,
+    Select,
     Store,
     ThreadIdx,
 )
@@ -66,6 +67,18 @@ class TestCleanKernels:
             scalars=[ScalarParam("off")],
         )
         assert check_kernel_bounds(k, scalars={"off": 2}) == []
+
+    def test_select_guarded_divisor_index_is_proven(self):
+        # src[iv != 0 ? 7 / iv : 0]: lane 0's division is discarded by the
+        # select, so the exact phase still computes the index range
+        idx = Select(BinOp("!=", ThreadIdx(0), Const(0)),
+                     BinOp("/", Const(7), ThreadIdx(0)), Const(0))
+        k = kernel(
+            [Store("dst", (ThreadIdx(0),), Read("src", (idx,)))],
+            [ArrayParam("src", (8,), intent="in"),
+             ArrayParam("dst", (8,), intent="out")],
+        )
+        assert check_kernel_bounds(k) == []
 
 
 class TestViolations:
@@ -126,6 +139,19 @@ class TestViolations:
                    Read("src", (Read("idx", (ThreadIdx(0),)),)))],
             [ArrayParam("idx", (8,), intent="in"),
              ArrayParam("src", (8,), intent="in"),
+             ArrayParam("dst", (8,), intent="out")],
+        )
+        warns = by_code(check_kernel_bounds(k), "BOUNDS003")
+        assert len(warns) == 1
+        assert "src" in warns[0].message
+
+    def test_zero_divisor_index_is_warning(self):
+        # src[iv / 0] has no value; the exact phase must report it as
+        # unprovable instead of raising out of `repro lint`
+        k = kernel(
+            [Store("dst", (ThreadIdx(0),),
+                   Read("src", (BinOp("/", ThreadIdx(0), Const(0)),)))],
+            [ArrayParam("src", (8,), intent="in"),
              ArrayParam("dst", (8,), intent="out")],
         )
         warns = by_code(check_kernel_bounds(k), "BOUNDS003")

@@ -24,6 +24,7 @@ from repro.ir import (
     ThreadIdx,
     UnOp,
     evaluate_kernel,
+    unique_access_bytes,
 )
 from repro.ir import expr as ir
 from repro.ir import stmt as irs
@@ -124,11 +125,13 @@ def _ref_kernel(kernel, bufs):
 @st.composite
 def rand_exprs(draw, depth=0):
     if depth >= 3:
-        choice = draw(st.integers(0, 2))
+        choice = draw(st.integers(0, 3))
         if choice == 0:
             return Const(draw(st.integers(-9, 9)))
         if choice == 1:
             return ThreadIdx(0)
+        if choice == 2:  # truncating-division index: several threads share one
+            return Read("src", (BinOp("/", ThreadIdx(0), Const(draw(st.integers(1, 4)))),))
         return Read(
             "src",
             (BinOp("%", BinOp("+", ThreadIdx(0), Const(draw(st.integers(0, N - 1)))),
@@ -189,3 +192,28 @@ def test_vectorised_equals_scalar_reference(kernel, seed):
 
     expected = np.array([wrap32(x) for x in bufs["dst"]], dtype=np.int32)
     np.testing.assert_array_equal(dst_vec, expected)
+
+
+# -- footprint counting ------------------------------------------------------------
+
+
+def _address_set_bytes(kernel):
+    """Pure-Python reference: distinct (array, index) tuples per access kind."""
+    seen = {"read": set(), "store": set()}
+
+    def observer(kind, array, idx):
+        cols = [c.reshape(-1).tolist() for c in np.broadcast_arrays(*idx)]
+        seen[kind].update((array, *point) for point in zip(*cols))
+
+    bufs = {a.name: np.zeros(a.shape, dtype=a.dtype) for a in kernel.arrays}
+    evaluate_kernel(kernel, bufs, observer=observer)
+    itemsize = {a.name: np.dtype(a.dtype).itemsize for a in kernel.arrays}
+    return tuple(
+        sum(itemsize[point[0]] for point in seen[kind]) for kind in ("read", "store")
+    )
+
+
+@given(rand_kernels())
+@settings(max_examples=80, deadline=None)
+def test_unique_access_bytes_equals_address_set(kernel):
+    assert unique_access_bytes(kernel) == _address_set_bytes(kernel)

@@ -1,7 +1,11 @@
 """Unit tests for IR expressions and C arithmetic helpers."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import IRError
 from repro.ir import BinOp, Const, Read, Select, ThreadIdx, UnOp, c_div, c_mod
@@ -43,6 +47,61 @@ class TestCArithmetic:
         out = c_div(tmp, 6) - c_mod(tmp, 6)
         expected = tmp // 6 - tmp % 6  # positive operands: same as Python
         np.testing.assert_array_equal(out, expected)
+
+
+def _trunc_divmod(a: int, b: int) -> tuple[int, int]:
+    """Pure-Python C division: the quotient truncates towards zero."""
+    q = abs(a) // abs(b)
+    q = q if (a < 0) == (b < 0) else -q
+    return q, a - q * b
+
+
+# INT64_MIN / -1 overflows int64 (undefined behaviour in C), so it is left out
+_DIVIDENDS = st.integers(-(2**63) + 1, 2**63 - 1)
+_DIVISORS = st.one_of(st.integers(-9, 9), _DIVIDENDS).filter(bool)
+
+
+class TestCArithmeticProperties:
+    @given(st.lists(st.tuples(_DIVIDENDS, _DIVISORS), min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_truncating_reference(self, pairs):
+        a = np.array([x for x, _ in pairs], dtype=np.int64)
+        b = np.array([y for _, y in pairs], dtype=np.int64)
+        want = [_trunc_divmod(x, y) for x, y in pairs]
+        # array / array
+        q, r = c_div(a, b), c_mod(a, b)
+        assert q.dtype == r.dtype == np.int64
+        assert list(zip(q.tolist(), r.tolist())) == want
+        # scalar / scalar
+        for (x, y), (wq, wr) in zip(pairs, want):
+            assert int(c_div(np.int64(x), np.int64(y))) == wq
+            assert int(c_mod(np.int64(x), np.int64(y))) == wr
+        # array / scalar divisor, the `tmp/6 - tmp%6` shape
+        y = pairs[0][1]
+        assert c_div(a, y).tolist() == [_trunc_divmod(x, y)[0] for x, _ in pairs]
+        assert c_mod(a, y).tolist() == [_trunc_divmod(x, y)[1] for x, _ in pairs]
+
+    def test_operand_dtype_is_kept(self):
+        a = np.arange(-20, 20, dtype=np.int32)
+        assert c_div(a, np.int32(6)).dtype == np.int32
+        assert c_mod(a, np.int32(6)).dtype == np.int32
+        assert c_div(a, 6).dtype == c_mod(a, 6).dtype == np.int64
+
+    def test_scalar_zero_divisor_raises(self):
+        for fn in (c_div, c_mod):
+            with pytest.raises(IRError, match="by zero"):
+                fn([-7, -1, 0, 1, 7], 0)
+            with pytest.raises(IRError, match="by zero"):
+                fn(np.int32(5), np.int32(0))
+
+    def test_zero_lanes_of_array_divisor_give_zero(self):
+        # a lane of an array divisor may be dead (Select evaluates both
+        # branches), so it gets a defined value and no warning
+        a, b = np.array([-7, 7, 9, -9]), np.array([2, 0, 0, 4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert c_div(a, b).tolist() == [-3, 0, 0, -2]
+            assert c_mod(a, b).tolist() == [-1, 0, 0, -1]
 
 
 class TestNodeValidation:

@@ -11,7 +11,9 @@ from repro.ir import (
     IndexSpace,
     Kernel,
     LocalRef,
+    ParamRef,
     Read,
+    ScalarParam,
     Store,
     ThreadIdx,
     probe_access_profile,
@@ -189,3 +191,73 @@ class TestUniqueBytes:
         r, w = unique_access_bytes(k)
         assert r == 4 * 4
         assert w == 4 * 4
+
+    def test_scalar_index_component_broadcasts(self):
+        # dst[1, iv]: the constant row broadcasts against the thread index
+        k = make(
+            body=[Store("dst", (Const(1), ThreadIdx(0)), Read("src", (Const(3),)))],
+            arrays=[
+                ArrayParam("src", (8,), intent="in"),
+                ArrayParam("dst", (2, 8), intent="out"),
+            ],
+            space=IndexSpace((0,), (8,)),
+        )
+        assert unique_access_bytes(k) == (4, 8 * 4)
+
+    def test_data_divisor_costed_on_placeholder_buffers(self):
+        # dst[i] = 100 / src[i]: the probes run on all-zero buffers, whose
+        # zero divisors must not stop the launch from being costed
+        from repro.gpu import UNCALIBRATED, CostModel, GPUExecutor
+
+        k = make(
+            body=[Store("dst", (ThreadIdx(0),),
+                        BinOp("/", Const(100), Read("src", (ThreadIdx(0),))))],
+            arrays=[
+                ArrayParam("src", (8,), intent="in"),
+                ArrayParam("dst", (8,), intent="out"),
+            ],
+            space=IndexSpace((0,), (8,)),
+        )
+        inputs = GPUExecutor(CostModel(UNCALIBRATED)).kernel_cost_inputs(k)
+        assert (inputs.unique_read_bytes, inputs.unique_write_bytes) == (32, 32)
+        assert inputs.profile.read_strides == (1,)
+
+    def test_scalar_divisor_costed_with_placeholder_zero(self):
+        # dst[i] = src[i] / n: the probes bind every scalar parameter to 0
+        k = Kernel(
+            name="k",
+            space=IndexSpace((0,), (8,)),
+            arrays=(ArrayParam("src", (8,), intent="in"),
+                    ArrayParam("dst", (8,), intent="out")),
+            scalars=(ScalarParam("n"),),
+            body=(Store("dst", (ThreadIdx(0),),
+                        BinOp("/", Read("src", (ThreadIdx(0),)), ParamRef("n"))),),
+        )
+        assert unique_access_bytes(k) == (32, 32)
+        assert probe_access_profile(k).read_strides == (1,)
+
+
+#: per-kernel (unique read bytes, unique write bytes) of both downscaler
+#: routes at CIF; every modelled launch time is charged from these counts
+_CIF_FOOTPRINTS = {
+    "sac": [
+        (304128, 50688), (297216, 49536), (6912, 1152), (297216, 49536),
+        (6912, 1152), (101376, 16896), (98208, 16368), (3168, 528),
+        (98208, 16368), (3168, 528), (98208, 16368), (3168, 528),
+    ],
+    "gaspard": [
+        (405504, 152064), (405504, 152064), (405504, 152064),
+        (152064, 67584), (152064, 67584), (152064, 67584),
+    ],
+}
+
+
+@pytest.mark.parametrize("route", sorted(_CIF_FOOTPRINTS))
+def test_downscaler_cif_footprints_pinned(route):
+    from repro.apps.downscaler.config import CIF
+    from repro.apps.downscaler.serving import downscaler_job
+    from repro.runtime.cache import CompileCache
+
+    program = downscaler_job(route, size=CIF).compile(CompileCache())
+    got = [unique_access_bytes(k) for k in program.kernels]
+    assert got == _CIF_FOOTPRINTS[route]

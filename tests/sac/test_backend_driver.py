@@ -20,6 +20,7 @@ from repro.ir.program import (
     LaunchKernel,
 )
 from repro.sac.backend import CompileOptions, compile_function
+from repro.sac.interp import Interpreter
 from repro.sac.parser import parse
 
 TINY = FrameSize(rows=18, cols=16, name="tiny")
@@ -201,3 +202,25 @@ class TestRejectionFallbacks:
         a = np.arange(16, dtype=np.int32)
         res = ex.run(cf.program, {"a": a})
         np.testing.assert_array_equal(res.outputs[cf.program.host_outputs[0]], [120])
+
+
+class TestGuardedDivision:
+    def test_select_guarded_division_matches_interpreter(self):
+        # if-conversion makes the guard a Select, and the GPU evaluates both
+        # of its branches: the d == 0 lanes must still take the else value
+        src = """
+        int[8] f(int[8] a) {
+          b = with { (. <= iv <= .) {
+                d = a[iv];
+                if (d != 0) { x = 100 / d; } else { x = 0; }
+              } : x; } : genarray([8]);
+          return b;
+        }
+        """
+        a = np.array([0, 3, -7, 0, 1, 100, -1, 0], dtype=np.int32)
+        cf = compile_function(parse(src), "f")
+        assert cf.kernel_count == 1 and cf.rejected == ()
+        res = GPUExecutor(CostModel(UNCALIBRATED)).run(cf.program, {"a": a})
+        want = Interpreter(parse(src)).call("f", [a])
+        np.testing.assert_array_equal(res.outputs[cf.program.host_outputs[0]], want)
+        np.testing.assert_array_equal(want, [0, 33, -14, 0, 100, 1, -100, 0])

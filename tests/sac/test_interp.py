@@ -33,6 +33,11 @@ class TestScalars:
         # rhs would divide by zero; && must not evaluate it
         assert run("bool main() { return false && (1 / 0 == 0); }") is False
 
+    def test_division_by_zero_is_located_error(self):
+        for op in ("/", "%"):
+            with pytest.raises(SacRuntimeError, match="by zero"):
+                run(f"int main() {{ d = 0; return 7 {op} d; }}")
+
     def test_unary(self):
         assert run("int main() { return -(3); }") == -3
         assert run("bool main() { return !false; }") is True

@@ -11,6 +11,7 @@ from repro.sac.opt import (
     inline_function,
     is_inlinable,
     normalize_function,
+    optimize_program,
 )
 from repro.sac.parser import parse
 
@@ -199,6 +200,24 @@ class TestFold:
         f = self._folded("int main() { if (1 < 2) { r = 10; } else { r = 20; } return r; }")
         assert not _find_nodes(f, ast.IfElse)
         assert Interpreter(parse("int x(){return 0;}")).call  # smoke
+
+    def test_zero_divisor_left_for_runtime(self):
+        # `&&` never evaluates its rhs here, so folding must not reject it
+        interp_equal(
+            "bool main() { return false && (1 / 0 == 0); }",
+            transform=lambda p, n: fold_function(p.function(n)),
+        )
+
+    def test_zero_division_inlined_into_untaken_branch(self):
+        # inlining makes `7 / 0` constant under a condition known only at
+        # run time; the optimised program must still run where x <= 0
+        src = """
+        int ratio(int a, int d, int x) { if (x > 0) { r = a / d; } else { r = 0; } return r; }
+        int main(int x) { return ratio(7, 0, x) + ratio(7, 2, 1); }
+        """
+        prog = optimize_program(parse(src), entry="main")
+        assert Interpreter(prog).call("main", [-1]) == 3
+        assert Interpreter(parse(src)).call("main", [-1]) == 3
 
     def test_identities(self):
         src = "int main(int x) { return (x + 0) * 1 + 0 * x; }"
