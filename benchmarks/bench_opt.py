@@ -42,13 +42,9 @@ from repro.apps.downscaler.arrayol_model import (
 from repro.apps.downscaler.sac_sources import NONGENERIC, downscaler_program_source
 from repro.apps.downscaler.video import channels_of, synthetic_frame
 from repro.arrayol.transform import GaspardContext, standard_chain
-from repro.gpu import (
-    CostModel,
-    GPUExecutor,
-    GTX480_CALIBRATED,
-    overlapped_makespan,
-)
+from repro.gpu import CostModel, GPUExecutor, GTX480_CALIBRATED
 from repro.opt import OptOptions, ProgramStats
+from repro.runtime import build_schedule
 from repro.sac.backend import CompileOptions, compile_function
 from repro.sac.parser import parse
 
@@ -101,7 +97,7 @@ def _measure(route: str, size, frames: int) -> dict:
         program, report = _compile(route, size, transfers, opt)
         ex = GPUExecutor(CostModel(GTX480_CALIBRATED))
         exact = _bit_exact(route, program, size, ex)
-        makespan = overlapped_makespan(program, ex, frames=frames)
+        schedule = build_schedule(program, ex, runs=frames, depth=None)
         stats = ProgramStats.of(program)
         row = {
             "transfers": transfers,
@@ -109,8 +105,8 @@ def _measure(route: str, size, frames: int) -> dict:
             "launches": stats.launches,
             "transferred_bytes": stats.transferred_bytes,
             "peak_device_bytes": stats.peak_device_bytes,
-            "serial_us": round(makespan.serial_us, 3),
-            "overlapped_us": round(makespan.overlapped_us, 3),
+            "serial_us": round(schedule.serial_us, 3),
+            "overlapped_us": round(schedule.makespan_us, 3),
             "bit_exact": exact,
             "transfer_lints": len(find_transfer_waste(program)),
         }

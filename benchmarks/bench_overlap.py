@@ -17,11 +17,17 @@ import pytest
 from benchmarks.conftest import run_once
 from repro.apps.downscaler import HD, GENERIC, NONGENERIC, downscaler_program_source
 from repro.apps.downscaler.video import synthetic_frame
-from repro.gpu import CostModel, GPUExecutor, GTX480_CALIBRATED, overlapped_makespan
+from repro.gpu import CostModel, GPUExecutor, GTX480_CALIBRATED
+from repro.runtime import build_schedule
 from repro.sac.backend import CompileOptions, compile_function
 from repro.sac.parser import parse
 
 FRAMES = 300
+
+
+def pipelined(cf, ex):
+    """``FRAMES`` back-to-back runs with private buffers per frame."""
+    return build_schedule(cf.program, ex, runs=FRAMES, depth=None)
 
 
 @pytest.fixture(scope="module")
@@ -40,20 +46,20 @@ def warm():
 
 def test_overlap_nongeneric(warm, benchmark):
     cf, ex = warm[NONGENERIC]
-    r = run_once(benchmark, lambda: overlapped_makespan(cf.program, ex, frames=FRAMES))
+    r = run_once(benchmark, lambda: pipelined(cf, ex))
     print(f"\nnon-generic: serial={r.serial_us/1e6:.2f}s "
-          f"pipelined={r.overlapped_us/1e6:.2f}s speedup={r.speedup:.2f}x")
+          f"pipelined={r.makespan_us/1e6:.2f}s speedup={r.speedup:.2f}x")
     assert r.speedup > 1.5  # the transfers hide behind the kernels
     # steady state bounded by the busiest engine (compute)
     busiest = max(r.engine_busy_us(e) for e in ("h2d", "compute", "d2h"))
-    assert r.overlapped_us == pytest.approx(busiest, rel=0.1)
+    assert r.makespan_us == pytest.approx(busiest, rel=0.1)
 
 
 def test_overlap_generic_blocked(warm, benchmark):
     cf, ex = warm[GENERIC]
-    r = run_once(benchmark, lambda: overlapped_makespan(cf.program, ex, frames=FRAMES))
+    r = run_once(benchmark, lambda: pipelined(cf, ex))
     print(f"\ngeneric: serial={r.serial_us/1e6:.2f}s "
-          f"pipelined={r.overlapped_us/1e6:.2f}s speedup={r.speedup:.2f}x")
+          f"pipelined={r.makespan_us/1e6:.2f}s speedup={r.speedup:.2f}x")
     # the host output tiler synchronises every frame: no pipelining win
     assert r.speedup == pytest.approx(1.0, abs=0.05)
 
@@ -63,10 +69,10 @@ def test_overlap_widens_the_variant_gap(warm):
     serial ratios — fusion buys pipelinability, not just fewer ops."""
     cf_non, ex_non = warm[NONGENERIC]
     cf_gen, ex_gen = warm[GENERIC]
-    r_non = overlapped_makespan(cf_non.program, ex_non, frames=FRAMES)
-    r_gen = overlapped_makespan(cf_gen.program, ex_gen, frames=FRAMES)
+    r_non = pipelined(cf_non, ex_non)
+    r_gen = pipelined(cf_gen, ex_gen)
     serial_ratio = r_gen.serial_us / r_non.serial_us
-    pipelined_ratio = r_gen.overlapped_us / r_non.overlapped_us
+    pipelined_ratio = r_gen.makespan_us / r_non.makespan_us
     print(f"\ngeneric/non-generic: serial={serial_ratio:.2f}x "
           f"pipelined={pipelined_ratio:.2f}x")
     assert pipelined_ratio > serial_ratio

@@ -19,8 +19,9 @@ Run:  python examples/streaming_overlap.py
 
 from repro.apps.downscaler import GENERIC, HD, NONGENERIC, downscaler_program_source
 from repro.apps.downscaler.video import synthetic_frame
-from repro.gpu import CostModel, GPUExecutor, GTX480_CALIBRATED, overlapped_makespan
+from repro.gpu import CostModel, GPUExecutor, GTX480_CALIBRATED
 from repro.report.gantt import render_gantt
+from repro.runtime import build_schedule
 from repro.sac.backend import CompileOptions, compile_function
 from repro.sac.parser import parse
 
@@ -37,9 +38,12 @@ def main() -> None:
         executor = GPUExecutor(CostModel(GTX480_CALIBRATED))
         executor.run(compiled.program, {"frame": frame})  # warm the probes
 
-        result = overlapped_makespan(compiled.program, executor, frames=FRAMES)
+        # depth=None: private buffers per frame, the unbounded what-if
+        schedule = build_schedule(
+            compiled.program, executor, runs=FRAMES, depth=None
+        )
         print(f"=== {variant} variant, {FRAMES} frames ===")
-        print(render_gantt(result))
+        print(render_gantt(schedule))
         print()
 
 

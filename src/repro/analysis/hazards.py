@@ -1,7 +1,8 @@
 """Hazard/race detection over device programs.
 
-Builds a **happens-before graph** over a program's operations under the
-asynchronous execution model of :func:`repro.gpu.stream.overlapped_makespan`:
+Builds a **happens-before graph** over one run of a program's operations,
+modelling the stream semantics of the ``memcpy*async`` calls both routes
+issue (the paper's Tables I/II):
 
 * three engines (H2D copy, compute, D2H copy) execute in FIFO order;
 * a kernel launch additionally waits for the last *writer* of every buffer
@@ -15,6 +16,13 @@ Any two operations that access the same device buffer or host array, where
 at least one access is a write and **no happens-before path** connects them,
 are flagged as RACE001 (write/write) or RACE002 (read/write).  These are
 exactly the interleavings the paper's ``memcpyHtoDasync`` calls make legal.
+
+Every edge is an engine-FIFO, writer-to-reader or barrier edge; the graph
+has no reader-to-writer (WAR) edges.  The runtime scheduler
+(:func:`repro.runtime.schedule.build_schedule`) also waits for readers
+before a write, so a pair reported here may still be ordered in an actual
+schedule: :mod:`repro.runtime.unroll` certifies the recycled-slot pairs
+against it.
 
 With ``regions=True`` (the default) an unordered pair is additionally
 checked against the access-region oracle of

@@ -8,7 +8,6 @@ Subcommands::
                      [--frames N] [--size hd|cif] [--json]
     repro downscale [--size hd|cif] [--variant nongeneric|generic]
                     [--route sac|gaspard]
-    repro overlap [--size hd|cif] [--frames N]
     repro pipeline [--route sac|gaspard|both] [--size hd|cif] [--frames N]
                    [--variant nongeneric|generic] [--depth D] [--serialize]
                    [--no-validate] [--lint] [--opt] [--trace [FILE]] [--json]
@@ -128,14 +127,16 @@ def _table_as_dict(t) -> dict:
 
 
 def _overlap_results(size, frames: int) -> list[tuple[str, object]]:
-    """``overlapped_makespan`` of both SaC variants (bench_overlap's result)."""
+    """Unbounded-buffering schedules of both SaC variants (bench_overlap's
+    result)."""
     from repro.apps.downscaler.sac_sources import (
         GENERIC,
         NONGENERIC,
         downscaler_program_source,
     )
     from repro.apps.downscaler.video import synthetic_frame
-    from repro.gpu import CostModel, GPUExecutor, GTX480_CALIBRATED, overlapped_makespan
+    from repro.gpu import CostModel, GPUExecutor, GTX480_CALIBRATED
+    from repro.runtime.schedule import build_schedule
     from repro.sac.backend import CompileOptions, compile_function
     from repro.sac.parser import parse
 
@@ -146,7 +147,10 @@ def _overlap_results(size, frames: int) -> list[tuple[str, object]]:
         compiled = compile_function(program, "downscale", CompileOptions(target="cuda"))
         ex = GPUExecutor(CostModel(GTX480_CALIBRATED))
         ex.run(compiled.program, {"frame": frame})
-        results.append((variant, overlapped_makespan(compiled.program, ex, frames=frames)))
+        results.append((
+            variant,
+            build_schedule(compiled.program, ex, runs=frames, depth=None),
+        ))
     return results
 
 
@@ -155,7 +159,7 @@ def _overlap_as_dict(variant: str, result, frames: int) -> dict:
         "variant": variant,
         "frames": frames,
         "serial_us": round(result.serial_us, 3),
-        "overlapped_us": round(result.overlapped_us, 3),
+        "overlapped_us": round(result.makespan_us, 3),
         "speedup": round(result.speedup, 4),
         "engine_busy_us": {
             e: round(result.engine_busy_us(e), 3) for e in ("h2d", "compute", "d2h")
@@ -268,16 +272,6 @@ def _cmd_downscale(args) -> int:
     for name, arr in res.outputs.items():
         arr = np.asarray(arr)
         print(f"  output {name}: shape {arr.shape} checksum {int(arr.sum())}")
-    return EXIT_OK
-
-
-def _cmd_overlap(args) -> int:
-    from repro.report import render_gantt
-
-    for variant, result in _overlap_results(_size(args.size), args.frames):
-        print(f"=== {variant} variant, {args.frames} frames ===")
-        print(render_gantt(result))
-        print()
     return EXIT_OK
 
 
@@ -955,11 +949,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--size", choices=("hd", "cif"), default="hd")
     p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     p.set_defaults(fn=_cmd_experiment)
-
-    p = sub.add_parser("overlap", help="stream-pipelining what-if experiment")
-    p.add_argument("--size", choices=("hd", "cif"), default="hd")
-    p.add_argument("--frames", type=int, default=12)
-    p.set_defaults(fn=_cmd_overlap)
 
     p = sub.add_parser(
         "pipeline",

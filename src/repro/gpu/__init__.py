@@ -15,7 +15,6 @@ from repro.gpu.device import GTX480, I7_930, DeviceSpec, HostSpec
 from repro.gpu.executor import GPUExecutor, RunResult
 from repro.gpu.memory import DeviceBuffer, MemoryManager
 from repro.gpu.profiler import ProfileEvent, ProfileRow, Profiler
-from repro.gpu.stream import OverlapResult, ScheduledOp, overlapped_makespan
 
 __all__ = [
     "DeviceSpec", "HostSpec", "GTX480", "I7_930",
@@ -25,5 +24,4 @@ __all__ = [
     "MemoryManager", "DeviceBuffer",
     "Profiler", "ProfileEvent", "ProfileRow",
     "GPUExecutor", "RunResult",
-    "overlapped_makespan", "OverlapResult", "ScheduledOp",
 ]

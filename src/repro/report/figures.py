@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from repro.apps.downscaler.runner import Figure9Row, Figure12Series
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.apps.downscaler.runner import Figure9Row, Figure12Series
 
 __all__ = ["render_figure9", "render_figure12", "bar"]
 

@@ -2,21 +2,26 @@
 
 from __future__ import annotations
 
-from repro.gpu.stream import OverlapResult
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.runtime.schedule import PipelineSchedule
 
 __all__ = ["render_gantt"]
 
 _ENGINES = ("h2d", "compute", "d2h", "host")
 
 
-def render_gantt(result: OverlapResult, width: int = 72, engines=None) -> str:
+def render_gantt(
+    schedule: PipelineSchedule, width: int = 72, engines=None
+) -> str:
     """Render the schedule as one row per engine.
 
     Each engine's busy intervals are drawn with ``#`` over a time axis of
     ``width`` characters; idle time is ``.``.
     """
     engines = tuple(engines or _ENGINES)
-    span = result.overlapped_us
+    span = schedule.makespan_us
     if span <= 0:
         return "(empty schedule)"
 
@@ -29,21 +34,21 @@ def render_gantt(result: OverlapResult, width: int = 72, engines=None) -> str:
         return min(width, ceil(width * t / span))
 
     lines = [
-        f"stream schedule: serial {result.serial_us:.0f} us -> "
-        f"pipelined {result.overlapped_us:.0f} us "
-        f"({result.speedup:.2f}x)",
+        f"stream schedule: serial {schedule.serial_us:.0f} us -> "
+        f"pipelined {span:.0f} us "
+        f"({schedule.speedup:.2f}x)",
         "",
     ]
     for engine in engines:
-        ops = [s for s in result.schedule if s.engine == engine]
-        if not ops:
+        nodes = [n for n in schedule.nodes if n.engine == engine]
+        if not nodes:
             continue
         row = ["."] * width
-        for s in ops:
-            a, b = col_start(s.start_us), col_end(s.end_us)
+        for n in nodes:
+            a, b = col_start(n.start_us), col_end(n.end_us)
             for i in range(a, max(a + 1, b)):
                 row[i] = "#"
-        busy = result.engine_busy_us(engine)
+        busy = schedule.engine_busy_us(engine)
         lines.append(
             f"{engine:>8} |{''.join(row)}| {busy:9.0f} us busy"
         )

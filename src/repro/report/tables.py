@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.apps.downscaler.runner import OperationTable
 from repro.report.format import format_pct, format_seconds, format_us, render_grid
+
+if TYPE_CHECKING:
+    from repro.apps.downscaler.runner import OperationTable
 
 __all__ = ["PAPER_TABLE1", "PAPER_TABLE2", "render_operation_table", "compare_to_paper"]
 

@@ -7,9 +7,8 @@ serialise them (Tables I/II).  This package executes compiled
 three engines (H2D copy, compute, D2H copy) actually could:
 
 * :mod:`repro.runtime.schedule` — the dependence scheduler (engine FIFO,
-  RAW/WAR/WAW over ``depth``-deep recycled buffer slots, serialise knob);
-* :mod:`repro.runtime.executor` — :class:`StreamExecutor`, bit-exact
-  functional execution charged at the overlapped makespan;
+  RAW/WAR/WAW over ``depth``-deep recycled buffer slots, serialise knob),
+  the one place overlapped time is computed;
 * :mod:`repro.runtime.cache` — :class:`CompileCache`, memoised
   compilation for both routes with hit/miss/invalidation statistics;
 * :mod:`repro.runtime.pipeline` — :class:`FramePipeline`, the batched
@@ -32,7 +31,6 @@ from repro.runtime.cache import (
     gaspard_key,
     sac_key,
 )
-from repro.runtime.executor import StreamExecutor, StreamRunResult
 from repro.runtime.fleet import (
     CacheAffinityPlacement,
     DeviceTopology,
@@ -61,7 +59,6 @@ from repro.runtime.unroll import (
 
 __all__ = [
     "build_schedule", "schedule_violations", "PipelineSchedule", "ScheduledNode",
-    "StreamExecutor", "StreamRunResult",
     "CompileCache", "CacheStats", "sac_key", "gaspard_key", "canonical",
     "FramePipeline", "PipelineJob", "PipelineReport",
     "DeviceTopology", "FleetDevice", "FrameTicket", "PlacementDecision",

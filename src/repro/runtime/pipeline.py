@@ -25,7 +25,7 @@ from repro.errors import ReproError
 from repro.gpu.calibration import GTX480_CALIBRATED
 from repro.gpu.cost import CostModel, CostParams
 from repro.gpu.executor import GPUExecutor
-from repro.ir.program import AllocDevice, DeviceProgram, DeviceToHost, HostToDevice
+from repro.ir.program import DeviceProgram
 from repro.obs.span import Tracer, current_tracer, use_tracer
 from repro.runtime.cache import CacheStats, CompileCache
 from repro.runtime.fleet import DeviceTopology, FrameTicket, make_placement
@@ -270,7 +270,7 @@ class FramePipeline:
         latencies = schedule.latencies_us(batch=job.instances_per_frame)
         makespan = schedule.makespan_us
         busy = {e: schedule.engine_busy_us(e) for e in schedule.engines}
-        transfer_serial = self._transfer_serial_us(program, runs)
+        transfer_serial = busy.get("h2d", 0.0) + busy.get("d2h", 0.0)
 
         return PipelineReport(
             job=job.name,
@@ -385,12 +385,17 @@ class FramePipeline:
         latencies = schedule.latencies_us(batch=ipf)
         makespan = schedule.makespan_us
         engines = topo.engines()
+        busy = {e: schedule.engine_busy_us(e) for e in engines}
         occupancy = schedule.engine_occupancy(engines=engines)
+        # migration nodes ride the copy engines but, like serial_us, the
+        # program's transfer time leaves them out
+        transfer_serial = sum(
+            busy[d.engine(kind)] for d in topo for kind in ("h2d", "d2h")
+        ) - schedule.migration_us
         per_device: dict[str, dict] = {}
         for k, d in enumerate(topo):
             kinds = {
-                kind: schedule.engine_busy_us(d.engine(kind))
-                for kind in ("h2d", "compute", "d2h")
+                kind: busy[d.engine(kind)] for kind in ("h2d", "compute", "d2h")
             }
             per_device[d.name] = {
                 "frames": sum(1 for dec in decisions if dec.device == k),
@@ -403,7 +408,6 @@ class FramePipeline:
                 "cache": deltas[k].as_dict(),
             }
 
-        transfer_serial = self._transfer_serial_us(program, runs)
         return PipelineReport(
             job=job.name,
             program=program.name,
@@ -416,7 +420,7 @@ class FramePipeline:
             frames_per_second=frames / (makespan / 1e6) if makespan else 0.0,
             latency_p50_us=float(np.percentile(latencies, 50)) if latencies else 0.0,
             latency_p95_us=float(np.percentile(latencies, 95)) if latencies else 0.0,
-            engine_busy_us={e: schedule.engine_busy_us(e) for e in engines},
+            engine_busy_us=busy,
             engine_occupancy=occupancy,
             transfer_share_serial=(
                 transfer_serial / schedule.serial_us if schedule.serial_us else 0.0
@@ -430,33 +434,3 @@ class FramePipeline:
             migrations=schedule.migrations,
             migration_us=schedule.migration_us,
         )
-
-    def _transfer_serial_us(self, program: DeviceProgram, runs: int) -> float:
-        """Serial transfer time of ``runs`` executions of ``program``.
-
-        Dispatches on explicit op types: only :class:`AllocDevice` defines
-        a buffer's size.  (An earlier duck-typed ``hasattr(op, "nbytes")``
-        check silently miscounted any op that happened to carry those
-        attributes — e.g. future fused/annotated ops — and let transfers
-        on unknown buffers KeyError without context.)
-        """
-        cost = self.executor.cost
-        sizes: dict[str, int] = {}
-        total = 0.0
-        for op in program.ops:
-            if isinstance(op, AllocDevice):
-                sizes[op.buffer] = op.nbytes
-            elif isinstance(op, (HostToDevice, DeviceToHost)):
-                nbytes = sizes.get(op.device)
-                if nbytes is None:
-                    kind = "H2D into" if isinstance(op, HostToDevice) else "D2H from"
-                    raise ReproError(
-                        f"pipeline transfer accounting of {program.name!r}: "
-                        f"{kind} buffer {op.device!r} with no preceding "
-                        f"AllocDevice (known buffers: {sorted(sizes) or 'none'})"
-                    )
-                if isinstance(op, HostToDevice):
-                    total += cost.h2d_time_us(nbytes)
-                else:
-                    total += cost.d2h_time_us(nbytes)
-        return total * runs

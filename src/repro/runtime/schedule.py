@@ -1,8 +1,10 @@
 """The three-engine pipeline scheduler: the runtime's timing core.
 
-Generalises :func:`repro.gpu.stream.overlapped_makespan` — the what-if
-analysis of the paper's serialised ``memcpy*async`` calls — into the
-scheduling engine the runtime actually executes on:
+The paper's Tables I/II serialise the ``memcpy*async`` calls both routes
+issue.  This module is the one place that computes what they would cost
+overlapped: the stream-pipelining experiment, the optimiser benches, the
+tuner and :class:`~repro.runtime.pipeline.FramePipeline` all read their
+overlapped numbers from it.  It models:
 
 * **three device engines** (H2D copy, compute, D2H copy — Fermi's dual
   copy engines plus the SMs) each process their operations in FIFO order;
@@ -19,9 +21,9 @@ scheduling engine the runtime actually executes on:
   the previous one, reproducing the paper's measured behaviour (the
   ablation baseline the overlapped numbers are reported against).
 
-With ``depth >= runs`` no slot is ever recycled and a schedule's makespan
-coincides with :func:`~repro.gpu.stream.overlapped_makespan` on the same
-program (asserted by the tier-1 tests).
+``depth=None`` gives every run private slots, so no slot is ever
+recycled: the unbounded-buffering what-if that ``repro experiment
+overlap`` charts.
 """
 
 from __future__ import annotations
@@ -350,7 +352,12 @@ def _build_schedule(
     def host_res(name: str, run: int) -> tuple[str, str]:
         return (HOST, f"{name}@r{run}")
 
-    def xfer_nbytes(op) -> int:
+    def xfer_nbytes(op, kind: str) -> int:
+        if op.device not in nbytes:
+            raise DeviceError(
+                f"{kind} unallocated buffer {op.device!r} of "
+                f"{program.name!r} (known buffers: {sorted(nbytes) or 'none'})"
+            )
         if op.region is None:
             return nbytes[op.device]
         return region_count(op.region) * itemsize[op.device]
@@ -513,9 +520,7 @@ def _build_schedule(
             elif isinstance(op, FreeDevice):
                 pass
             elif isinstance(op, HostToDevice):
-                if op.device not in nbytes:
-                    raise DeviceError(f"H2D into unallocated buffer {op.device!r}")
-                dur = cost.h2d_time_us(xfer_nbytes(op))
+                dur = cost.h2d_time_us(xfer_nbytes(op, "H2D into"))
                 serial += dur
                 deps: set[int] = set()
                 res = dev(op.device, run)
@@ -555,9 +560,7 @@ def _build_schedule(
                     read_boxes=tuple(read_boxes), write_boxes=tuple(write_boxes),
                 )
             elif isinstance(op, DeviceToHost):
-                if op.device not in nbytes:
-                    raise DeviceError(f"D2H from unallocated buffer {op.device!r}")
-                dur = cost.d2h_time_us(xfer_nbytes(op))
+                dur = cost.d2h_time_us(xfer_nbytes(op, "D2H from"))
                 serial += dur
                 deps = set()
                 res = dev(op.device, run)

@@ -11,8 +11,8 @@ slot, host arrays renamed per run — so the static analyses of
 over the unrolled program and *certifies* the schedule against it:
 
 * with ``depth >= runs`` every run has private slots and the detector
-  finds nothing — the regime :func:`repro.gpu.stream.overlapped_makespan`
-  models;
+  finds nothing — the unbounded-buffering regime of
+  ``build_schedule(depth=None)``;
 * with bounded depth the detector reports RACE001/RACE002 on recycled
   slots: an older run's kernel/download against a newer run's upload two
   ``depth`` strides later.  These are **WAR/WAW-on-recycling** hazards the

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.apps.downscaler import CIF, HD, NONGENERIC, reference
+from repro.apps.downscaler.sac_sources import downscaler_program_source
+from repro.apps.downscaler.video import channels_of, synthetic_frame
 from repro.errors import DeviceError
-from repro.gpu import CostModel, GPUExecutor, Profiler, UNCALIBRATED
+from repro.gpu import GTX480_CALIBRATED, CostModel, GPUExecutor, Profiler, UNCALIBRATED
 from repro.ir import (
     AllocDevice,
     ArrayParam,
@@ -23,6 +26,8 @@ from repro.ir import (
     Store,
     ThreadIdx,
 )
+from repro.sac.backend import CompileOptions, compile_function
+from repro.sac.parser import parse
 
 
 def add_one_program(shape=(4, 8)):
@@ -186,3 +191,20 @@ class TestExecutor:
         b = ex.kernel_breakdown(launch.kernel)
         assert b.total_us > 0
         assert b.bound in ("issue", "memory")
+
+
+@pytest.mark.parametrize("size", [CIF, HD])
+def test_matches_numpy_golden(size):
+    """The compiled SaC downscaler runs bit-exact against the NumPy
+    reference, at the paper's HD frame size too."""
+    program = compile_function(
+        parse(downscaler_program_source(size, NONGENERIC)),
+        "downscale",
+        CompileOptions(target="cuda"),
+    ).program
+    channel = channels_of(synthetic_frame(size, 0))["g"]
+    golden = reference.downscale_frame(channel, size)
+    result = GPUExecutor(CostModel(GTX480_CALIBRATED)).run(
+        program, {"frame": channel}
+    )
+    np.testing.assert_array_equal(result.outputs[program.host_outputs[0]], golden)

@@ -95,11 +95,12 @@ def test_ambient_tracer_reaches_pipeline_without_constructor_arg():
     assert tracer.find("build_schedule:Downscaler_opencl")
 
 
-def test_stream_executor_records_span():
+def test_unbounded_schedule_records_span():
+    """``depth=None`` (the overlap experiment's private buffers per run)
+    is recorded as one slot per run."""
     from repro.apps.downscaler import NONGENERIC, downscaler_program_source
-    from repro.apps.downscaler.video import channels_of, synthetic_frame
-    from repro.gpu import GTX480_CALIBRATED, CostModel
-    from repro.runtime.executor import StreamExecutor
+    from repro.gpu import GTX480_CALIBRATED, CostModel, GPUExecutor
+    from repro.runtime import build_schedule
     from repro.sac.backend import CompileOptions, compile_function
     from repro.sac.parser import parse
 
@@ -107,9 +108,9 @@ def test_stream_executor_records_span():
         parse(downscaler_program_source(CIF, NONGENERIC)), "downscale",
         CompileOptions(target="cuda"),
     )
-    env = {"frame": channels_of(synthetic_frame(CIF, 0))["r"]}
+    ex = GPUExecutor(CostModel(GTX480_CALIBRATED))
     with Tracer() as tracer:
-        StreamExecutor(CostModel(GTX480_CALIBRATED)).run(cf.program, env, runs=2)
-    (span,) = tracer.find("stream-execute:downscale_cuda")
-    assert span.attrs["runs"] == 2
-    assert span.attrs["overlapped_us"] > 0
+        schedule = build_schedule(cf.program, ex, runs=2, depth=None)
+    (span,) = tracer.find("build_schedule:downscale_cuda")
+    assert span.attrs["runs"] == span.attrs["depth"] == 2
+    assert span.attrs["makespan_us"] == schedule.makespan_us > 0

@@ -82,3 +82,21 @@ def test_fleet_zero_frames():
 def test_fleet_validation():
     with pytest.raises(ValueError):
         FramePipeline(devices=0)
+
+
+def test_fleet_transfer_share_leaves_migrations_out():
+    """Migration nodes ride the copy engines, but like ``serial_us`` the
+    program's transfer time does not count them."""
+    from repro.runtime import CacheAffinityPlacement
+
+    job = downscaler_job("gaspard", size=CIF)
+    base = FramePipeline(validate="none").run(job, frames=4)
+    policy = CacheAffinityPlacement(2, spread_factor=0.0, migrate=True)
+    fleet = FramePipeline(devices=2, placement=policy, validate="none").run(
+        job, frames=4
+    )
+    assert fleet.migrations >= 1
+    assert fleet.serial_us == pytest.approx(base.serial_us, rel=1e-9)
+    assert fleet.transfer_share_serial == pytest.approx(
+        base.transfer_share_serial, rel=1e-9
+    )

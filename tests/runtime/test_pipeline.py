@@ -1,5 +1,6 @@
 """FramePipeline: the batched frame server and its metrics."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from repro.apps.downscaler.serving import (
     downscaler_job,
 )
 from repro.errors import ReproError
-from repro.runtime import FramePipeline, schedule_violations
+from repro.runtime import FramePipeline, PipelineJob, schedule_violations
 
 
 def test_sac_job_serves_channel_batches():
@@ -82,13 +83,27 @@ def test_as_dict_is_json_ready():
 # -- transfer accounting (regression) ------------------------------------------
 
 
+class ProgramJob(PipelineJob):
+    """Serves one fixed hand-built program (no golden: nothing validates)."""
+
+    def __init__(self, program):
+        self.program = program
+        self.name = program.name
+
+    def compile(self, cache):
+        return self.program
+
+
+def _transfer_us(report) -> float:
+    return report.transfer_share_serial * report.serial_us
+
+
 def test_transfer_accounting_over_an_opt_fused_program():
-    """Regression: ``_transfer_serial_us`` duck-typed on ``hasattr(op,
-    "nbytes")``, which silently miscounted once the optimiser started
-    rewriting programs.  Dispatching on op types keeps the accounting
-    exact on fused/pooled programs."""
-    from repro.gpu import CostModel, GTX480_CALIBRATED
-    from repro.ir.program import AllocDevice, DeviceToHost, HostToDevice
+    """Regression: the pipeline once priced transfers by duck-typing on
+    ``hasattr(op, "nbytes")``, which silently miscounted once the
+    optimiser started rewriting programs.  The transfer time now comes
+    off the schedule, so it agrees with the executor on fused/pooled
+    programs."""
     from repro.opt import OptOptions
 
     pipe = FramePipeline(validate="none")
@@ -96,20 +111,9 @@ def test_transfer_accounting_over_an_opt_fused_program():
     report = pipe.run(job, frames=2)
     program = job.compile(pipe.cache)
 
-    cost = CostModel(GTX480_CALIBRATED)
-    sizes = {
-        op.buffer: op.nbytes for op in program.ops
-        if isinstance(op, AllocDevice)
-    }
-    want = sum(
-        cost.h2d_time_us(sizes[op.device]) if isinstance(op, HostToDevice)
-        else cost.d2h_time_us(sizes[op.device])
-        for op in program.ops
-        if isinstance(op, (HostToDevice, DeviceToHost))
-    ) * report.instances
-    assert report.transfer_share_serial * report.serial_us == pytest.approx(
-        want, rel=1e-9
-    )
+    once = pipe.executor.run(program, functional=False)
+    want = (once.h2d_us + once.d2h_us) * report.instances
+    assert _transfer_us(report) == pytest.approx(want, rel=1e-9)
 
 
 def test_transfer_accounting_ignores_lookalike_ops():
@@ -142,10 +146,40 @@ def test_transfer_accounting_ignores_lookalike_ops():
         host_outputs=("h_out",),
     )
     pipe = FramePipeline()
+    report = pipe.run(ProgramJob(program), frames=1)
     cost = pipe.executor.cost
     nbytes = AllocDevice("d", (64,)).nbytes
     want = cost.h2d_time_us(nbytes) + cost.d2h_time_us(nbytes)
-    assert pipe._transfer_serial_us(program, runs=1) == pytest.approx(want)
+    assert _transfer_us(report) == pytest.approx(want)
+
+
+def test_partial_upload_counts_its_region_bytes():
+    """Regression: the pipeline priced every transfer at its whole buffer
+    size, while the scheduler and the executor price a ``region=`` upload
+    at the region's bytes."""
+    from repro.ir import AllocDevice, DeviceProgram, DeviceToHost, HostToDevice
+
+    shape = (8, 8)
+    program = DeviceProgram(
+        "partial_up",
+        ops=(
+            AllocDevice("d", shape),
+            HostToDevice("h_in", "d", region=((0, 2, 1), (0, shape[1], 1))),
+            DeviceToHost("d", "h_out"),
+        ),
+        host_inputs=("h_in",),
+        host_outputs=("h_out",),
+    )
+    pipe = FramePipeline()
+    report = pipe.run(ProgramJob(program), frames=3)
+    cost = pipe.executor.cost
+    region = 2 * shape[1] * np.dtype(np.int32).itemsize
+    whole = AllocDevice("d", shape).nbytes
+    want = 3 * (cost.h2d_time_us(region) + cost.d2h_time_us(whole))
+    assert _transfer_us(report) == pytest.approx(want, rel=1e-9)
+    # the executor prices the same program the same way
+    once = pipe.executor.run(program, functional=False)
+    assert want == pytest.approx(3 * (once.h2d_us + once.d2h_us), rel=1e-9)
 
 
 def test_transfer_on_unknown_buffer_is_diagnosed():
@@ -161,8 +195,10 @@ def test_transfer_on_unknown_buffer_is_diagnosed():
         host_inputs=("h_in",),
         host_outputs=("h_out",),
     )
-    with pytest.raises(ReproError, match="H2D into buffer 'ghost'.*'d'"):
-        FramePipeline()._transfer_serial_us(program, runs=1)
+    with pytest.raises(
+        ReproError, match="H2D into unallocated buffer 'ghost'.*'d'"
+    ):
+        FramePipeline().run(ProgramJob(program), frames=1)
 
 
 @pytest.fixture(scope="module")

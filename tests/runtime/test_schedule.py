@@ -1,24 +1,160 @@
-"""The three-engine scheduler: equivalence, knobs and dependence safety."""
+"""The three-engine scheduler: pipelining, knobs and dependence safety."""
 
+import numpy as np
 import pytest
 
 from repro.apps.downscaler import GENERIC, NONGENERIC
-from repro.gpu import overlapped_makespan
+from repro.gpu import UNCALIBRATED, CostModel, GPUExecutor
+from repro.ir import (
+    AllocDevice,
+    ArrayParam,
+    BinOp,
+    Const,
+    DeviceProgram,
+    DeviceToHost,
+    FreeDevice,
+    HostCompute,
+    HostToDevice,
+    HostWork,
+    IndexSpace,
+    Kernel,
+    LaunchKernel,
+    Read,
+    Store,
+    ThreadIdx,
+)
 from repro.runtime import build_schedule, schedule_violations
 
+ENGINES = ("h2d", "compute", "d2h")
 
-@pytest.mark.parametrize("variant", [NONGENERIC, GENERIC])
-@pytest.mark.parametrize("frames", [1, 3, 7])
-def test_generalises_overlapped_makespan(sac_programs, executor, sac_env,
-                                         variant, frames):
-    """With unbounded buffering (depth=None) the scheduler reproduces the
-    ``gpu.stream`` what-if analysis exactly, serial and overlapped."""
-    program = sac_programs[variant]
-    executor.run(program, sac_env)
-    reference = overlapped_makespan(program, executor, frames=frames)
-    schedule = build_schedule(program, executor, runs=frames, depth=None)
-    assert schedule.serial_us == pytest.approx(reference.serial_us, abs=1e-6)
-    assert schedule.makespan_us == pytest.approx(reference.overlapped_us, abs=1e-6)
+
+def pipeline_program(n=64):
+    """Upload -> one kernel -> download: the pure streaming shape."""
+    k = Kernel(
+        name="work",
+        space=IndexSpace((0,), (n,)),
+        arrays=(
+            ArrayParam("src", (n,), intent="in"),
+            ArrayParam("dst", (n,), intent="out"),
+        ),
+        body=(
+            Store("dst", (ThreadIdx(0),), BinOp("+", Read("src", (ThreadIdx(0),)), Const(1))),
+        ),
+    )
+    return DeviceProgram(
+        name="pipe",
+        ops=(
+            AllocDevice("d_in", (n,)),
+            AllocDevice("d_out", (n,)),
+            HostToDevice("h_in", "d_in"),
+            LaunchKernel(k, (("src", "d_in"), ("dst", "d_out"))),
+            DeviceToHost("d_out", "h_out"),
+            FreeDevice("d_in"),
+            FreeDevice("d_out"),
+        ),
+        host_inputs=("h_in",),
+        host_outputs=("h_out",),
+    )
+
+
+@pytest.fixture()
+def pipe_executor():
+    ex = GPUExecutor(CostModel(UNCALIBRATED))
+    ex.run(pipeline_program(), {"h_in": np.zeros(64, np.int32)})
+    return ex
+
+
+def unbounded(program, executor, runs):
+    """``runs`` back-to-back runs with private buffers per run."""
+    return build_schedule(program, executor, runs=runs, depth=None)
+
+
+class TestPipelining:
+    def test_single_run_cannot_overlap(self, pipe_executor):
+        s = unbounded(pipeline_program(), pipe_executor, 1)
+        assert s.makespan_us == pytest.approx(s.serial_us)
+        assert s.speedup == pytest.approx(1.0)
+
+    def test_many_runs_pipeline(self, pipe_executor):
+        s = unbounded(pipeline_program(), pipe_executor, 50)
+        assert s.makespan_us < s.serial_us
+        # steady state is bounded below by the busiest engine
+        busiest = max(s.engine_busy_us(e) for e in ENGINES)
+        assert s.makespan_us >= busiest
+        assert s.makespan_us < busiest * 1.5  # most of the rest is hidden
+
+    def test_serial_total_matches_executor(self, pipe_executor):
+        prog = pipeline_program()
+        res = pipe_executor.run(prog, functional=False)
+        s = unbounded(prog, pipe_executor, 3)
+        assert s.serial_us == pytest.approx(res.total_us * 3)
+
+    def test_dependences_respected(self, pipe_executor):
+        s = unbounded(pipeline_program(), pipe_executor, 3)
+        for run in range(3):
+            by_name = {n.name: n for n in s.run_nodes(run)}
+            h2d, kernel, d2h = (
+                by_name["h2d:d_in"], by_name["work"], by_name["d2h:d_out"]
+            )
+            assert kernel.start_us >= h2d.end_us
+            assert d2h.start_us >= kernel.end_us
+        assert schedule_violations(s) == []
+
+    def test_host_step_blocks_pipeline(self, pipe_executor):
+        """A per-run host step (the generic output tiler) serialises."""
+        base = pipeline_program()
+
+        def sink(env):
+            pass
+
+        ops = list(base.ops[:-2])  # keep allocs/copies/launch
+        ops.append(
+            HostCompute("host:ot", sink, reads=("h_out",), writes=("done",),
+                        work=HostWork(items=1000, flops_per_item=1,
+                                      reads_per_item=0, writes_per_item=0))
+        )
+        prog = DeviceProgram(
+            name="pipe_host",
+            ops=tuple(ops),
+            host_inputs=("h_in",),
+            host_outputs=("h_out",),
+        )
+        pipe_executor.run(prog, {"h_in": np.zeros(64, np.int32)})
+        s = unbounded(prog, pipe_executor, 20)
+        # the host step forces every next run to wait: no pipelining win
+        assert s.speedup == pytest.approx(1.0, abs=0.05)
+
+
+def test_nongeneric_pipelines_generic_does_not():
+    """Streaming hides the transfers only for the fully-fused variant;
+    the generic variant's host output tiler blocks every frame."""
+    from repro.apps.downscaler import downscaler_program_source
+    from repro.apps.downscaler.config import FrameSize
+    from repro.apps.downscaler.video import synthetic_frame
+    from repro.gpu import GTX480_CALIBRATED
+    from repro.sac.backend import CompileOptions, compile_function
+    from repro.sac.parser import parse
+
+    size = FrameSize(rows=18, cols=16, name="tiny")
+    frame = synthetic_frame(size, 0)[..., 0]
+    # transfer-heavy parameters make the pipelining headroom visible at
+    # this tiny test size (at HD the calibrated model gives ~1.9x for
+    # the non-generic variant — see EXPERIMENTS.md)
+    params = GTX480_CALIBRATED.with_overrides(
+        launch_overhead_us=5.0,
+        h2d_bandwidth=10.0,
+        d2h_bandwidth=10.0,
+        transfer_latency_us=50.0,
+    )
+    speedups = {}
+    for variant in (NONGENERIC, GENERIC):
+        prog = parse(downscaler_program_source(size, variant))
+        cf = compile_function(prog, "downscale", CompileOptions(target="cuda"))
+        ex = GPUExecutor(CostModel(params))
+        ex.run(cf.program, {"frame": frame})
+        speedups[variant] = unbounded(cf.program, ex, 30).speedup
+    assert speedups[NONGENERIC] > 1.3
+    assert speedups[GENERIC] == pytest.approx(1.0, abs=0.05)
 
 
 def test_serialize_knob_restores_serial_total(sac_programs, executor):

@@ -234,6 +234,18 @@ def test_experiment_overlap_json(capsys):
     non = variants["nongeneric"]
     assert non["overlapped_us"] <= non["serial_us"]
     assert set(non["engine_busy_us"]) == {"h2d", "compute", "d2h"}
+    # pinned modelled values: the fused variant pipelines a little, the
+    # generic one's host output tiler blocks every frame
+    assert non == {
+        "variant": "nongeneric", "frames": 3,
+        "serial_us": 3080.273, "overlapped_us": 2875.508, "speedup": 1.0712,
+        "engine_busy_us": {"h2d": 250.961, "compute": 2773.126, "d2h": 56.183},
+    }
+    assert variants["generic"] == {
+        "variant": "generic", "frames": 3,
+        "serial_us": 2472.858, "overlapped_us": 2472.856, "speedup": 1.0,
+        "engine_busy_us": {"h2d": 360.072, "compute": 1008.352, "d2h": 152.594},
+    }
 
 
 def test_experiment_table_json(capsys):
