@@ -57,7 +57,6 @@ from repro.ir.program import (
     HostCompute,
     HostToDevice,
     LaunchKernel,
-    region_count,
 )
 from repro.ir.stmt import Assign, For, Store
 
@@ -779,11 +778,3 @@ def find_region_reports(program: DeviceProgram) -> list[Diagnostic]:
                         )
                     )
     return out
-
-
-def region_nbytes(op, shapes: dict[str, tuple[int, ...]], itemsize: int) -> int | None:
-    """Bytes moved by a transfer op, honouring a partial ``region``."""
-    if getattr(op, "region", None) is not None:
-        return region_count(op.region) * itemsize
-    shape = shapes.get(op.device)
-    return None if shape is None else prod(shape) * itemsize

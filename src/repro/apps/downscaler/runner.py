@@ -1,7 +1,7 @@
 """Experiment runner: regenerates the paper's evaluation artefacts.
 
-Drives both compilation routes over the synthetic video and aggregates the
-profiles into the exact shapes the paper reports:
+Drives both compilation routes over the synthetic video and adds up the
+executor's per-op prices into the exact shapes the paper reports:
 
 * :meth:`DownscalerLab.table1` — Gaspard2/OpenCL operation breakdown;
 * :meth:`DownscalerLab.table2` — SaC/CUDA (non-generic) breakdown;
@@ -11,7 +11,9 @@ profiles into the exact shapes the paper reports:
 * :meth:`DownscalerLab.headline_claims` — the Section VIII/IX ratios.
 
 Timing convention (matching the paper): the tables process ``frames``
-frames x 3 RGB channels (900 transfer calls at 300 frames); Figure 9 runs
+frames x 3 RGB channels (900 transfer calls at 300 frames), adding one
+run's :meth:`~repro.gpu.executor.GPUExecutor.price` run by run in op
+order, as cudaprof's per-call log would; Figure 9 runs
 each filter for ``frames`` iterations on one channel, counting the filter's
 *own* work — kernels, host steps and intermediate transfers — but not the
 shared frame upload/result download that the tables account separately.
@@ -27,21 +29,33 @@ from repro.apps.downscaler import reference
 from repro.apps.downscaler.arrayol_model import downscaler_allocation, downscaler_model
 from repro.apps.downscaler.config import HD, FrameSize, horizontal_filter, vertical_filter
 from repro.apps.downscaler.sac_sources import GENERIC, NONGENERIC, downscaler_program_source
+from repro.apps.downscaler.serving import GaspardDownscalerJob, SacDownscalerJob
 from repro.apps.downscaler.video import channels_of, synthetic_frame
 from repro.cpu import CPUExecutor
 from repro.errors import ReproError
-from repro.gpu import CostModel, CostParams, GPUExecutor, GTX480_CALIBRATED, Profiler
-from repro.gpu.profiler import ProfileRow
-from repro.ir.program import AllocDevice, DeviceProgram, DeviceToHost, HostToDevice, LaunchKernel
+from repro.gpu import CostModel, CostParams, GPUExecutor, GTX480_CALIBRATED, RunResult
+from repro.ir.program import DeviceProgram, DeviceToHost, HostToDevice, LaunchKernel
 from repro.runtime.cache import CompileCache
+from repro.runtime.pipeline import PipelineJob
 from repro.sac.backend import CompileOptions
 
 __all__ = [
+    "ProfileRow",
     "OperationTable",
     "Figure9Row",
     "Figure12Series",
     "DownscalerLab",
 ]
+
+
+@dataclass(frozen=True)
+class ProfileRow:
+    """One cudaprof-style table row."""
+
+    operation: str
+    calls: int
+    gpu_time_us: float
+    gpu_time_pct: float
 
 
 @dataclass(frozen=True)
@@ -93,11 +107,6 @@ class DownscalerLab:
         self.validate = validate
         #: memoises both routes' compilations (with hit/miss statistics)
         self.cache = CompileCache()
-        self._frame0 = synthetic_frame(size, 0)
-        self._golden0 = {
-            c: reference.downscale_frame(self._frame0[..., i], size)
-            for i, c in enumerate("rgb")
-        }
 
     # -- compilation -------------------------------------------------------------
 
@@ -115,74 +124,18 @@ class DownscalerLab:
     def _gpu_executor(self) -> GPUExecutor:
         return GPUExecutor(CostModel(self.params))
 
-    def _cpu_executor(self) -> CPUExecutor:
-        return CPUExecutor(CostModel(self.params))
-
-    def _check_sac_outputs(self, cf, outputs, channel: str, entry: str) -> None:
-        if not self.validate:
-            return
-        out = outputs[cf.program.host_outputs[0]]
-        if entry == "downscale":
-            expected = self._golden0[channel]
-        elif entry == "hfilter":
-            expected = reference.apply_filter(
-                self._channel0(channel), horizontal_filter(self.size)
-            )
-        elif entry == "vfilter":
-            hout = reference.apply_filter(
-                self._channel0(channel), horizontal_filter(self.size)
-            )
-            expected = reference.apply_filter(hout, vertical_filter(self.size))
-        else:
-            return
-        if not np.array_equal(out, expected):
-            raise ReproError(
-                f"{cf.program.name}: functional mismatch on channel {channel!r}"
-            )
-
-    def _channel0(self, channel: str) -> np.ndarray:
-        return channels_of(self._frame0)[channel]
-
-    def run_sac(self, variant: str, target: str, entry: str = "downscale"):
-        """Run a SaC program over frames x 3 channels; returns (executor, runs)."""
-        cf = self.sac_compiled(variant, target, entry)
-        ex = self._gpu_executor() if target == "cuda" else self._cpu_executor()
-        chans = channels_of(self._frame0)
-        runs = []
-        first = True
-        for f in range(self.frames):
-            for c in "rgb":
-                if first:
-                    inp = chans[c] if entry != "vfilter" else reference.apply_filter(
-                        chans[c], horizontal_filter(self.size)
+    def first_frame(self, job: PipelineJob) -> tuple[DeviceProgram, RunResult]:
+        """Compile ``job`` through the lab's cache and run its frame 0
+        (first instance) functionally, checked against ``job.golden``."""
+        program = job.compile(self.cache)
+        result = self._gpu_executor().run(program, job.env(0, 0))
+        if self.validate:
+            for name, want in job.golden(0, 0, program).items():
+                if not np.array_equal(result.outputs[name], want):
+                    raise ReproError(
+                        f"{program.name}: functional mismatch on output {name!r}"
                     )
-                    res = ex.run(cf.program, {"frame": inp})
-                    self._check_sac_outputs(cf, res.outputs, c, entry)
-                    first = False
-                else:
-                    res = ex.run(cf.program, functional=False)
-                runs.append(res)
-        return cf, ex, runs
-
-    def run_gaspard(self):
-        """Run the Gaspard2 program over ``frames`` frames (3 channels each)."""
-        ctx, _chain = self.gaspard_compiled()
-        ex = self._gpu_executor()
-        env = {f"in_{c}": v for c, v in channels_of(self._frame0).items()}
-        runs = []
-        for f in range(self.frames):
-            if f == 0:
-                res = ex.run(ctx.program, env)
-                if self.validate:
-                    for c in "rgb":
-                        if not np.array_equal(res.outputs[f"out_{c}"], self._golden0[c]):
-                            raise ReproError(
-                                f"gaspard: functional mismatch on channel {c!r}"
-                            )
-            else:
-                res = ex.run(ctx.program, functional=False)
-            runs.append(res)
-        return ctx, ex, runs
+        return program, result
 
     # -- kernel/filter attribution ------------------------------------------------------
 
@@ -207,108 +160,109 @@ class DownscalerLab:
             grouping[name] = f"V. Filter ({counts['V']} kernels)"
         return grouping, counts
 
-    def _gpu_table(self, title: str, program: DeviceProgram, profiler: Profiler) -> OperationTable:
+    def operation_table(self, title: str, job: PipelineJob) -> OperationTable:
+        """The device operations of ``frames`` frames of ``job``, grouped
+        into Table I/II rows (host steps excluded, as in cudaprof)."""
+        program, _ = self.first_frame(job)
         grouping, _ = self._filter_grouping(program)
-        rows = [
-            r
-            for r in profiler.rows(grouping)
-            if not r.operation.startswith(("host", "ip:", "cpu:"))
-        ]
+        priced: list[tuple[str, float]] = []
+        for op, us in zip(program.ops, self._gpu_executor().price(program)):
+            if isinstance(op, HostToDevice):
+                priced.append(("memcpyHtoDasync" if op.is_async else "memcpyHtoD", us))
+            elif isinstance(op, DeviceToHost):
+                priced.append(("memcpyDtoHasync" if op.is_async else "memcpyDtoH", us))
+            elif isinstance(op, LaunchKernel):
+                priced.append((grouping.get(op.kernel.name, op.kernel.name), us))
+        calls: dict[str, int] = {}
+        times: dict[str, float] = {}
+        for _run in range(self.frames * job.instances_per_frame):
+            for label, us in priced:
+                calls[label] = calls.get(label, 0) + 1
+                times[label] = times.get(label, 0.0) + us
+
         # paper layout: filters first, then HtoD, then DtoH
-        def order(r: ProfileRow) -> int:
-            if r.operation.startswith("H. Filter"):
+        def order(label: str) -> int:
+            if label.startswith("H. Filter"):
                 return 0
-            if r.operation.startswith("V. Filter"):
+            if label.startswith("V. Filter"):
                 return 1
-            if "HtoD" in r.operation:
+            if "HtoD" in label:
                 return 2
             return 3
 
-        rows.sort(key=order)
-        # normalise call counts to frames (the paper reports per-kernel calls)
-        fixed = []
-        for r in rows:
-            calls = self.frames if r.operation.endswith("kernels)") else r.calls
-            fixed.append(
-                ProfileRow(r.operation, calls, r.gpu_time_us, r.gpu_time_pct)
+        labels = sorted(times, key=order)
+        total = sum(times[label] for label in labels)
+        rows = tuple(
+            ProfileRow(
+                label,
+                # the paper reports per-kernel calls: one per frame
+                self.frames if label.endswith("kernels)") else calls[label],
+                times[label],
+                100.0 * times[label] / total if total else 0.0,
             )
-        total = sum(r.gpu_time_us for r in rows)
-        # recompute percentages over the GPU-only total
-        fixed = [
-            ProfileRow(r.operation, r.calls, r.gpu_time_us,
-                       100.0 * r.gpu_time_us / total if total else 0.0)
-            for r in fixed
-        ]
-        return OperationTable(title=title, rows=tuple(fixed), total_us=total)
+            for label in labels
+        )
+        return OperationTable(title=title, rows=rows, total_us=total)
 
     # -- the paper's artefacts -------------------------------------------------------------
 
     def table1(self) -> OperationTable:
         """Table I: Gaspard2 kernel execution and data transfer times."""
-        ctx, ex, _runs = self.run_gaspard()
-        return self._gpu_table(
+        return self.operation_table(
             "Kernel execution and data transfer times of GASPARD2 implementation",
-            ctx.program,
-            ex.profiler,
+            GaspardDownscalerJob(self.size),
         )
 
     def table2(self) -> OperationTable:
         """Table II: SaC (non-generic) kernel execution and transfer times."""
-        cf, ex, _runs = self.run_sac(NONGENERIC, "cuda")
-        return self._gpu_table(
+        return self.operation_table(
             "Kernel execution and data transfer times of SAC implementation",
-            cf.program,
-            ex.profiler,
+            SacDownscalerJob(self.size, NONGENERIC),
         )
 
     # -- Figure 9 ---------------------------------------------------------------------------
 
-    def _filter_work_us(self, cf, executor) -> float:
+    @staticmethod
+    def _filter_work_us(program: DeviceProgram, executor) -> float:
         """One run's filter-own work: kernels + host steps + intermediate
-        transfers (boundary frame upload / result download excluded)."""
-        program = cf.program
-        cost = executor.cost
-        shapes = {
-            op.buffer: op for op in program.ops if isinstance(op, AllocDevice)
-        }
+        transfers (boundary frame upload / result download excluded),
+        priced by the GPU or the sequential executor."""
         total = 0.0
-        for op in program.ops:
-            if isinstance(op, LaunchKernel):
-                if isinstance(executor, GPUExecutor):
-                    total += executor.kernel_breakdown(op.kernel).total_us
-                else:
-                    total += executor.kernel_time_us(op.kernel)
-            elif isinstance(op, HostToDevice):
-                if op.host not in program.host_inputs:
-                    total += cost.h2d_time_us(shapes[op.device].nbytes)
-            elif isinstance(op, DeviceToHost):
-                if op.host not in program.host_outputs:
-                    total += cost.d2h_time_us(shapes[op.device].nbytes)
-            elif hasattr(op, "work"):
-                total += cost.host_work_time_us(op.work)
+        for op, us in zip(program.ops, executor.price(program)):
+            if isinstance(op, HostToDevice) and op.host in program.host_inputs:
+                continue
+            if isinstance(op, DeviceToHost) and op.host in program.host_outputs:
+                continue
+            total += us
         return total
 
     def figure9(self) -> list[Figure9Row]:
         """Per-filter execution times (seconds, ``frames`` iterations)."""
+        channel = channels_of(synthetic_frame(self.size, 0))["r"]
+        hout = reference.apply_filter(channel, horizontal_filter(self.size))
+        # each filter's (input, expected output) on frame 0's red channel
+        io = {
+            "hfilter": (channel, hout),
+            "vfilter": (hout, reference.apply_filter(hout, vertical_filter(self.size))),
+        }
         out = []
         for variant in (GENERIC, NONGENERIC):
             for target, label in (("seq", "SAC-Seq"), ("cuda", "SAC-CUDA")):
                 times = {}
-                for entry in ("hfilter", "vfilter"):
-                    cf = self.sac_compiled(variant, target, entry)
-                    ex = self._gpu_executor() if target == "cuda" else self._cpu_executor()
+                for entry, (inp, want) in io.items():
+                    program = self.sac_compiled(variant, target, entry).program
+                    ex = (
+                        self._gpu_executor() if target == "cuda"
+                        else CPUExecutor(CostModel(self.params))
+                    )
                     # functional validation once
                     if self.validate:
-                        inp = (
-                            self._channel0("r")
-                            if entry == "hfilter"
-                            else reference.apply_filter(
-                                self._channel0("r"), horizontal_filter(self.size)
+                        got = ex.run(program, {"frame": inp}).outputs
+                        if not np.array_equal(got[program.host_outputs[0]], want):
+                            raise ReproError(
+                                f"{program.name}: functional mismatch on channel 'r'"
                             )
-                        )
-                        res = ex.run(cf.program, {"frame": inp})
-                        self._check_sac_outputs(cf, res.outputs, "r", entry)
-                    per_run = self._filter_work_us(cf, ex)
+                    per_run = self._filter_work_us(program, ex)
                     times[entry] = per_run * self.frames / 1e6
                 suffix = "Generic" if variant == GENERIC else "Non-Generic"
                 out.append(

@@ -252,17 +252,13 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_downscale(args) -> int:
-    from repro.apps.downscaler import DownscalerLab
+    from repro.apps.downscaler import DownscalerLab, downscaler_job
     from repro.apps.downscaler.sac_sources import GENERIC, NONGENERIC
 
-    lab = DownscalerLab(size=_size(args.size), frames=1)
-    if args.route == "gaspard":
-        ctx, ex, runs = lab.run_gaspard()
-        res = runs[0]
-    else:
-        variant = NONGENERIC if args.variant == "nongeneric" else GENERIC
-        cf, ex, runs = lab.run_sac(variant, "cuda")
-        res = runs[0]
+    size = _size(args.size)
+    variant = NONGENERIC if args.variant == "nongeneric" else GENERIC
+    job = downscaler_job(args.route, size=size, variant=variant)
+    _program, res = DownscalerLab(size=size, frames=1).first_frame(job)
     print(f"program: {res.program}")
     print(f"  kernels:   {res.kernel_us:10.1f} us")
     print(f"  h2d:       {res.h2d_us:10.1f} us")
@@ -328,21 +324,16 @@ def _cmd_pipeline(args) -> int:
 
     from repro.apps.downscaler.sac_sources import GENERIC, NONGENERIC
     from repro.apps.downscaler.serving import downscaler_job
-    from repro.obs import (
-        MetricsRegistry,
-        collect_memory,
-        collect_pipeline_report,
-        collect_profiler,
-    )
+    from repro.obs import MetricsRegistry, collect_memory, collect_pipeline_report
     from repro.runtime import FramePipeline, check_pipeline_hazards
 
-    def _metrics_snapshot(pipe, report, route_name: str) -> dict:
+    def _metrics_snapshot(pipe, report) -> dict:
         """One registry per served route: the report's aggregates plus a
-        snapshot of the shared executor's allocator/profiler state."""
+        snapshot of the shared executor's allocator state, taken right
+        after the route's own run."""
         reg = MetricsRegistry()
-        collect_pipeline_report(reg, report, route=route_name)
-        collect_memory(reg, pipe.executor.memory, route=route_name)
-        collect_profiler(reg, pipe.executor.profiler, route=route_name)
+        collect_pipeline_report(reg, report, route=report.job)
+        collect_memory(reg, pipe.executor.memory, route=report.job)
         return reg.as_dict()
 
     size = _size(args.size)
@@ -369,7 +360,12 @@ def _cmd_pipeline(args) -> int:
             pipe.tracer = tracer
         report = pipe.run(job, frames=args.frames)
         entry = report.as_dict()
-        opt_entry = None
+        # each route entry pairs the run report with a metrics-registry
+        # snapshot, so one `pipeline --json` feeds both a results consumer
+        # and a metrics scraper without a second run
+        doc["routes"].append(
+            {"report": entry, "metrics": _metrics_snapshot(pipe, report)}
+        )
         if not args.json:
             print(_render_pipeline_report(report))
         if args.opt:
@@ -383,6 +379,9 @@ def _cmd_pipeline(args) -> int:
             opt_entry["baseline_job"] = report.job
             opt_entry["fps_speedup_vs_baseline"] = round(
                 opt_report.frames_per_second / report.frames_per_second, 4
+            )
+            doc["routes"].append(
+                {"report": opt_entry, "metrics": _metrics_snapshot(pipe, opt_report)}
             )
             if not args.json:
                 print(_render_pipeline_report(opt_report))
@@ -437,18 +436,6 @@ def _cmd_pipeline(args) -> int:
                 )
         if not args.json:
             print()
-        # each route entry pairs the run report with a metrics-registry
-        # snapshot, so one `pipeline --json` feeds both a results consumer
-        # and a metrics scraper without a second run
-        doc["routes"].append({
-            "report": entry,
-            "metrics": _metrics_snapshot(pipe, report, report.job),
-        })
-        if opt_entry is not None:
-            doc["routes"].append({
-                "report": opt_entry,
-                "metrics": _metrics_snapshot(pipe, opt_report, opt_report.job),
-            })
     if args.json:
         print(json.dumps(doc, indent=2))
     return EXIT_LINT_ERRORS if hazard_failures else EXIT_OK
@@ -531,12 +518,7 @@ def _cmd_trace(args) -> int:
 def _cmd_metrics(args) -> int:
     """Serve a short run per route; export the metrics registry."""
     from repro.apps.downscaler.serving import downscaler_job
-    from repro.obs import (
-        MetricsRegistry,
-        collect_memory,
-        collect_pipeline_report,
-        collect_profiler,
-    )
+    from repro.obs import MetricsRegistry, collect_memory, collect_pipeline_report
     from repro.runtime import FramePipeline
 
     size = _size(args.size)
@@ -548,7 +530,6 @@ def _cmd_metrics(args) -> int:
         report = pipe.run(job, frames=args.frames)
         collect_pipeline_report(reg, report, route=job.name)
         collect_memory(reg, pipe.executor.memory, route=job.name)
-        collect_profiler(reg, pipe.executor.profiler, route=job.name)
     if args.format == "json":
         import json
 

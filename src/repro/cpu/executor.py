@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.errors import DeviceError
 from repro.gpu.cost import CostModel
-from repro.gpu.profiler import Profiler
 from repro.ir.evalvec import evaluate_kernel
 from repro.ir.kernel import Kernel
 from repro.ir.program import (
@@ -46,9 +45,8 @@ class SeqRunResult:
 class CPUExecutor:
     """Runs sequential programs, charging the CPU cost model."""
 
-    def __init__(self, cost_model: CostModel, profiler: Profiler | None = None):
+    def __init__(self, cost_model: CostModel):
         self.cost = cost_model
-        self.profiler = profiler if profiler is not None else Profiler()
         self._kernel_time_cache: dict[Kernel, float] = {}
 
     def kernel_time_us(self, kernel: Kernel) -> float:
@@ -63,6 +61,25 @@ class CPUExecutor:
             self._kernel_time_cache[kernel] = cached
         return cached
 
+    def price(self, program: DeviceProgram) -> tuple[float, ...]:
+        """Modelled µs of each op of one sequential run, in op order
+        (allocations and frees cost nothing; transfers cannot run here)."""
+        prices = []
+        for op in program.ops:
+            if isinstance(op, (AllocDevice, FreeDevice)):
+                prices.append(0.0)
+            elif isinstance(op, LaunchKernel):
+                prices.append(self.kernel_time_us(op.kernel))
+            elif isinstance(op, HostCompute):
+                prices.append(self.cost.host_work_time_us(op.work))
+            elif isinstance(op, (HostToDevice, DeviceToHost)):
+                raise DeviceError(
+                    f"sequential program contains a transfer op: {op!r}"
+                )
+            else:
+                raise DeviceError(f"sequential executor cannot handle {op!r}")
+        return tuple(prices)
+
     def run(
         self,
         program: DeviceProgram,
@@ -76,8 +93,9 @@ class CPUExecutor:
                 raise DeviceError(
                     f"program {program.name!r}: missing host inputs {missing}"
                 )
+        prices = self.price(program)
         loop_us = host_us = 0.0
-        for op in program.ops:
+        for op, dur in zip(program.ops, prices):
             if isinstance(op, AllocDevice):
                 if functional:
                     env[op.buffer] = np.zeros(op.shape, dtype=op.dtype)
@@ -94,21 +112,11 @@ class CPUExecutor:
                                 f"sequential run: array {buffer!r} undefined"
                             ) from None
                     evaluate_kernel(op.kernel, arrays, dict(op.scalar_args))
-                dur = self.kernel_time_us(op.kernel)
                 loop_us += dur
-                self.profiler.record(op.kernel.name, "host", dur)
             elif isinstance(op, HostCompute):
                 if functional:
                     op.fn(env)
-                dur = self.cost.host_work_time_us(op.work)
                 host_us += dur
-                self.profiler.record(op.name, "host", dur)
-            elif isinstance(op, (HostToDevice, DeviceToHost)):
-                raise DeviceError(
-                    f"sequential program contains a transfer op: {op!r}"
-                )
-            else:
-                raise DeviceError(f"sequential executor cannot handle {op!r}")
 
         outputs = {}
         if functional:

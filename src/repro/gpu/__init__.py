@@ -1,5 +1,4 @@
-"""Simulated GPU substrate: device model, memory, cost model, profiler,
-executor.
+"""Simulated GPU substrate: device model, memory, cost model, executor.
 
 The paper measured a real GTX480; this package substitutes a calibrated
 performance simulator (see DESIGN.md §2) that executes kernel IR
@@ -14,7 +13,6 @@ from repro.gpu.cost import CostModel, CostParams, KernelCostBreakdown
 from repro.gpu.device import GTX480, I7_930, DeviceSpec, HostSpec
 from repro.gpu.executor import GPUExecutor, RunResult
 from repro.gpu.memory import DeviceBuffer, MemoryManager
-from repro.gpu.profiler import ProfileEvent, ProfileRow, Profiler
 
 __all__ = [
     "DeviceSpec", "HostSpec", "GTX480", "I7_930",
@@ -22,6 +20,5 @@ __all__ = [
     "GTX480_CALIBRATED", "UNCALIBRATED",
     "transactions_per_warp", "access_efficiency", "mean_inflation",
     "MemoryManager", "DeviceBuffer",
-    "Profiler", "ProfileEvent", "ProfileRow",
     "GPUExecutor", "RunResult",
 ]

@@ -5,14 +5,16 @@ The executor walks a :class:`~repro.ir.program.DeviceProgram` and, per op:
 * performs the **functional** effect (allocations in the
   :class:`~repro.gpu.memory.MemoryManager`, data copies, vectorised kernel
   evaluation, host compute steps), and
-* charges the **modelled** duration from the :class:`~repro.gpu.cost.CostModel`,
-  recording one profiler event per op — the raw material of the paper's
-  Tables I/II.
+* charges the **modelled** duration from the :class:`~repro.gpu.cost.CostModel`.
 
-Per-kernel cost inputs (access-stride probe + unique-byte measurement) are
-cached by kernel value, so repeated runs of the same program (the 300-frame
-experiments) only pay for them once.  ``functional=False`` replays a program
-for its timing alone, skipping data movement and kernel evaluation.
+:meth:`GPUExecutor.price` is the one place an op is priced: a run sums
+its prices, :func:`~repro.runtime.schedule.build_schedule` places them on
+the engine timeline, and the downscaler lab adds them up run by run into
+the paper's Tables I/II.  Per-kernel cost inputs (access-stride probe +
+unique-byte measurement) are cached by kernel value, so pricing the same
+program again only pays for them once.  ``functional=False`` runs a
+program for its timing alone, skipping data movement and kernel
+evaluation.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from repro.errors import DeviceError
 from repro.gpu.cost import CostModel, KernelCostBreakdown
 from repro.gpu.device import GTX480, DeviceSpec
 from repro.gpu.memory import MemoryManager
-from repro.gpu.profiler import Profiler
 from repro.ir.evalvec import evaluate_kernel
 from repro.ir.fused import FusedKernel, evaluate_fused
 from repro.ir.kernel import Kernel
@@ -44,13 +45,6 @@ from repro.ir.program import (
 from repro.obs.span import current_tracer
 
 __all__ = ["RunResult", "GPUExecutor"]
-
-
-def _transfer_nbytes(op, buf) -> int:
-    """Bytes a transfer moves: the region's elements if partial, else all."""
-    if op.region is None:
-        return buf.nbytes
-    return region_count(op.region) * buf.data.dtype.itemsize
 
 
 @dataclass(frozen=True)
@@ -87,16 +81,10 @@ _GLOBAL_KERNEL_CACHE: dict[Kernel, "_KernelCostInputs"] = {}
 class GPUExecutor:
     """Runs device programs functionally while accruing modelled time."""
 
-    def __init__(
-        self,
-        cost_model: CostModel,
-        device: DeviceSpec = GTX480,
-        profiler: Profiler | None = None,
-    ):
+    def __init__(self, cost_model: CostModel, device: DeviceSpec = GTX480):
         self.cost = cost_model
         self.device = device
         self.memory = MemoryManager(device)
-        self.profiler = profiler if profiler is not None else Profiler()
         self._kernel_cache: dict[Kernel, _KernelCostInputs] = _GLOBAL_KERNEL_CACHE
 
     # -- kernel cost inputs -----------------------------------------------------
@@ -136,6 +124,44 @@ class GPUExecutor:
             kernel, ci.profile, ci.unique_read_bytes, ci.unique_write_bytes, ci.itemsize
         )
 
+    def price(self, program: DeviceProgram) -> tuple[float, ...]:
+        """Modelled µs of each op of one run of ``program``, in op order.
+
+        Allocations and frees cost nothing.  A transfer moves its region's
+        bytes when partial and the whole buffer otherwise; one into a
+        buffer no earlier op allocated raises :class:`DeviceError`.
+        """
+        allocs: dict[str, AllocDevice] = {}
+        prices = []
+        for op in program.ops:
+            if isinstance(op, AllocDevice):
+                allocs[op.buffer] = op
+                prices.append(0.0)
+            elif isinstance(op, FreeDevice):
+                prices.append(0.0)
+            elif isinstance(op, (HostToDevice, DeviceToHost)):
+                upload = isinstance(op, HostToDevice)
+                alloc = allocs.get(op.device)
+                if alloc is None:
+                    raise DeviceError(
+                        f"{'H2D into' if upload else 'D2H from'} unallocated "
+                        f"buffer {op.device!r} of {program.name!r} (known "
+                        f"buffers: {sorted(allocs) or 'none'})"
+                    )
+                nbytes = (
+                    alloc.nbytes if op.region is None
+                    else region_count(op.region) * np.dtype(alloc.dtype).itemsize
+                )
+                time_us = self.cost.h2d_time_us if upload else self.cost.d2h_time_us
+                prices.append(time_us(nbytes))
+            elif isinstance(op, LaunchKernel):
+                prices.append(self.kernel_breakdown(op.kernel).total_us)
+            elif isinstance(op, HostCompute):
+                prices.append(self.cost.host_work_time_us(op.work))
+            else:
+                raise DeviceError(f"executor cannot handle op {op!r}")
+        return tuple(prices)
+
     # -- execution ----------------------------------------------------------------
 
     def run(
@@ -174,9 +200,10 @@ class GPUExecutor:
                 raise DeviceError(
                     f"program {program.name!r}: missing host inputs {missing}"
                 )
+        prices = self.price(program)
         kernel_us = h2d_us = d2h_us = host_us = 0.0
 
-        for op in program.ops:
+        for op, dur in zip(program.ops, prices):
             if isinstance(op, AllocDevice):
                 self.memory.alloc(op.buffer, op.shape, op.dtype)
             elif isinstance(op, FreeDevice):
@@ -195,11 +222,7 @@ class GPUExecutor:
                     else:
                         sl = region_slices(op.region)
                         buf.data[sl] = src[sl]
-                nbytes = _transfer_nbytes(op, buf)
-                dur = self.cost.h2d_time_us(nbytes)
                 h2d_us += dur
-                name = "memcpyHtoDasync" if op.is_async else "memcpyHtoD"
-                self.profiler.record(name, "h2d", dur, nbytes)
             elif isinstance(op, DeviceToHost):
                 buf = self.memory.get(op.device)
                 if functional:
@@ -215,11 +238,7 @@ class GPUExecutor:
                         sl = region_slices(op.region)
                         out[sl] = buf.data[sl]
                         env[op.host] = out
-                nbytes = _transfer_nbytes(op, buf)
-                dur = self.cost.d2h_time_us(nbytes)
                 d2h_us += dur
-                name = "memcpyDtoHasync" if op.is_async else "memcpyDtoH"
-                self.profiler.record(name, "d2h", dur, nbytes)
             elif isinstance(op, LaunchKernel):
                 arrays = {}
                 for param_name, buffer in op.array_args:
@@ -229,17 +248,11 @@ class GPUExecutor:
                         evaluate_fused(op.kernel, arrays, dict(op.scalar_args))
                     else:
                         evaluate_kernel(op.kernel, arrays, dict(op.scalar_args))
-                dur = self.kernel_breakdown(op.kernel).total_us
                 kernel_us += dur
-                self.profiler.record(op.kernel.name, "kernel", dur)
             elif isinstance(op, HostCompute):
                 if functional:
                     op.fn(env)
-                dur = self.cost.host_work_time_us(op.work)
                 host_us += dur
-                self.profiler.record(op.name, "host", dur)
-            else:
-                raise DeviceError(f"executor cannot handle op {op!r}")
 
         outputs = {}
         if functional:
@@ -259,22 +272,3 @@ class GPUExecutor:
             d2h_us=d2h_us,
             host_us=host_us,
         )
-
-    def run_repeated(
-        self,
-        program: DeviceProgram,
-        host_envs,
-        only_first_functional: bool = True,
-    ) -> list[RunResult]:
-        """Run ``program`` once per host environment.
-
-        With ``only_first_functional`` (the default) the first run executes
-        functionally (validating results) and the rest replay timing only —
-        the mode the 300-frame experiments use after the outputs are
-        verified once.  Pass ``False`` to execute every run functionally.
-        """
-        results = []
-        for i, env in enumerate(host_envs):
-            functional = (i == 0) or not only_first_functional
-            results.append(self.run(program, env, functional=functional))
-        return results

@@ -40,7 +40,6 @@ from repro.obs.metrics import (
     collect_cache,
     collect_memory,
     collect_pipeline_report,
-    collect_profiler,
     collect_serving_report,
     collect_schedule,
 )
@@ -56,7 +55,7 @@ from repro.obs.span import (
 __all__ = [
     "Span", "Tracer", "NULL_TRACER", "NULL_SPAN", "current_tracer", "use_tracer",
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
-    "collect_cache", "collect_memory", "collect_schedule", "collect_profiler",
+    "collect_cache", "collect_memory", "collect_schedule",
     "collect_pipeline_report", "collect_serving_report",
     "chrome_trace", "schedule_events", "tracer_events", "write_chrome_trace",
     "validate_chrome_trace", "assert_valid_chrome_trace",

@@ -28,7 +28,6 @@ __all__ = [
     "collect_cache",
     "collect_memory",
     "collect_schedule",
-    "collect_profiler",
     "collect_pipeline_report",
     "collect_serving_report",
 ]
@@ -257,19 +256,6 @@ def collect_schedule(reg: MetricsRegistry, schedule, **labels) -> None:
         reg.gauge(
             "repro_engine_occupancy", engine=engine, **labels
         ).set(occupancy[engine])
-
-
-def collect_profiler(reg: MetricsRegistry, profiler, **labels) -> None:
-    """Absorb a :class:`~repro.gpu.profiler.Profiler`'s per-category totals."""
-    times = profiler.total_by_category()
-    calls = profiler.calls_by_category()
-    for category in sorted(times):
-        reg.counter(
-            "repro_profiler_time_us_total", category=category, **labels
-        ).set(times[category])
-        reg.counter(
-            "repro_profiler_calls_total", category=category, **labels
-        ).set(calls[category])
 
 
 def collect_pipeline_report(reg: MetricsRegistry, report, **labels) -> None:

@@ -233,6 +233,9 @@ class FramePipeline:
             )
         if self.topology is not None:
             return self._run_fleet(job, frames, tracer)
+        # re-base the allocator counters, as a fleet batch does, so the
+        # executor's peak-bytes/alloc numbers never bleed across runs
+        self.executor.memory.reset_stats()
         before = self.cache.stats.snapshot()
 
         with tracer.span(

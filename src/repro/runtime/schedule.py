@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.errors import DeviceError
 from repro.ir.program import (
     AllocDevice,
@@ -41,7 +39,6 @@ from repro.ir.program import (
     HostCompute,
     HostToDevice,
     LaunchKernel,
-    region_count,
 )
 from repro.obs.span import current_tracer
 
@@ -186,9 +183,10 @@ def build_schedule(
 ) -> PipelineSchedule:
     """Schedule ``runs`` back-to-back executions of ``program``.
 
-    ``executor`` supplies per-op durations (a
-    :class:`~repro.gpu.executor.GPUExecutor`; nothing is executed
-    functionally).  ``depth`` is the number of physical slots backing each
+    ``executor`` prices the program's ops once per build (a
+    :class:`~repro.gpu.executor.GPUExecutor`'s ``price``; nothing is
+    executed functionally) and every run reads those prices.  ``depth``
+    is the number of physical slots backing each
     device buffer (``None`` — one per run, i.e. unbounded buffering);
     ``serialize=True`` chains every operation after the previous one.
     With ``regions=True`` (the default) data dependences are tracked at
@@ -248,7 +246,6 @@ def _build_schedule(
         raise ValueError("depth must be positive")
     if frame_batch <= 0:
         raise ValueError("frame_batch must be positive")
-    cost = executor.cost
 
     frames = (runs + frame_batch - 1) // frame_batch
     decisions = None
@@ -283,6 +280,7 @@ def _build_schedule(
                 )
     elif placements is not None:
         raise ValueError("placements require a device topology")
+    prices = executor.price(program)
 
     overlap = None
     op_access = None
@@ -304,8 +302,6 @@ def _build_schedule(
             return False
         return not any(overlap(x, y) for x in a for y in b)
 
-    nbytes: dict[str, int] = {}
-    itemsize: dict[str, int] = {}
     if topology is None:
         engine_ready: dict[str, float] = {"h2d": 0.0, "compute": 0.0, "d2h": 0.0}
         chan_ready = None
@@ -351,16 +347,6 @@ def _build_schedule(
 
     def host_res(name: str, run: int) -> tuple[str, str]:
         return (HOST, f"{name}@r{run}")
-
-    def xfer_nbytes(op, kind: str) -> int:
-        if op.device not in nbytes:
-            raise DeviceError(
-                f"{kind} unallocated buffer {op.device!r} of "
-                f"{program.name!r} (known buffers: {sorted(nbytes) or 'none'})"
-            )
-        if op.region is None:
-            return nbytes[op.device]
-        return region_count(op.region) * itemsize[op.device]
 
     def wait_read(
         res: tuple[str, str], after: float, deps: set[int], boxes=None
@@ -513,15 +499,11 @@ def _build_schedule(
                 migration_count += 1
             if frame in frame_floors:
                 floor_end, floor_dep = frame_floors[frame]
-        for i, op in enumerate(program.ops):
-            if isinstance(op, AllocDevice):
-                nbytes[op.buffer] = op.nbytes
-                itemsize[op.buffer] = np.dtype(op.dtype).itemsize
-            elif isinstance(op, FreeDevice):
-                pass
-            elif isinstance(op, HostToDevice):
-                dur = cost.h2d_time_us(xfer_nbytes(op, "H2D into"))
-                serial += dur
+        for i, (op, dur) in enumerate(zip(program.ops, prices)):
+            if isinstance(op, (AllocDevice, FreeDevice)):
+                continue
+            serial += dur
+            if isinstance(op, HostToDevice):
                 deps: set[int] = set()
                 res = dev(op.device, run)
                 wb = boxes_for(i, "device buffer", op.device, True)
@@ -533,8 +515,6 @@ def _build_schedule(
                     read_boxes=(rb,), write_boxes=(wb,), channel=True,
                 )
             elif isinstance(op, LaunchKernel):
-                dur = executor.kernel_breakdown(op.kernel).total_us
-                serial += dur
                 deps = set()
                 after = 0.0
                 read_res: list[tuple[str, str]] = []
@@ -560,8 +540,6 @@ def _build_schedule(
                     read_boxes=tuple(read_boxes), write_boxes=tuple(write_boxes),
                 )
             elif isinstance(op, DeviceToHost):
-                dur = cost.d2h_time_us(xfer_nbytes(op, "D2H from"))
-                serial += dur
                 deps = set()
                 res = dev(op.device, run)
                 out_res = host_res(op.host, run)
@@ -575,8 +553,6 @@ def _build_schedule(
                     read_boxes=(rb,), write_boxes=(wb,), channel=True,
                 )
             elif isinstance(op, HostCompute):
-                dur = cost.host_work_time_us(op.work)
-                serial += dur
                 deps = set()
                 after = 0.0
                 read_res = []
@@ -602,8 +578,6 @@ def _build_schedule(
                 )
                 host_sync[cur_dev] = node.end_us
                 host_barrier[cur_dev] = node.id
-            else:
-                raise DeviceError(f"scheduler cannot handle {op!r}")
 
     return PipelineSchedule(
         program=program.name,

@@ -4,7 +4,7 @@ possible; the full-scale HD/300-frame runs live in benchmarks/)."""
 import numpy as np
 import pytest
 
-from repro.apps.downscaler import CIF, DownscalerLab, NONGENERIC
+from repro.apps.downscaler import CIF, DownscalerLab, NONGENERIC, SacDownscalerJob
 from repro.errors import ReproError
 
 FRAMES = 4
@@ -88,10 +88,16 @@ class TestClaims:
 class TestValidation:
     def test_functional_validation_catches_corruption(self, lab):
         """If a compiled program produced wrong pixels the lab must raise."""
-        cf = lab.sac_compiled(NONGENERIC, "cuda")
-        bogus = {cf.program.host_outputs[0]: np.zeros((1, 1), dtype=np.int32)}
+
+        class CorruptGolden(SacDownscalerJob):
+            def golden(self, frame, instance, program):
+                return {
+                    name: np.zeros((1, 1), dtype=np.int32)
+                    for name in super().golden(frame, instance, program)
+                }
+
         with pytest.raises(ReproError, match="mismatch"):
-            lab._check_sac_outputs(cf, bogus, "r", "downscale")
+            lab.operation_table("corrupt", CorruptGolden(size=CIF))
 
     def test_compilation_cached(self, lab):
         a = lab.sac_compiled(NONGENERIC, "cuda")

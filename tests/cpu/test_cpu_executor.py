@@ -68,6 +68,11 @@ class TestRun:
         assert res.loop_us == pytest.approx(8 * 3 / 100.0)
         assert res.total_us == res.loop_us + res.host_us
 
+    def test_price_lists_each_op_duration_in_op_order(self):
+        ex = executor()
+        res = ex.run(seq_program(), {"x": np.zeros(8, np.int32)})
+        assert ex.price(seq_program()) == (0.0, res.loop_us)
+
     def test_kernel_time_cached(self):
         ex = executor()
         k = double_kernel()

@@ -1,4 +1,4 @@
-"""Unit tests for the profiler and the GPU executor."""
+"""Unit tests for the GPU executor and its per-op prices."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from repro.apps.downscaler import CIF, HD, NONGENERIC, reference
 from repro.apps.downscaler.sac_sources import downscaler_program_source
 from repro.apps.downscaler.video import channels_of, synthetic_frame
 from repro.errors import DeviceError
-from repro.gpu import GTX480_CALIBRATED, CostModel, GPUExecutor, Profiler, UNCALIBRATED
+from repro.gpu import GTX480_CALIBRATED, CostModel, GPUExecutor, UNCALIBRATED
 from repro.ir import (
     AllocDevice,
     ArrayParam,
@@ -66,43 +66,6 @@ def executor():
     return GPUExecutor(CostModel(UNCALIBRATED))
 
 
-class TestProfiler:
-    def test_rows_aggregate_and_percentages(self):
-        p = Profiler()
-        p.record("k1", "kernel", 30.0)
-        p.record("k1", "kernel", 30.0)
-        p.record("memcpyHtoDasync", "h2d", 40.0)
-        rows = p.rows()
-        assert [r.operation for r in rows] == ["k1", "memcpyHtoDasync"]
-        assert rows[0].calls == 2
-        assert rows[0].gpu_time_us == pytest.approx(60.0)
-        assert rows[0].gpu_time_pct == pytest.approx(60.0)
-        assert rows[1].gpu_time_pct == pytest.approx(40.0)
-
-    def test_grouping(self):
-        p = Profiler()
-        p.record("hf_k0", "kernel", 10.0)
-        p.record("hf_k1", "kernel", 10.0)
-        p.record("vf_k0", "kernel", 20.0)
-        rows = p.rows({"hf_k0": "H. Filter", "hf_k1": "H. Filter", "vf_k0": "V. Filter"})
-        assert [r.operation for r in rows] == ["H. Filter", "V. Filter"]
-        assert rows[0].calls == 2
-        assert rows[0].gpu_time_us == pytest.approx(20.0)
-
-    def test_category_totals(self):
-        p = Profiler()
-        p.record("a", "kernel", 1.0)
-        p.record("b", "h2d", 2.0)
-        p.record("c", "h2d", 3.0)
-        assert p.total_by_category() == {"kernel": 1.0, "h2d": 5.0}
-        assert p.calls_by_category() == {"kernel": 1, "h2d": 2}
-        assert p.total_us == pytest.approx(6.0)
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
-            Profiler().record("x", "kernel", -1.0)
-
-
 class TestExecutor:
     def test_functional_result(self):
         ex = executor()
@@ -121,12 +84,14 @@ class TestExecutor:
         assert res.total_us == pytest.approx(res.kernel_us + res.h2d_us + res.d2h_us)
         assert res.gpu_us == pytest.approx(res.total_us)  # no host ops
 
-    def test_profiler_events_recorded(self):
+    def test_price_lists_each_op_duration_in_op_order(self):
         ex = executor()
-        ex.run(add_one_program(), {"h_in": np.zeros((4, 8), np.int32)})
-        assert ex.profiler.calls_of("memcpyHtoDasync") == 1
-        assert ex.profiler.calls_of("memcpyDtoHasync") == 1
-        assert ex.profiler.calls_of("add_one") == 1
+        program = add_one_program()
+        res = ex.run(program, {"h_in": np.zeros((4, 8), np.int32)})
+        # alloc, alloc, H2D, launch, D2H, free, free
+        assert ex.price(program) == (
+            0.0, 0.0, res.h2d_us, res.kernel_us, res.d2h_us, 0.0, 0.0
+        )
 
     def test_missing_input_rejected(self):
         with pytest.raises(DeviceError, match="missing host inputs"):
@@ -142,14 +107,14 @@ class TestExecutor:
         assert res.total_us > 0
         assert res.outputs == {}
 
-    def test_run_repeated_matches_single_run_timing(self):
+    def test_timing_only_run_costs_exactly_the_functional_run(self):
+        # what lets Tables I/II price one run and add it up per frame
         ex = executor()
-        envs = [{"h_in": np.zeros((4, 8), np.int32)} for _ in range(3)]
-        results = ex.run_repeated(add_one_program(), envs)
-        assert len(results) == 3
-        assert results[0].outputs  # functional
-        assert results[1].outputs == {}  # replay
-        assert results[0].total_us == pytest.approx(results[1].total_us)
+        program = add_one_program()
+        functional = ex.run(program, {"h_in": np.zeros((4, 8), np.int32)})
+        replay = ex.run(program, functional=False)
+        assert functional.outputs and replay.outputs == {}
+        assert replay == functional  # every duration field, compared with ==
 
     def test_kernel_cost_cache_reused(self):
         ex = executor()

@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.apps.downscaler.runner import Figure9Row, Figure12Series, OperationTable
-from repro.gpu.profiler import ProfileRow
+from repro.apps.downscaler.runner import (
+    Figure9Row,
+    Figure12Series,
+    OperationTable,
+    ProfileRow,
+)
 from repro.report import (
     PAPER_TABLE1,
     PAPER_TABLE2,

@@ -222,6 +222,23 @@ def test_experiment_overlap(capsys):
     assert "generic variant, 3 frames" in out
 
 
+#: pinned `experiment overlap --size cif --frames 3 --json` values: the
+#: fused variant pipelines a little, the generic one's host output tiler
+#: blocks every frame
+OVERLAP_CIF_3 = {
+    "nongeneric": {
+        "variant": "nongeneric", "frames": 3,
+        "serial_us": 3080.273, "overlapped_us": 2875.508, "speedup": 1.0712,
+        "engine_busy_us": {"h2d": 250.961, "compute": 2773.126, "d2h": 56.183},
+    },
+    "generic": {
+        "variant": "generic", "frames": 3,
+        "serial_us": 2472.858, "overlapped_us": 2472.856, "speedup": 1.0,
+        "engine_busy_us": {"h2d": 360.072, "compute": 1008.352, "d2h": 152.594},
+    },
+}
+
+
 def test_experiment_overlap_json(capsys):
     import json
 
@@ -234,34 +251,78 @@ def test_experiment_overlap_json(capsys):
     non = variants["nongeneric"]
     assert non["overlapped_us"] <= non["serial_us"]
     assert set(non["engine_busy_us"]) == {"h2d", "compute", "d2h"}
-    # pinned modelled values: the fused variant pipelines a little, the
-    # generic one's host output tiler blocks every frame
-    assert non == {
-        "variant": "nongeneric", "frames": 3,
-        "serial_us": 3080.273, "overlapped_us": 2875.508, "speedup": 1.0712,
-        "engine_busy_us": {"h2d": 250.961, "compute": 2773.126, "d2h": 56.183},
-    }
-    assert variants["generic"] == {
-        "variant": "generic", "frames": 3,
-        "serial_us": 2472.858, "overlapped_us": 2472.856, "speedup": 1.0,
-        "engine_busy_us": {"h2d": 360.072, "compute": 1008.352, "d2h": 152.594},
-    }
+    assert variants == OVERLAP_CIF_3
 
 
 def test_experiment_table_json(capsys):
+    """`experiment all --json` pins every paper artefact value at CIF."""
     import json
 
     assert main(
-        ["experiment", "table1", "--frames", "2", "--size", "cif", "--json"]
+        ["experiment", "all", "--frames", "3", "--size", "cif", "--json"]
     ) == 0
     doc = json.loads(capsys.readouterr().out)
-    t = doc["table1"]
-    assert t["total_us"] > 0
-    assert any("memcpyHtoDasync" in r["operation"] for r in t["rows"])
-    assert all(
-        set(r) == {"operation", "calls", "gpu_time_us", "gpu_time_pct"}
-        for r in t["rows"]
+    assert (doc["size"], doc["frames"]) == ("cif", 3)
+    for key in ("table1", "table2"):
+        assert all(
+            set(r) == {"operation", "calls", "gpu_time_us", "gpu_time_pct"}
+            for r in doc[key]["rows"]
+        )
+
+    def rows(table):
+        return [
+            (r["operation"], r["calls"], r["gpu_time_us"], r["gpu_time_pct"])
+            for r in table["rows"]
+        ]
+
+    t1, t2 = doc["table1"], doc["table2"]
+    assert t1["title"] == (
+        "Kernel execution and data transfer times of GASPARD2 implementation"
     )
+    assert t1["total_us"] == 2774.082
+    assert rows(t1) == [
+        ("H. Filter (3 kernels)", 3, 1031.943, 37.199),
+        ("V. Filter (3 kernels)", 3, 820.707, 29.585),
+        ("memcpyHtoDasync", 9, 752.884, 27.14),
+        ("memcpyDtoHasync", 9, 168.549, 6.076),
+    ]
+    assert t2["title"] == (
+        "Kernel execution and data transfer times of SAC implementation"
+    )
+    assert t2["total_us"] == 9240.811
+    assert rows(t2) == [
+        ("H. Filter (5 kernels)", 3, 3601.091, 38.969),
+        ("V. Filter (7 kernels)", 3, 4718.287, 51.059),
+        ("memcpyHtoDasync", 9, 752.884, 8.147),
+        ("memcpyDtoHasync", 9, 168.549, 1.824),
+    ]
+    assert [
+        (r["configuration"], r["hfilter_s"], r["vfilter_s"])
+        for r in doc["figure9"]
+    ] == [
+        ("SAC-Seq Generic", 0.002479, 0.001104),
+        ("SAC-CUDA Generic", 0.001286, 0.000826),
+        ("SAC-Seq Non-Generic", 0.002102, 0.000936),
+        ("SAC-CUDA Non-Generic", 0.0012, 0.001573),
+    ]
+    assert doc["figure12"] == {
+        "operations": [
+            "Horizontal Filter", "Vertical Filter", "Host2Device", "Device2Host",
+        ],
+        "sac_s": [0.003601, 0.004718, 0.000753, 0.000169],
+        "gaspard_s": [0.001032, 0.000821, 0.000753, 0.000169],
+    }
+    assert doc["claims"] == {
+        "generic_over_nongeneric_h": 1.0716,
+        "generic_over_nongeneric_v": 0.5255,
+        "speedup_gpu_vs_seq_h": 1.7515,
+        "speedup_gpu_vs_seq_v": 0.5952,
+        "seq_generic_over_nongeneric_h": 1.1791,
+        "transfer_share_gaspard": 0.3322,
+        "transfer_share_sac": 0.0997,
+        "gaspard_over_sac_total": 0.3002,
+    }
+    assert doc["overlap"] == [OVERLAP_CIF_3["nongeneric"], OVERLAP_CIF_3["generic"]]
 
 
 # -- repro opt -----------------------------------------------------------------
@@ -415,6 +476,30 @@ def test_pipeline_trace_json_reports_path(tmp_path, capsys):
     (entry,) = doc["routes"]
     assert entry["report"]["trace"] == str(out)
     assert out.exists()
+
+
+def test_pipeline_json_memory_metrics_are_per_job(capsys):
+    """Each job's allocator counters cover its own run only, although
+    all four jobs share one executor."""
+    import json
+
+    assert main(
+        ["pipeline", "--size", "cif", "--frames", "4", "--opt", "--json"]
+    ) == 0
+    doc = json.loads(capsys.readouterr().out)
+    memory = {}
+    for entry in doc["routes"]:
+        job, metrics = entry["report"]["job"], entry["metrics"]
+        memory[job] = (
+            metrics[f'repro_device_allocs_total{{route="{job}"}}'],
+            metrics[f'repro_device_peak_bytes{{route="{job}"}}'],
+        )
+    assert memory == {
+        "sac-nongeneric": (3, 625152),
+        "sac-nongeneric+opt": (2, 473088),
+        "gaspard": (9, 1875456),
+        "gaspard+opt": (6, 608256),
+    }
 
 
 def test_pipeline_opt_compares_baseline_and_optimised(capsys):
