@@ -14,7 +14,14 @@ cache keys each route on everything that determines its output:
   placement + the ``repro.opt`` configuration).
 
 Keys are content digests, so two textually identical sources share an
-entry regardless of identity.  Hit/miss/invalidation counts are kept in
+entry regardless of identity.  A frame loop asks for the same key every
+frame, so :func:`canonical` memoises the serialisation of a frozen
+dataclass that is immutable all the way down (a model, an options
+record) on the value itself: a job that holds its compile inputs pays
+one dictionary read and one digest per warm lookup.  An ndarray, list,
+dict, set, non-frozen dataclass or ``repr`` fallback anywhere inside the
+value turns the memo off, so mutable content is re-read on every call
+and a key can never go stale.  Hit/miss/invalidation counts are kept in
 :class:`CacheStats` — the ``repro pipeline`` report shows them, and the
 acceptance gate requires >= frames-1 hits per route over a video run.
 """
@@ -49,6 +56,10 @@ def _digest(*parts: str) -> str:
     return h.hexdigest()
 
 
+#: the instance-dict key under which :func:`canonical` keeps a value's text
+_MEMO = "_canonical_text"
+
+
 def canonical(value) -> str:
     """A content-complete canonical serialisation for cache keys.
 
@@ -59,8 +70,44 @@ def canonical(value) -> str:
     dataclasses, containers and ndarrays (shape + dtype + a digest of the
     raw bytes) and names callables by module/qualname (their repr embeds
     a memory address, which is unstable across runs).
+
+    A frozen dataclass that is immutable all the way down keeps its
+    first serialisation in its instance ``__dict__``, and later calls
+    return it without recursing.  Immutable means every value below it
+    is a frozen dataclass, tuple, frozenset, scalar, string, numpy scalar
+    or callable.  An ndarray, list, dict, set, non-frozen dataclass or
+    ``repr`` fallback anywhere below turns the memo off for that value,
+    as does a frozen dataclass declared with ``__slots__``.  Only the
+    value passed in is memoised, not its inner nodes.  The memo lies
+    outside ``dataclasses.fields``, so ``__eq__``, ``__hash__``,
+    ``repr``, ``replace`` and ``asdict`` never see it.
+    """
+    memo = _memo_of(value)
+    if memo is not None and _MEMO in memo:
+        return memo[_MEMO]
+    mutable: list[type] = []
+    text = _serialise(value, mutable)
+    if memo is not None and not mutable:
+        memo[_MEMO] = text
+    return text
+
+
+def _memo_of(value) -> dict | None:
+    """The instance dict of a frozen dataclass instance, else ``None``."""
+    params = getattr(type(value), "__dataclass_params__", None)
+    if params is None or not params.frozen:
+        return None
+    return getattr(value, "__dict__", None)
+
+
+def _serialise(value, mutable: list[type]) -> str:
+    """The canonical text of ``value``.
+
+    Appends to ``mutable`` the type of every value met on the way whose
+    content could change after it was serialised.
     """
     if isinstance(value, np.ndarray):
+        mutable.append(np.ndarray)
         payload = hashlib.sha256(
             np.ascontiguousarray(value).tobytes()
         ).hexdigest()
@@ -71,28 +118,36 @@ def canonical(value) -> str:
     if isinstance(value, np.generic):
         return f"{type(value).__name__}({value!r})"
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        if not type(value).__dataclass_params__.frozen:
+            mutable.append(type(value))
         fields = ",".join(
-            f"{f.name}={canonical(getattr(value, f.name))}"
+            f"{f.name}={_serialise(getattr(value, f.name), mutable)}"
             for f in dataclasses.fields(value)
         )
         return f"{type(value).__qualname__}({fields})"
     if isinstance(value, tuple):
-        return "(" + ",".join(canonical(v) for v in value) + ")"
+        return "(" + ",".join(_serialise(v, mutable) for v in value) + ")"
     if isinstance(value, list):
-        return "[" + ",".join(canonical(v) for v in value) + "]"
+        mutable.append(list)
+        return "[" + ",".join(_serialise(v, mutable) for v in value) + "]"
     if isinstance(value, dict):
+        mutable.append(dict)
         items = sorted(
-            (canonical(k), canonical(v)) for k, v in value.items()
+            (_serialise(k, mutable), _serialise(v, mutable))
+            for k, v in value.items()
         )
         return "{" + ",".join(f"{k}:{v}" for k, v in items) + "}"
     if isinstance(value, (set, frozenset)):
-        return "set{" + ",".join(sorted(canonical(v) for v in value)) + "}"
+        if isinstance(value, set):
+            mutable.append(set)
+        return "set{" + ",".join(sorted(_serialise(v, mutable) for v in value)) + "}"
     if value is None or isinstance(value, (bool, int, float, complex, str, bytes)):
         return repr(value)
     if callable(value):
         module = getattr(value, "__module__", "?")
         qualname = getattr(value, "__qualname__", type(value).__qualname__)
         return f"callable:{module}.{qualname}"
+    mutable.append(type(value))
     return repr(value)
 
 

@@ -54,6 +54,14 @@ class PipelineJob:
     instances_per_frame: int = 1
 
     def compile(self, cache: CompileCache) -> DeviceProgram:
+        """The job's program, produced through ``cache``.
+
+        The pipeline calls this once per frame, so a job should build its
+        compile inputs (source text, model, options) once and hold them:
+        a warm call is then one cache lookup, and an immutable held input
+        serialises its key from :func:`~repro.runtime.cache.canonical`'s
+        memo instead of recursing.
+        """
         raise NotImplementedError
 
     def env(self, frame: int, instance: int) -> dict[str, np.ndarray]:

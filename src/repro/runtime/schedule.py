@@ -297,10 +297,19 @@ def _build_schedule(
             return None
         return op_access[i][1 if write else 0].get((kind, name))
 
+    #: every boxes tuple compared below is an ``op_access`` entry, alive
+    #: for the whole build, so a pair's identity keys its answer: each
+    #: run re-asks the pairs of the run before it
+    answers: dict[tuple[int, int], bool] = {}
+
     def disjoint(a, b) -> bool:
         if overlap is None or a is None or b is None:
             return False
-        return not any(overlap(x, y) for x in a for y in b)
+        key = (id(a), id(b))
+        answer = answers.get(key)
+        if answer is None:
+            answer = answers[key] = not any(overlap(x, y) for x in a for y in b)
+        return answer
 
     if topology is None:
         engine_ready: dict[str, float] = {"h2d": 0.0, "compute": 0.0, "d2h": 0.0}

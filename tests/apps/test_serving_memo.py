@@ -1,13 +1,20 @@
-"""Frame-synthesis memoisation in the downscaler pipeline jobs.
+"""Per-frame and per-program memoisation in the downscaler pipeline jobs.
 
 ``env()`` and ``golden()`` are called independently per (frame, instance);
 before memoisation every call re-synthesised and re-split the frame, so a
 three-channel SaC frame paid for six syntheses.  The jobs now memoise per
 frame behind a small LRU: exactly one synthesis per distinct frame, an
 LRU bound on memory, and frozen arrays so a mutating consumer faults.
+
+``compile()`` runs once per frame too; a job builds its compile inputs
+(SaC source text, Gaspard2 model) on the first call and holds them, and
+holds no reference cycle, so dropping a job frees it at once.
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +22,7 @@ import pytest
 from repro.apps.downscaler import serving
 from repro.apps.downscaler.config import FrameSize
 from repro.apps.downscaler.serving import GaspardDownscalerJob, SacDownscalerJob
+from repro.runtime.cache import CompileCache
 from repro.runtime.pipeline import FramePipeline
 
 TINY = FrameSize(18, 16, "tiny")
@@ -72,3 +80,55 @@ def test_memoised_arrays_are_frozen():
         golden["out_r"][0, 0] = 99
     # the cache still serves intact values afterwards
     assert np.array_equal(env["in_r"], job.env(0, 0)["in_r"])
+
+
+@pytest.fixture
+def input_builds(monkeypatch):
+    """Count calls into the compile-input builders as the jobs see them."""
+    calls = {"downscaler_model": 0, "downscaler_program_source": 0}
+    for name in calls:
+        real = getattr(serving, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(serving, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "job_class, builder",
+    [
+        (SacDownscalerJob, "downscaler_program_source"),
+        (GaspardDownscalerJob, "downscaler_model"),
+    ],
+    ids=["sac", "gaspard"],
+)
+def test_compile_inputs_are_built_once_per_job(input_builds, job_class, builder):
+    job = job_class(TINY)
+    report = FramePipeline(validate="none").run(job, 20)
+    assert input_builds[builder] == 1
+    # every frame still asks the cache: one miss, then hits
+    assert (report.cache.hits, report.cache.misses) == (19, 1)
+    FramePipeline(validate="none").run(job, 2)
+    assert input_builds[builder] == 1
+    job_class(TINY).compile(CompileCache())
+    assert input_builds[builder] == 2  # a new job builds its own
+
+
+@pytest.mark.parametrize(
+    "job_class", [SacDownscalerJob, GaspardDownscalerJob], ids=["sac", "gaspard"]
+)
+def test_dropped_job_is_freed_without_the_cyclic_collector(job_class):
+    job = job_class(TINY)
+    program = job.compile(CompileCache())
+    job.env(0, 0)
+    job.golden(0, 0, program)
+    ref = weakref.ref(job)
+    gc.disable()
+    try:
+        del job
+        assert ref() is None
+    finally:
+        gc.enable()

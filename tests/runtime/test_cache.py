@@ -1,5 +1,7 @@
 """CompileCache: keying, hit/miss/invalidation accounting."""
 
+import dataclasses
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -7,8 +9,12 @@ import pytest
 
 from repro.apps.downscaler import CIF, HD
 from repro.apps.downscaler.arrayol_model import downscaler_allocation, downscaler_model
+from repro.apps.downscaler.config import legal_pavings
+from repro.opt import TAIL_PASSES, OptOptions
 from repro.runtime import CompileCache, canonical, gaspard_key, sac_key
+from repro.runtime import cache as cache_module
 from repro.sac.backend import CompileOptions
+from repro.tune.space import DEFAULT_CONFIG, enumerate_pass_configs, neighbours
 
 SRC = (
     "int[32] f(int[32] a) { b = with { (. <= iv <= .) : a[iv] + 1; } "
@@ -124,3 +130,162 @@ def test_stats_snapshot_and_delta():
     assert delta.hit_rate == pytest.approx(1.0)
     d = delta.as_dict()
     assert d["hits"] == 5 and d["hit_rate"] == 1.0
+
+
+# -- the immutable-value memo ------------------------------------------------
+
+
+def _reference_canonical(value) -> str:
+    """The serialiser as it was before :func:`canonical` kept a memo.
+
+    A verbatim copy of the plain recursion: the byte-for-byte oracle the
+    memoised serialiser must keep matching, on first and on later calls.
+    """
+    if isinstance(value, np.ndarray):
+        payload = hashlib.sha256(
+            np.ascontiguousarray(value).tobytes()
+        ).hexdigest()
+        return (
+            f"ndarray(shape={tuple(value.shape)},dtype={value.dtype.str},"
+            f"sha256={payload})"
+        )
+    if isinstance(value, np.generic):
+        return f"{type(value).__name__}({value!r})"
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        fields = ",".join(
+            f"{f.name}={_reference_canonical(getattr(value, f.name))}"
+            for f in dataclasses.fields(value)
+        )
+        return f"{type(value).__qualname__}({fields})"
+    if isinstance(value, tuple):
+        return "(" + ",".join(_reference_canonical(v) for v in value) + ")"
+    if isinstance(value, list):
+        return "[" + ",".join(_reference_canonical(v) for v in value) + "]"
+    if isinstance(value, dict):
+        items = sorted(
+            (_reference_canonical(k), _reference_canonical(v))
+            for k, v in value.items()
+        )
+        return "{" + ",".join(f"{k}:{v}" for k, v in items) + "}"
+    if isinstance(value, (set, frozenset)):
+        return "set{" + ",".join(sorted(_reference_canonical(v) for v in value)) + "}"
+    if value is None or isinstance(value, (bool, int, float, complex, str, bytes)):
+        return repr(value)
+    if callable(value):
+        module = getattr(value, "__module__", "?")
+        qualname = getattr(value, "__qualname__", type(value).__qualname__)
+        return f"callable:{module}.{qualname}"
+    return repr(value)
+
+
+def _assert_matches_reference(value) -> None:
+    want = _reference_canonical(value)
+    assert canonical(value) == want  # cold: serialises (and may memoise)
+    assert canonical(value) == want  # warm: from the memo where one is kept
+
+
+@pytest.mark.parametrize("size", [CIF, HD], ids=["cif", "hd"])
+def test_memoised_model_serialises_like_the_reference(size):
+    for paving in legal_pavings(size):
+        model = downscaler_model(size, paving=paving)
+        _assert_matches_reference(model)
+        # held: the second call hands back the kept string itself
+        assert canonical(model) is canonical(model)
+
+
+def test_allocation_serialises_like_the_reference():
+    # its private mapping index is a dict, so it is never memoised
+    _assert_matches_reference(downscaler_allocation())
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        CompileOptions(),
+        CompileOptions(target="seq", transfers="per_kernel", lint=True),
+        CompileOptions(opt=OptOptions()),
+        CompileOptions(
+            opt=OptOptions(fusion=False, order=tuple(reversed(TAIL_PASSES)))
+        ),
+    ],
+    ids=["default", "seq-per-kernel", "opt", "opt-reordered"],
+)
+def test_compile_options_serialise_like_the_reference(options):
+    _assert_matches_reference(options)
+
+
+def test_tune_configs_serialise_like_the_reference():
+    space = enumerate_pass_configs() + neighbours(
+        dataclasses.replace(DEFAULT_CONFIG, opt=OptOptions()),
+        pavings=(1, 2),
+        devices=2,
+    )
+    assert any(c.opt is not None and c.opt.order is not None for c in space)
+    for config in space:
+        _assert_matches_reference(config)
+
+
+def test_compiled_program_serialises_like_the_reference(gaspard_program):
+    _assert_matches_reference(gaspard_program)
+
+
+@dataclass(frozen=True)
+class _FrozenArrayModel:
+    """A frozen model-like dataclass whose coefficient array stays mutable."""
+
+    name: str
+    weights: np.ndarray
+
+
+@dataclass(frozen=True)
+class _FrozenListModel:
+    """A frozen model-like dataclass holding a (mutable) list."""
+
+    name: str
+    items: list
+
+
+def test_frozen_values_with_mutable_contents_are_not_memoised():
+    """The frozen twin of ``test_keys_see_inside_large_arrays``: freezing
+    the dataclass does not freeze what it holds, so a memo on it would
+    serve the key of contents that have since changed."""
+    a = _FrozenArrayModel("m", np.zeros(100_000, dtype=np.int32))
+    before = canonical(a)
+    a.weights[50_000] = 7
+    assert canonical(a) != before
+    assert canonical(a) == _reference_canonical(a)
+    b = _FrozenListModel("m", [1, 2])
+    before = canonical(b)
+    b.items.append(3)
+    assert canonical(b) != before
+    assert canonical(b) == _reference_canonical(b)
+
+
+def test_second_canonical_of_a_held_model_does_not_recurse(monkeypatch):
+    model = downscaler_model(CIF)
+    first = canonical(model)
+    calls = []
+    real = cache_module._serialise
+
+    def spy(value, mutable):
+        calls.append(type(value))
+        return real(value, mutable)
+
+    monkeypatch.setattr(cache_module, "_serialise", spy)
+    assert canonical(model) == first
+    assert calls == []
+    # a model no call has seen yet still recurses, through the spy
+    assert canonical(downscaler_model(CIF)) == first
+    assert len(calls) > 1
+
+
+def test_memo_is_invisible_to_dataclass_machinery():
+    held, fresh = CompileOptions(opt=OptOptions()), CompileOptions(opt=OptOptions())
+    canonical(held)
+    assert held == fresh
+    assert hash(held) == hash(fresh)
+    assert repr(held) == repr(fresh)
+    assert dataclasses.asdict(held) == dataclasses.asdict(fresh)
+    # replace() builds a new value: it serialises its own content
+    changed = dataclasses.replace(held, lint=True)
+    assert canonical(changed) == _reference_canonical(changed) != canonical(held)

@@ -156,3 +156,26 @@ class TestRegionOverlap:
         )
         broken = replace(s, nodes=forged)
         assert any("WAR" in v or "engine" in v for v in schedule_violations(broken))
+
+
+def test_region_build_tests_each_box_pair_once(sac_programs, executor, monkeypatch):
+    """Each run re-asks the box pairs of the run before it (the same
+    ``op_access`` tuples), so a build answers every pair once: the SaC
+    CIF program makes as many overlap tests in 30 runs as in 3."""
+    from repro.analysis import regions
+    from repro.apps.downscaler import NONGENERIC
+
+    calls = []
+    real = regions.boxes_overlap
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(regions, "boxes_overlap", counting)
+    counts = []
+    for runs in (3, 30):
+        calls.clear()
+        build_schedule(sac_programs[NONGENERIC], executor, runs=runs)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
