@@ -12,10 +12,11 @@ issue (the paper's Tables I/II):
 * ``FreeDevice`` and synchronous transfers (``is_async=False``) behave as
   full barriers (``cudaFree``/blocking ``cudaMemcpy`` synchronise).
 
-Any two operations that access the same device buffer or host array, where
-at least one access is a write and **no happens-before path** connects them,
-are flagged as RACE001 (write/write) or RACE002 (read/write).  These are
-exactly the interleavings the paper's ``memcpyHtoDasync`` calls make legal.
+Any two operations that access overlapping elements of the same device
+buffer or host array, where at least one access is a write and **no
+happens-before path** connects them, are flagged as RACE001 (write/write)
+or RACE002 (read/write).  These are exactly the interleavings the paper's
+``memcpyHtoDasync`` calls make legal.
 
 Every edge is an engine-FIFO, writer-to-reader or barrier edge; the graph
 has no reader-to-writer (WAR) edges.  The runtime scheduler
@@ -24,13 +25,11 @@ before a write, so a pair reported here may still be ordered in an actual
 schedule: :mod:`repro.runtime.unroll` certifies the recycled-slot pairs
 against it.
 
-With ``regions=True`` (the default) an unordered pair is additionally
-checked against the access-region oracle of
-:mod:`repro.analysis.regions`: when the two accesses touch provably
-disjoint strided boxes of the resource (a kernel writing one tile while a
-partial transfer moves another), the pair cannot race and is not
-reported.  Region filtering only ever *removes* findings — the
-whole-buffer result is a sound superset.
+Whether two accesses overlap is the access-region oracle's answer
+(:mod:`repro.analysis.regions`): accesses touching provably disjoint
+strided boxes of the resource (a kernel writing one tile while a partial
+transfer moves another) cannot race and are not reported, and an access
+the oracle cannot box counts as touching the whole resource.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.diagnostics import Diagnostic
+from repro.analysis.regions import RegionOracle
 from repro.ir.program import (
     AllocDevice,
     DeviceProgram,
@@ -188,19 +188,16 @@ def _describe(i: int, op: Op) -> str:
     return f"ops[{i}] {type(op).__name__}"
 
 
-def find_hazards(program: DeviceProgram, regions: bool = True) -> list[Diagnostic]:
-    """All unordered conflicting access pairs of ``program``.
-
-    ``regions=False`` disables the region-disjointness filter and reports
-    every unordered whole-buffer conflict (the PR1 behaviour); the filtered
-    result is always a subset of it.
-    """
+def find_hazards(program: DeviceProgram) -> list[Diagnostic]:
+    """All unordered conflicting access pairs of ``program``: op pairs with
+    no happens-before path whose access boxes on a shared resource
+    intersect, at least one of them a write."""
     hb = build_happens_before(program)
     by_resource: dict[tuple[str, str], list[_Access]] = {}
     for acc in hb.accesses:
         by_resource.setdefault(acc.resource, []).append(acc)
 
-    oracle = None
+    oracle = RegionOracle(program)
     out: list[Diagnostic] = []
     seen: set[tuple[int, int, tuple[str, str]]] = set()
     for resource, accs in by_resource.items():
@@ -216,18 +213,11 @@ def find_hazards(program: DeviceProgram, regions: bool = True) -> list[Diagnosti
                     continue
                 if hb.ordered(x.node, y.node):
                     continue
-                if regions:
-                    if oracle is None:
-                        from repro.analysis.regions import RegionOracle
-
-                        oracle = RegionOracle(program)
-                    # a disjoint pair is no race, but a later overlapping
-                    # access-mode combination of the same op pair still is —
-                    # so do not mark the pair as seen here
-                    if not oracle.pair_conflicts(
-                        x.node, x.write, y.node, y.write, resource
-                    ):
-                        continue
+                # a disjoint pair is no race, but a later overlapping
+                # access-mode combination of the same op pair still is —
+                # so do not mark the pair as seen here
+                if not oracle.pair_conflicts(x.node, x.write, y.node, y.write, resource):
+                    continue
                 seen.add(key)
                 kind, name = resource
                 both_write = x.write and y.write

@@ -36,18 +36,20 @@ Exit codes (all subcommands):
 
 * ``0`` — success; for ``lint``, no error-severity findings;
 * ``1`` — ``lint`` found at least one error-severity diagnostic;
-* ``2`` — usage error (argparse);
+* ``2`` — usage error (argparse), out-of-range numbers included, such
+  as ``--frames -1``, ``--devices 0`` or ``--rate 0``;
 * ``3`` — a repro error (parse/compile/validation failure).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
 
-__all__ = ["main"]
+__all__ = ["build_parser", "main"]
 
 #: documented exit codes
 EXIT_OK = 0
@@ -62,15 +64,49 @@ def _size(name: str):
     return {"hd": HD, "cif": CIF}[name]
 
 
-def _cmd_compile_sac(args) -> int:
-    from repro.sac.backend import CompileOptions, compile_function
+def _routes(route: str) -> tuple[str, ...]:
+    """The routes one ``--route`` choice names, in serving order."""
+    return ("sac", "gaspard") if route in ("both", "all") else (route,)
+
+
+def _variant(name: str) -> str:
+    """The SaC source variant one ``--variant`` choice names."""
+    from repro.apps.downscaler.sac_sources import GENERIC, NONGENERIC
+
+    return NONGENERIC if name == "nongeneric" else GENERIC
+
+
+def _depth(depth: int) -> int | None:
+    """``--depth 0`` means one buffer slot per run (unbounded)."""
+    return None if depth == 0 else depth
+
+
+def _opt(enabled: bool):
+    """The default :class:`~repro.opt.OptOptions` when ``enabled``."""
+    if not enabled:
+        return None
+    from repro.opt import OptOptions
+
+    return OptOptions()
+
+
+def _print_json(doc: dict) -> None:
+    print(json.dumps(doc, indent=2))
+
+
+def _parse_file(path: str):
+    """Parse one SaC source file, locating diagnostics in it."""
     from repro.sac.parser import parse
 
-    with open(args.file, encoding="utf-8") as fh:
-        source = fh.read()
-    prog = parse(source, filename=args.file)
+    with open(path, encoding="utf-8") as fh:
+        return parse(fh.read(), filename=path)
+
+
+def _cmd_compile_sac(args) -> int:
+    from repro.sac.backend import CompileOptions, compile_function
+
     cf = compile_function(
-        prog, args.entry, CompileOptions(target=args.target)
+        _parse_file(args.file), args.entry, CompileOptions(target=args.target)
     )
     print(f"compiled {args.entry!r} for target {args.target}")
     print(f"  kernels: {cf.kernel_count}")
@@ -93,13 +129,11 @@ def _cmd_gaspard(args) -> int:
         downscaler_allocation,
         downscaler_model,
     )
-    from repro.arrayol.transform import GaspardContext, standard_chain
+    from repro.runtime.cache import CompileCache
 
-    ctx = GaspardContext(
-        model=downscaler_model(_size(args.size)), allocation=downscaler_allocation()
+    ctx, chain = CompileCache().compile_gaspard(
+        downscaler_model(_size(args.size)), downscaler_allocation()
     )
-    chain = standard_chain()
-    ctx = chain.run(ctx)
     print("transformation chain trace:")
     for line in chain.trace:
         print("  " + line)
@@ -126,34 +160,6 @@ def _table_as_dict(t) -> dict:
     }
 
 
-def _overlap_results(size, frames: int) -> list[tuple[str, object]]:
-    """Unbounded-buffering schedules of both SaC variants (bench_overlap's
-    result)."""
-    from repro.apps.downscaler.sac_sources import (
-        GENERIC,
-        NONGENERIC,
-        downscaler_program_source,
-    )
-    from repro.apps.downscaler.video import synthetic_frame
-    from repro.gpu import CostModel, GPUExecutor, GTX480_CALIBRATED
-    from repro.runtime.schedule import build_schedule
-    from repro.sac.backend import CompileOptions, compile_function
-    from repro.sac.parser import parse
-
-    frame = synthetic_frame(size, 0)[..., 0]
-    results = []
-    for variant in (NONGENERIC, GENERIC):
-        program = parse(downscaler_program_source(size, variant))
-        compiled = compile_function(program, "downscale", CompileOptions(target="cuda"))
-        ex = GPUExecutor(CostModel(GTX480_CALIBRATED))
-        ex.run(compiled.program, {"frame": frame})
-        results.append((
-            variant,
-            build_schedule(compiled.program, ex, runs=frames, depth=None),
-        ))
-    return results
-
-
 def _overlap_as_dict(variant: str, result, frames: int) -> dict:
     return {
         "variant": variant,
@@ -168,8 +174,6 @@ def _overlap_as_dict(variant: str, result, frames: int) -> dict:
 
 
 def _cmd_experiment(args) -> int:
-    import json
-
     from repro.apps.downscaler import DownscalerLab
     from repro.report import (
         PAPER_TABLE1,
@@ -185,24 +189,18 @@ def _cmd_experiment(args) -> int:
     which = args.which
     doc: dict = {"size": args.size, "frames": args.frames}
 
-    if which in ("table1", "all"):
-        t = lab.table1()
-        if args.json:
-            doc["table1"] = _table_as_dict(t)
-        else:
-            print(render_operation_table(t))
-            print()
-            print(render_comparison(t, PAPER_TABLE1, frames=args.frames))
-            print()
-    if which in ("table2", "all"):
-        t = lab.table2()
-        if args.json:
-            doc["table2"] = _table_as_dict(t)
-        else:
-            print(render_operation_table(t))
-            print()
-            print(render_comparison(t, PAPER_TABLE2, frames=args.frames))
-            print()
+    for key, table, paper in (
+        ("table1", lab.table1, PAPER_TABLE1), ("table2", lab.table2, PAPER_TABLE2),
+    ):
+        if which in (key, "all"):
+            t = table()
+            if args.json:
+                doc[key] = _table_as_dict(t)
+            else:
+                print(render_operation_table(t))
+                print()
+                print(render_comparison(t, paper, frames=args.frames))
+                print()
     if which in ("figure9", "all"):
         rows = lab.figure9()
         if args.json:
@@ -236,7 +234,19 @@ def _cmd_experiment(args) -> int:
             for k, v in claims.items():
                 print(f"  {k:34s} {v:8.2f}")
     if which in ("overlap", "all"):
-        results = _overlap_results(_size(args.size), args.frames)
+        from repro.apps.downscaler import GENERIC, NONGENERIC, downscaler_job
+        from repro.gpu import CostModel, GPUExecutor, GTX480_CALIBRATED
+        from repro.runtime.schedule import build_schedule
+
+        # the unbounded-buffering schedules of both SaC variants
+        executor = GPUExecutor(CostModel(GTX480_CALIBRATED))
+        results = [
+            (variant, build_schedule(
+                downscaler_job("sac", lab.size, variant).compile(lab.cache),
+                executor, runs=args.frames, depth=None,
+            ))
+            for variant in (NONGENERIC, GENERIC)
+        ]
         if args.json:
             doc["overlap"] = [
                 _overlap_as_dict(v, r, args.frames) for v, r in results
@@ -247,17 +257,15 @@ def _cmd_experiment(args) -> int:
                 print(render_gantt(result))
                 print()
     if args.json:
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     return EXIT_OK
 
 
 def _cmd_downscale(args) -> int:
     from repro.apps.downscaler import DownscalerLab, downscaler_job
-    from repro.apps.downscaler.sac_sources import GENERIC, NONGENERIC
 
     size = _size(args.size)
-    variant = NONGENERIC if args.variant == "nongeneric" else GENERIC
-    job = downscaler_job(args.route, size=size, variant=variant)
+    job = downscaler_job(args.route, size=size, variant=_variant(args.variant))
     _program, res = DownscalerLab(size=size, frames=1).first_frame(job)
     print(f"program: {res.program}")
     print(f"  kernels:   {res.kernel_us:10.1f} us")
@@ -319,27 +327,25 @@ def _render_pipeline_report(r) -> str:
     return "\n".join(lines)
 
 
-def _cmd_pipeline(args) -> int:
-    import json
+def _collect_run(reg, pipe, report):
+    """Add one served route to ``reg``: the report's aggregates plus the
+    pipeline executor's allocator state, read right after the route's run."""
+    from repro.obs import collect_memory, collect_pipeline_report
 
-    from repro.apps.downscaler.sac_sources import GENERIC, NONGENERIC
+    collect_pipeline_report(reg, report, route=report.job)
+    collect_memory(reg, pipe.executor.memory, route=report.job)
+    return reg
+
+
+def _cmd_pipeline(args) -> int:
     from repro.apps.downscaler.serving import downscaler_job
-    from repro.obs import MetricsRegistry, collect_memory, collect_pipeline_report
+    from repro.obs import MetricsRegistry, Tracer
     from repro.runtime import FramePipeline, check_pipeline_hazards
 
-    def _metrics_snapshot(pipe, report) -> dict:
-        """One registry per served route: the report's aggregates plus a
-        snapshot of the shared executor's allocator state, taken right
-        after the route's own run."""
-        reg = MetricsRegistry()
-        collect_pipeline_report(reg, report, route=report.job)
-        collect_memory(reg, pipe.executor.memory, route=report.job)
-        return reg.as_dict()
-
     size = _size(args.size)
-    variant = NONGENERIC if args.variant == "nongeneric" else GENERIC
-    routes = ("sac", "gaspard") if args.route == "both" else (args.route,)
-    depth = None if args.depth == 0 else args.depth
+    variant = _variant(args.variant)
+    routes = _routes(args.route)
+    depth = _depth(args.depth)
     pipe = FramePipeline(
         depth=depth,
         serialize=args.serialize,
@@ -352,37 +358,26 @@ def _cmd_pipeline(args) -> int:
     hazard_failures = 0
     for route in routes:
         job = downscaler_job(route, size=size, variant=variant)
-        tracer = None
-        if args.trace:
-            from repro.obs import Tracer
-
-            tracer = Tracer()
-            pipe.tracer = tracer
+        tracer = pipe.tracer = Tracer() if args.trace else None
         report = pipe.run(job, frames=args.frames)
         entry = report.as_dict()
         # each route entry pairs the run report with a metrics-registry
         # snapshot, so one `pipeline --json` feeds both a results consumer
         # and a metrics scraper without a second run
-        doc["routes"].append(
-            {"report": entry, "metrics": _metrics_snapshot(pipe, report)}
-        )
+        metrics = _collect_run(MetricsRegistry(), pipe, report).as_dict()
+        doc["routes"].append({"report": entry, "metrics": metrics})
         if not args.json:
             print(_render_pipeline_report(report))
         if args.opt:
-            from repro.opt import OptOptions
-
-            opt_job = downscaler_job(
-                route, size=size, variant=variant, opt=OptOptions()
-            )
+            opt_job = downscaler_job(route, size=size, variant=variant, opt=_opt(args.opt))
             opt_report = pipe.run(opt_job, frames=args.frames)
             opt_entry = opt_report.as_dict()
             opt_entry["baseline_job"] = report.job
             opt_entry["fps_speedup_vs_baseline"] = round(
                 opt_report.frames_per_second / report.frames_per_second, 4
             )
-            doc["routes"].append(
-                {"report": opt_entry, "metrics": _metrics_snapshot(pipe, opt_report)}
-            )
+            metrics = _collect_run(MetricsRegistry(), pipe, opt_report).as_dict()
+            doc["routes"].append({"report": opt_entry, "metrics": metrics})
             if not args.json:
                 print(_render_pipeline_report(opt_report))
                 print(
@@ -418,16 +413,8 @@ def _cmd_pipeline(args) -> int:
                 for v in haz.schedule_violations:
                     print(f"    schedule: {v}")
         if args.trace:
-            from repro.obs import chrome_trace, write_chrome_trace
-
             path = _trace_path(args.trace, route, multi=len(routes) > 1)
-            trace_doc = chrome_trace(
-                schedule=report.schedule,
-                tracer=tracer,
-                frame_batch=job.instances_per_frame,
-                name=f"{job.name} ({args.size}, {args.frames} frames)",
-            )
-            write_chrome_trace(path, trace_doc)
+            trace_doc, _busy = _write_trace(path, job, report, tracer, args)
             entry["trace"] = path
             if not args.json:
                 print(
@@ -437,7 +424,7 @@ def _cmd_pipeline(args) -> int:
         if not args.json:
             print()
     if args.json:
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     return EXIT_LINT_ERRORS if hazard_failures else EXIT_OK
 
 
@@ -446,57 +433,56 @@ def _trace_path(out: str, route: str, multi: bool) -> str:
     if not multi:
         return out
     stem, dot, ext = out.rpartition(".")
-    if not dot:
-        return f"{out}.{route}"
-    return f"{stem}.{route}.{ext}"
+    return f"{stem}.{route}.{ext}" if dot else f"{out}.{route}"
+
+
+def _write_trace(path: str, job, report, tracer, args) -> tuple[dict, dict]:
+    """Write one served route's Chrome trace to ``path``; returns the trace
+    and its per-engine busy times, which must equal the report's (else
+    :class:`~repro.errors.ReproError`: the artefact must agree with the
+    report it visualises)."""
+    from repro.errors import ReproError
+    from repro.obs import chrome_trace, engine_busy_from_trace, write_chrome_trace
+
+    doc = chrome_trace(
+        schedule=report.schedule,
+        tracer=tracer,
+        frame_batch=job.instances_per_frame,
+        name=f"{job.name} ({args.size}, {args.frames} frames)",
+    )
+    busy = engine_busy_from_trace(doc)
+    for engine, want in report.engine_busy_us.items():
+        got = busy.get(engine, 0.0)
+        if abs(got - want) > 1e-6 * max(1.0, abs(want)):
+            raise ReproError(
+                f"trace export of {job.name}: engine {engine} busy "
+                f"{got:.3f} us disagrees with the pipeline report "
+                f"({want:.3f} us)"
+            )
+    write_chrome_trace(path, doc)
+    return doc, busy
 
 
 def _cmd_trace(args) -> int:
     """Serve a traced pipeline run; write a Chrome/Perfetto trace per route."""
-    from repro.apps.downscaler.sac_sources import GENERIC, NONGENERIC
     from repro.apps.downscaler.serving import downscaler_job
-    from repro.errors import ReproError
-    from repro.obs import (
-        Tracer,
-        chrome_trace,
-        engine_busy_from_trace,
-        write_chrome_trace,
-    )
+    from repro.obs import Tracer
     from repro.report import render_span_tree
     from repro.runtime import FramePipeline
 
     size = _size(args.size)
-    variant = NONGENERIC if args.variant == "nongeneric" else GENERIC
-    routes = ("sac", "gaspard") if args.route == "both" else (args.route,)
-    depth = None if args.depth == 0 else args.depth
-    opt = None
-    if args.opt:
-        from repro.opt import OptOptions
-
-        opt = OptOptions()
+    routes = _routes(args.route)
     for route in routes:
         tracer = Tracer()
-        pipe = FramePipeline(depth=depth, serialize=args.serialize, tracer=tracer)
-        job = downscaler_job(route, size=size, variant=variant, opt=opt)
-        report = pipe.run(job, frames=args.frames)
-        doc = chrome_trace(
-            schedule=report.schedule,
-            tracer=tracer,
-            frame_batch=job.instances_per_frame,
-            name=f"{job.name} ({args.size}, {args.frames} frames)",
+        pipe = FramePipeline(
+            depth=_depth(args.depth), serialize=args.serialize, tracer=tracer
         )
-        # the artefact must agree with the report it visualises
-        busy = engine_busy_from_trace(doc)
-        for engine, want in report.engine_busy_us.items():
-            got = busy.get(engine, 0.0)
-            if abs(got - want) > 1e-6 * max(1.0, abs(want)):
-                raise ReproError(
-                    f"trace export of {job.name}: engine {engine} busy "
-                    f"{got:.3f} us disagrees with the pipeline report "
-                    f"({want:.3f} us)"
-                )
+        job = downscaler_job(
+            route, size=size, variant=_variant(args.variant), opt=_opt(args.opt)
+        )
+        report = pipe.run(job, frames=args.frames)
         path = _trace_path(args.out, route, multi=len(routes) > 1)
-        write_chrome_trace(path, doc)
+        doc, busy = _write_trace(path, job, report, tracer, args)
         print(f"=== trace {job.name} ({args.size}, {args.frames} frames) ===")
         print(
             f"  wrote {path}: {len(doc['traceEvents'])} events, "
@@ -518,22 +504,16 @@ def _cmd_trace(args) -> int:
 def _cmd_metrics(args) -> int:
     """Serve a short run per route; export the metrics registry."""
     from repro.apps.downscaler.serving import downscaler_job
-    from repro.obs import MetricsRegistry, collect_memory, collect_pipeline_report
+    from repro.obs import MetricsRegistry
     from repro.runtime import FramePipeline
 
-    size = _size(args.size)
-    routes = ("sac", "gaspard") if args.route == "both" else (args.route,)
     reg = MetricsRegistry()
-    for route in routes:
+    for route in _routes(args.route):
         pipe = FramePipeline()
-        job = downscaler_job(route, size=size)
-        report = pipe.run(job, frames=args.frames)
-        collect_pipeline_report(reg, report, route=job.name)
-        collect_memory(reg, pipe.executor.memory, route=job.name)
+        report = pipe.run(downscaler_job(route, size=_size(args.size)), frames=args.frames)
+        _collect_run(reg, pipe, report)
     if args.format == "json":
-        import json
-
-        print(json.dumps(reg.as_dict(), indent=2))
+        _print_json(reg.as_dict())
     else:
         print(reg.render_text(), end="")
     return EXIT_OK
@@ -541,10 +521,7 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_serve(args) -> int:
     """Drive the async serving tier over one or both routes."""
-    import json
-
     from repro.apps.downscaler.config import CIF
-    from repro.apps.downscaler.sac_sources import GENERIC, NONGENERIC
     from repro.apps.downscaler.serving import downscaler_job
     from repro.obs import MetricsRegistry, collect_serving_report
     from repro.serve import (
@@ -555,14 +532,8 @@ def _cmd_serve(args) -> int:
     )
 
     size = _size(args.size)
-    variant = NONGENERIC if args.variant == "nongeneric" else GENERIC
-    routes = ("sac", "gaspard") if args.route == "both" else (args.route,)
-    opt = None
-    if args.opt:
-        from repro.opt import OptOptions
-
-        opt = OptOptions()
-    depth = None if args.depth == 0 else args.depth
+    variant = _variant(args.variant)
+    opt = _opt(args.opt)
     deadline_us = None if args.deadline_ms is None else args.deadline_ms * 1000.0
     doc: dict = {
         "size": args.size,
@@ -570,7 +541,7 @@ def _cmd_serve(args) -> int:
         "requests": args.requests,
         "routes": [],
     }
-    for route in routes:
+    for route in _routes(args.route):
         job = downscaler_job(route, size=size, variant=variant, opt=opt)
         # graceful degradation target: the same route at CIF size (when
         # already serving CIF there is nothing smaller to degrade to)
@@ -581,7 +552,7 @@ def _cmd_serve(args) -> int:
             max_batch=args.max_batch,
             slo_us=args.slo_ms * 1000.0,
             queue_budget=args.queue_budget,
-            depth=depth,
+            depth=_depth(args.depth),
             execute="none" if args.no_execute else "all",
             devices=args.devices,
         )
@@ -591,7 +562,7 @@ def _cmd_serve(args) -> int:
             _responses, report = run_closed_loop(
                 broker,
                 clients=args.clients,
-                requests_per_client=max(1, args.requests // max(1, args.clients)),
+                requests_per_client=max(1, args.requests // args.clients),
                 deadline_us=deadline_us,
             )
         else:
@@ -613,67 +584,71 @@ def _cmd_serve(args) -> int:
             print(report.render())
             print()
     if args.json:
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     return EXIT_OK
+
+
+#: ``repro opt``'s pass switches: (OptOptions field, ``--no-`` flag, help)
+_OPT_TOGGLES = (
+    ("dce", "dce", "disable dead-code elimination"),
+    ("transfers", "transfer-elim", "disable redundant-transfer elimination"),
+    ("fusion", "fusion", "disable kernel fusion"),
+    (
+        "sibling_fusion", "sibling-fusion",
+        "disable region-oracle fusion of independent sibling launches",
+    ),
+    ("pooling", "pooling", "disable memory pooling"),
+    ("certify", "certify", "skip re-running the hazard/transfer/bounds analyses"),
+)
 
 
 def _cmd_opt(args) -> int:
     """Optimise the compiled downscaler routes; print before/after reports."""
-    import json
-
+    from repro.apps.downscaler.serving import downscaler_job
     from repro.gpu import CostModel, GPUExecutor, GTX480_CALIBRATED
     from repro.opt import OptOptions, optimize_program
+    from repro.runtime.cache import CompileCache
 
-    size = _size(args.size)
-    options = OptOptions(
-        dce=not args.no_dce,
-        transfers=not args.no_transfer_elim,
-        fusion=not args.no_fusion,
-        sibling_fusion=not args.no_sibling_fusion,
-        pooling=not args.no_pooling,
-        certify=not args.no_certify,
-    )
-    routes = ("sac", "gaspard") if args.route == "both" else (args.route,)
+    options = OptOptions(**{
+        field: not getattr(args, "no_" + flag.replace("-", "_"))
+        for field, flag, _help in _OPT_TOGGLES
+    })
     doc: dict = {
         "size": args.size,
         "transfers": args.transfers,
         "passes": list(options.enabled_passes),
         "routes": [],
     }
-    for route in routes:
-        label, program = _route_program(
-            route, size, args.variant, args.transfers
+    cache = CompileCache()
+    for route in _routes(args.route):
+        job = downscaler_job(
+            route, _size(args.size), _variant(args.variant), transfers=args.transfers
         )
         executor = GPUExecutor(CostModel(GTX480_CALIBRATED))
         _optimized, report = optimize_program(
-            program, options, executor=executor
+            job.compile(cache), options, executor=executor
         )
         entry = report.as_dict()
-        entry["route"] = label
+        entry["route"] = job.name
         doc["routes"].append(entry)
         if not args.json:
             print(
-                f"=== {label} ({args.size}, transfers={args.transfers}) ==="
+                f"=== {job.name} ({args.size}, transfers={args.transfers}) ==="
             )
             print(report.render())
             print()
     if args.json:
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     return EXIT_OK
 
 
 def _cmd_tune(args) -> int:
     """Autotune one app x route; print the winner and its provenance."""
-    import json
-
-    from repro.apps.downscaler.config import CIF, HD
     from repro.tune import make_subject, tune
 
-    size = HD if args.size == "hd" else CIF
-    routes = ("sac", "gaspard") if args.route == "both" else (args.route,)
     doc: dict = {"app": args.app, "size": args.size, "routes": []}
-    for route in routes:
-        subject = make_subject(args.app, route, size=size)
+    for route in _routes(args.route):
+        subject = make_subject(args.app, route, size=_size(args.size))
         result = tune(
             subject,
             budget=args.budget,
@@ -698,40 +673,8 @@ def _cmd_tune(args) -> int:
             print(f"record    {result.record.content[:16]}")
             print()
     if args.json:
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     return EXIT_OK
-
-
-def _route_program(route: str, size, variant: str, transfers: str):
-    """Compile one downscaler route; returns ``(label, DeviceProgram)``."""
-    if route == "sac":
-        from repro.apps.downscaler.sac_sources import (
-            GENERIC,
-            NONGENERIC,
-            downscaler_program_source,
-        )
-        from repro.sac.backend import CompileOptions, compile_function
-        from repro.sac.parser import parse
-
-        sac_variant = NONGENERIC if variant == "nongeneric" else GENERIC
-        cf = compile_function(
-            parse(downscaler_program_source(size, sac_variant)),
-            "downscale",
-            CompileOptions(target="cuda", transfers=transfers),
-        )
-        return f"sac-{variant}", cf.program
-
-    from repro.apps.downscaler.arrayol_model import (
-        downscaler_allocation,
-        downscaler_model,
-    )
-    from repro.arrayol.transform import GaspardContext, standard_chain
-
-    ctx = GaspardContext(
-        model=downscaler_model(size), allocation=downscaler_allocation()
-    )
-    standard_chain(transfers=transfers).run(ctx)
-    return "gaspard", ctx.program
 
 
 def _explain_code(code: str) -> int:
@@ -765,29 +708,23 @@ def _cmd_lint(args) -> int:
     if args.explain is not None:
         return _explain_code(args.explain.upper())
 
-    opt = None
-    if args.assert_clean:
-        if args.file is not None:
-            print(
-                "error: --assert-clean applies to the compiled routes, "
-                "not --file",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        from repro.opt import OptOptions
-
-        opt = OptOptions()
+    if args.assert_clean and args.file is not None:
+        print(
+            "error: --assert-clean applies to the compiled routes, "
+            "not --file",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
 
     diags = []
     titles = []
     if args.file is not None:
         diags += _lint_sac_file(args.file, args.entry, titles)
     else:
-        size = _size(args.size)
-        if args.route in ("sac", "all"):
-            diags += _lint_sac_route(size, titles, opt=opt, app=args.app)
-        if args.route in ("gaspard", "all"):
-            diags += _lint_gaspard_route(size, titles, opt=opt, app=args.app)
+        for route in _routes(args.route):
+            diags += _lint_route(
+                route, args.app, _size(args.size), _opt(args.assert_clean), titles
+            )
 
     baseline = load_baseline(args.baseline) if args.baseline else None
     kept, suppressed = apply_baseline(diags, baseline)
@@ -816,11 +753,8 @@ def _cmd_lint(args) -> int:
 def _lint_sac_file(path: str, entry: str | None, titles: list) -> list:
     from repro.analysis import analyze_program, analyze_sac_program
     from repro.sac.backend import CompileOptions, compile_function
-    from repro.sac.parser import parse
 
-    with open(path, encoding="utf-8") as fh:
-        source = fh.read()
-    prog = parse(source, filename=path)
+    prog = _parse_file(path)
     diags = list(analyze_sac_program(prog))
     if entry:
         if not any(f.name == entry for f in prog.functions):
@@ -835,74 +769,95 @@ def _lint_sac_file(path: str, entry: str | None, titles: list) -> list:
     return diags
 
 
-def _lint_sac_route(size, titles: list, opt=None, app: str = "downscaler") -> list:
-    from repro.sac.backend import CompileOptions, compile_function
-    from repro.sac.parser import parse
+def _lint_route(route: str, app: str, size, opt, titles: list) -> list:
+    """Compile one app on one route with the analyzers on; its findings."""
+    from repro.apps import convolution as conv
+    from repro.apps.downscaler import arrayol_model, sac_sources
+    from repro.runtime.cache import CompileCache
+    from repro.sac.backend import CompileOptions
 
-    if app == "convolution":
-        from repro.apps.convolution.config import gaussian3
-        from repro.apps.convolution.sac_source import convolution_program_source
-
-        prog = parse(convolution_program_source(gaussian3(size.rows, size.cols)))
-        entry, label = "blur", "SaC convolution"
-    else:
-        from repro.apps.downscaler.sac_sources import (
-            NONGENERIC,
-            downscaler_program_source,
-        )
-
-        prog = parse(downscaler_program_source(size, NONGENERIC))
-        entry, label = "downscale", "SaC non-generic"
-    cf = compile_function(
-        prog, entry, CompileOptions(target="cuda", lint=True, opt=opt)
-    )
+    cache = CompileCache()
     suffix = " +opt" if opt is not None else ""
-    titles.append(
-        f"{label} {size.name} ({cf.kernel_count} kernels){suffix}"
-    )
-    return list(cf.diagnostics)
-
-
-def _lint_gaspard_route(size, titles: list, opt=None, app: str = "downscaler") -> list:
-    from repro.arrayol.transform import GaspardContext, standard_chain
-
+    if route == "sac":
+        if app == "convolution":
+            source = conv.convolution_program_source(conv.gaussian3(size.rows, size.cols))
+            entry, label = "blur", "SaC convolution"
+        else:
+            source = sac_sources.downscaler_program_source(size, sac_sources.NONGENERIC)
+            entry, label = "downscale", "SaC non-generic"
+        options = CompileOptions(target="cuda", lint=True, opt=opt)
+        cf = cache.compile_sac(source, entry, options)
+        titles.append(f"{label} {size.name} ({cf.kernel_count} kernels){suffix}")
+        return list(cf.diagnostics)
     if app == "convolution":
-        from repro.apps.convolution.arrayol_model import (
-            convolution_allocation,
-            convolution_model,
-        )
-        from repro.apps.convolution.config import gaussian3
-
-        ctx = GaspardContext(
-            model=convolution_model(gaussian3(size.rows, size.cols)),
-            allocation=convolution_allocation(),
-        )
-        label = "Gaspard2 convolution"
+        model = conv.convolution_model(conv.gaussian3(size.rows, size.cols))
+        allocation, label = conv.convolution_allocation(), "Gaspard2 convolution"
     else:
-        from repro.apps.downscaler.arrayol_model import (
-            downscaler_allocation,
-            downscaler_model,
-        )
-
-        ctx = GaspardContext(
-            model=downscaler_model(size), allocation=downscaler_allocation()
-        )
-        label = "Gaspard2"
-    ctx = standard_chain(lint=True, opt=opt).run(ctx)
-    suffix = " +opt" if opt is not None else ""
-    titles.append(
-        f"{label} {size.name} ({ctx.program.launch_count} launches){suffix}"
-    )
+        model = arrayol_model.downscaler_model(size)
+        allocation, label = arrayol_model.downscaler_allocation(), "Gaspard2"
+    ctx, _chain = cache.compile_gaspard(model, allocation, lint=True, opt=opt)
+    titles.append(f"{label} {size.name} ({ctx.program.launch_count} launches){suffix}")
     return list(ctx.diagnostics)
 
 
-def main(argv: list[str] | None = None) -> int:
+def _number(kind, low, strict: bool = False):
+    """An argparse ``type=`` accepting a ``kind`` number ``>= low`` (``> low``
+    when ``strict``): an out-of-range value exits 2, not a traceback."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (value > low if strict else value >= low):
+            op = ">" if strict else ">="
+            raise argparse.ArgumentTypeError(f"must be {op} {low}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" wording
+    return parse
+
+
+#: every option more than one subcommand takes, declared once; a
+#: subcommand lists the ones it takes (and any keyword it declares
+#: differently) with :func:`_shared`
+_SHARED: dict[str, dict] = {
+    "route": dict(choices=("sac", "gaspard", "both"), default="both"),
+    "size": dict(choices=("hd", "cif"), default="hd"),
+    "frames": dict(type=_number(int, 0), default=4),
+    "variant": dict(
+        choices=("nongeneric", "generic"), default="nongeneric",
+        help="SaC route variant",
+    ),
+    "depth": dict(
+        type=_number(int, 0), default=2,
+        help="device buffer slots per array (0 = one per run)",
+    ),
+    "serialize": dict(
+        action="store_true", help="disable overlap (the paper's measurement regime)"
+    ),
+    "opt": dict(action="store_true", help="serve the repro.opt-optimised program"),
+    "devices": dict(
+        type=_number(int, 1), default=1,
+        help="size of the simulated device fleet to shard frames over",
+    ),
+    "json": dict(action="store_true", help="emit machine-readable JSON"),
+}
+
+
+def _shared(p: argparse.ArgumentParser, *names: str, **overrides: dict) -> None:
+    """Add the named :data:`_SHARED` options to ``p``; ``overrides`` maps an
+    option to the keywords this subcommand declares differently."""
+    for name in names:
+        p.add_argument(f"--{name}", **{**_SHARED[name], **overrides.get(name, {})})
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser, one subparser per subcommand."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SaC/ArrayOL GPU-compilation reproduction (HIPS 2011)",
         epilog=(
             "exit codes: 0 success (lint: clean), 1 lint found errors, "
-            "2 usage error, 3 repro error (parse/compile/validation)"
+            "2 usage error (out-of-range numbers included), "
+            "3 repro error (parse/compile/validation)"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -915,7 +870,7 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=_cmd_compile_sac)
 
     p = sub.add_parser("gaspard", help="run the Gaspard2 OpenCL chain")
-    p.add_argument("--size", choices=("hd", "cif"), default="hd")
+    _shared(p, "size")
     p.add_argument("--emit", action="store_true", help="print generated OpenCL")
     p.set_defaults(fn=_cmd_gaspard)
 
@@ -926,9 +881,7 @@ def main(argv: list[str] | None = None) -> int:
             "table1", "table2", "figure9", "figure12", "claims", "overlap", "all",
         ),
     )
-    p.add_argument("--frames", type=int, default=300)
-    p.add_argument("--size", choices=("hd", "cif"), default="hd")
-    p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+    _shared(p, "frames", "size", "json", frames=dict(type=_number(int, 1), default=300))
     p.set_defaults(fn=_cmd_experiment)
 
     p = sub.add_parser(
@@ -941,29 +894,15 @@ def main(argv: list[str] | None = None) -> int:
             "reported against the serial total."
         ),
     )
-    p.add_argument("--route", choices=("sac", "gaspard", "both"), default="both")
-    p.add_argument("--size", choices=("hd", "cif"), default="hd")
-    p.add_argument("--frames", type=int, default=300)
-    p.add_argument(
-        "--variant", choices=("nongeneric", "generic"), default="nongeneric",
-        help="SaC route variant",
-    )
-    p.add_argument(
-        "--depth", type=int, default=2,
-        help="device buffer slots per array (0 = one per run)",
-    )
-    p.add_argument(
-        "--serialize", action="store_true",
-        help="disable overlap (the paper's measurement regime)",
+    _shared(
+        p, "route", "size", "frames", "variant", "depth", "serialize",
+        frames=dict(default=300),
     )
     p.add_argument(
         "--no-validate", action="store_true",
         help="skip the bit-exact functional check",
     )
-    p.add_argument(
-        "--devices", type=int, default=1,
-        help="size of the simulated device fleet to shard frames over",
-    )
+    _shared(p, "devices")
     p.add_argument(
         "--placement",
         choices=("round-robin", "least-loaded", "cache-affinity"),
@@ -974,9 +913,9 @@ def main(argv: list[str] | None = None) -> int:
         "--lint", action="store_true",
         help="race-check the unrolled pipeline (exit 1 on unexpected findings)",
     )
-    p.add_argument(
-        "--opt", action="store_true",
-        help="also serve the repro.opt-optimised program and report both",
+    _shared(
+        p, "opt",
+        opt=dict(help="also serve the repro.opt-optimised program and report both"),
     )
     p.add_argument(
         "--trace", nargs="?", const="trace.json", default=None, metavar="FILE",
@@ -985,7 +924,7 @@ def main(argv: list[str] | None = None) -> int:
             "(route name inserted when --route both; default FILE trace.json)"
         ),
     )
-    p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+    _shared(p, "json")
     p.set_defaults(fn=_cmd_pipeline)
 
     p = sub.add_parser(
@@ -1000,24 +939,9 @@ def main(argv: list[str] | None = None) -> int:
             "Open the file in https://ui.perfetto.dev or chrome://tracing."
         ),
     )
-    p.add_argument("--route", choices=("sac", "gaspard", "both"), default="both")
-    p.add_argument("--size", choices=("hd", "cif"), default="hd")
-    p.add_argument("--frames", type=int, default=4)
-    p.add_argument(
-        "--variant", choices=("nongeneric", "generic"), default="nongeneric",
-        help="SaC route variant",
-    )
-    p.add_argument(
-        "--depth", type=int, default=2,
-        help="device buffer slots per array (0 = one per run)",
-    )
-    p.add_argument(
-        "--serialize", action="store_true",
-        help="disable overlap (the paper's measurement regime)",
-    )
-    p.add_argument(
-        "--opt", action="store_true",
-        help="trace the repro.opt-optimised program instead of the baseline",
+    _shared(
+        p, "route", "size", "frames", "variant", "depth", "serialize", "opt",
+        opt=dict(help="trace the repro.opt-optimised program instead of the baseline"),
     )
     p.add_argument(
         "--out", default="trace.json",
@@ -1035,9 +959,7 @@ def main(argv: list[str] | None = None) -> int:
             "as Prometheus-style text or JSON."
         ),
     )
-    p.add_argument("--route", choices=("sac", "gaspard", "both"), default="both")
-    p.add_argument("--size", choices=("hd", "cif"), default="hd")
-    p.add_argument("--frames", type=int, default=4)
+    _shared(p, "route", "size", "frames")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=_cmd_metrics)
 
@@ -1054,41 +976,30 @@ def main(argv: list[str] | None = None) -> int:
             "percentiles, batch shapes and every gate's counters."
         ),
     )
-    p.add_argument("--route", choices=("sac", "gaspard", "both"), default="both")
-    p.add_argument("--size", choices=("hd", "cif"), default="cif")
-    p.add_argument(
-        "--variant", choices=("nongeneric", "generic"), default="nongeneric",
-        help="SaC route variant",
-    )
-    p.add_argument(
-        "--depth", type=int, default=2,
-        help="device buffer slots per array (0 = one per run)",
-    )
-    p.add_argument(
-        "--opt", action="store_true",
-        help="serve the repro.opt-optimised program",
-    )
+    _shared(p, "route", "size", "variant", "depth", "opt", size=dict(default="cif"))
     p.add_argument("--requests", type=int, default=32, help="total requests")
     p.add_argument(
         "--mode", choices=("open", "closed"), default="open",
         help="open loop (fixed offered rate) or closed loop (N clients)",
     )
     p.add_argument(
-        "--rate", type=float, default=200.0,
+        "--rate", type=_number(float, 0, strict=True), default=200.0,
         help="open-loop offered load, requests/s of virtual time",
     )
     p.add_argument(
-        "--clients", type=int, default=8,
+        "--clients", type=_number(int, 1), default=8,
         help="closed-loop client count (one request in flight each)",
     )
     p.add_argument("--tenants", type=int, default=4, help="distinct tenant ids")
     p.add_argument(
-        "--max-batch", type=int, default=8,
+        "--max-batch", type=_number(int, 1), default=8,
         help="dynamic batcher flush size",
     )
-    p.add_argument(
-        "--devices", type=int, default=1,
-        help="device fleet size; each batch dispatches to the first-free device",
+    _shared(
+        p, "devices",
+        devices=dict(
+            help="device fleet size; each batch dispatches to the first-free device"
+        ),
     )
     p.add_argument(
         "--slo-ms", type=float, default=50.0,
@@ -1110,13 +1021,14 @@ def main(argv: list[str] | None = None) -> int:
         "--no-execute", action="store_true",
         help="model service times only; skip functional execution",
     )
-    p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+    _shared(p, "json")
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser("downscale", help="downscale one synthetic frame")
-    p.add_argument("--size", choices=("hd", "cif"), default="hd")
-    p.add_argument("--variant", choices=("nongeneric", "generic"), default="nongeneric")
-    p.add_argument("--route", choices=("sac", "gaspard"), default="sac")
+    _shared(
+        p, "size", "variant", "route",
+        route=dict(choices=("sac", "gaspard"), default="sac"),
+    )
     p.set_defaults(fn=_cmd_downscale)
 
     p = sub.add_parser(
@@ -1128,12 +1040,12 @@ def main(argv: list[str] | None = None) -> int:
             "routes, or over a SaC source file given with --file."
         ),
     )
-    p.add_argument("--route", choices=("sac", "gaspard", "all"), default="all")
+    _shared(p, "route", route=dict(choices=("sac", "gaspard", "all"), default="all"))
     p.add_argument(
         "--app", choices=("downscaler", "convolution"), default="downscaler",
         help="application to compile and lint",
     )
-    p.add_argument("--size", choices=("hd", "cif"), default="hd")
+    _shared(p, "size")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--baseline", help="suppression file (CODE [@ location])")
     p.add_argument("--file", help="lint a SaC source file instead of the routes")
@@ -1162,12 +1074,7 @@ def main(argv: list[str] | None = None) -> int:
             "peak device footprint."
         ),
     )
-    p.add_argument("--route", choices=("sac", "gaspard", "both"), default="both")
-    p.add_argument("--size", choices=("hd", "cif"), default="hd")
-    p.add_argument(
-        "--variant", choices=("nongeneric", "generic"), default="nongeneric",
-        help="SaC route variant",
-    )
+    _shared(p, "route", "size", "variant")
     p.add_argument(
         "--transfers", choices=("boundary", "per_kernel"), default="per_kernel",
         help=(
@@ -1175,22 +1082,9 @@ def main(argv: list[str] | None = None) -> int:
             "measured regime, boundary is the PR-2 default"
         ),
     )
-    p.add_argument("--no-dce", action="store_true", help="disable dead-code elimination")
-    p.add_argument(
-        "--no-transfer-elim", action="store_true",
-        help="disable redundant-transfer elimination",
-    )
-    p.add_argument("--no-fusion", action="store_true", help="disable kernel fusion")
-    p.add_argument(
-        "--no-sibling-fusion", action="store_true",
-        help="disable region-oracle fusion of independent sibling launches",
-    )
-    p.add_argument("--no-pooling", action="store_true", help="disable memory pooling")
-    p.add_argument(
-        "--no-certify", action="store_true",
-        help="skip re-running the hazard/transfer/bounds analyses",
-    )
-    p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+    for _field, flag, help_text in _OPT_TOGGLES:
+        p.add_argument(f"--no-{flag}", action="store_true", help=help_text)
+    _shared(p, "json")
     p.set_defaults(fn=_cmd_opt)
 
     p = sub.add_parser(
@@ -1208,25 +1102,23 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--app", choices=("downscaler", "convolution"), default="downscaler"
     )
-    p.add_argument("--route", choices=("sac", "gaspard", "both"), default="both")
-    p.add_argument("--size", choices=("hd", "cif"), default="hd")
+    _shared(p, "route", "size")
     p.add_argument(
         "--budget", type=int, default=200,
         help="candidates to visit (memoised revisits included)",
     )
     p.add_argument("--seed", type=int, default=0, help="restart RNG seed")
-    p.add_argument(
-        "--frames", type=int, default=4,
-        help="frames replayed by the modelled schedule",
+    _shared(
+        p, "frames", "devices", "json",
+        frames=dict(type=_number(int, 1), help="frames replayed by the modelled schedule"),
+        devices=dict(help="fleet size; placement policy is tuned only when > 1"),
     )
-    p.add_argument(
-        "--devices", type=int, default=1,
-        help="fleet size; placement policy is tuned only when > 1",
-    )
-    p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     p.set_defaults(fn=_cmd_tune)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except Exception as err:

@@ -79,8 +79,8 @@ class ScheduledNode:
     #: resources written
     writes: tuple[tuple[str, str], ...] = ()
     #: per entry of ``reads``: the access boxes of
-    #: :mod:`repro.analysis.regions` (``None`` = whole resource); empty
-    #: when the schedule was built with ``regions=False``
+    #: :mod:`repro.analysis.regions` (``None`` = whole resource, as for an
+    #: access the oracle cannot box); empty on hand-built nodes
     read_boxes: tuple = field(default=(), compare=False, repr=False)
     #: per entry of ``writes``, same convention
     write_boxes: tuple = field(default=(), compare=False, repr=False)
@@ -175,7 +175,6 @@ def build_schedule(
     runs: int = 1,
     depth: int | None = 2,
     serialize: bool = False,
-    regions: bool = True,
     topology=None,
     placements=None,
     placement="round-robin",
@@ -189,11 +188,11 @@ def build_schedule(
     is the number of physical slots backing each
     device buffer (``None`` — one per run, i.e. unbounded buffering);
     ``serialize=True`` chains every operation after the previous one.
-    With ``regions=True`` (the default) data dependences are tracked at
-    the granularity of the access-region oracle: an operation does not
-    wait for a predecessor touching a provably disjoint box of the same
-    resource, so e.g. a partial upload of one tile overlaps a kernel
-    writing another.  ``regions=False`` restores whole-resource edges.
+    Data dependences are tracked at the granularity of the access-region
+    oracle: an operation does not wait for a predecessor touching a
+    provably disjoint box of the same resource, so e.g. a partial upload
+    of one tile overlaps a kernel writing another.  An access the oracle
+    cannot box counts as touching the whole resource.
 
     With a :class:`~repro.runtime.fleet.DeviceTopology` the runs shard
     across the fleet: every device owns a namespaced engine triple
@@ -219,7 +218,7 @@ def build_schedule(
         devices=1 if topology is None else len(topology),
     ) as span:
         schedule = _build_schedule(
-            program, executor, runs, depth, serialize, regions,
+            program, executor, runs, depth, serialize,
             topology=topology, placements=placements, placement=placement,
             frame_batch=frame_batch,
         )
@@ -233,7 +232,6 @@ def _build_schedule(
     runs: int,
     depth: int | None,
     serialize: bool,
-    regions: bool = True,
     topology=None,
     placements=None,
     placement="round-robin",
@@ -282,19 +280,13 @@ def _build_schedule(
         raise ValueError("placements require a device topology")
     prices = executor.price(program)
 
-    overlap = None
-    op_access = None
-    if regions:
-        from repro.analysis.regions import RegionOracle, boxes_overlap
+    from repro.analysis.regions import RegionOracle, boxes_overlap
 
-        overlap = boxes_overlap
-        oracle = RegionOracle(program)
-        op_access = [oracle.accesses(i) for i in range(len(program.ops))]
+    oracle = RegionOracle(program)
+    op_access = [oracle.accesses(i) for i in range(len(program.ops))]
 
     def boxes_for(i: int, kind: str, name: str, write: bool):
         """Access boxes of ``program.ops[i]`` on a resource (None = whole)."""
-        if op_access is None:
-            return None
         return op_access[i][1 if write else 0].get((kind, name))
 
     #: every boxes tuple compared below is an ``op_access`` entry, alive
@@ -303,12 +295,12 @@ def _build_schedule(
     answers: dict[tuple[int, int], bool] = {}
 
     def disjoint(a, b) -> bool:
-        if overlap is None or a is None or b is None:
+        if a is None or b is None:
             return False
         key = (id(a), id(b))
         answer = answers.get(key)
         if answer is None:
-            answer = answers[key] = not any(overlap(x, y) for x in a for y in b)
+            answer = answers[key] = not any(boxes_overlap(x, y) for x in a for y in b)
         return answer
 
     if topology is None:
@@ -430,10 +422,6 @@ def _build_schedule(
         end = start + dur
         if engine in engine_ready:
             engine_ready[engine] = end
-        if not read_boxes:
-            read_boxes = (None,) * len(read_res)
-        if not write_boxes:
-            write_boxes = (None,) * len(write_res)
         node = ScheduledNode(
             id=len(nodes),
             run=run,
@@ -615,8 +603,9 @@ def schedule_violations(schedule: PipelineSchedule) -> list[str]:
 
     The check mirrors the builder's region awareness symmetrically: a
     pair of accesses whose recorded boxes are provably disjoint needs no
-    ordering, so skipping its dependence is not a violation.  Nodes
-    without boxes (``regions=False`` builds) are checked whole-resource.
+    ordering, so skipping its dependence is not a violation.  An access
+    without boxes (``None``, or a hand-built node that records none) is
+    checked whole-resource.
     """
     from repro.analysis.regions import boxes_overlap
 

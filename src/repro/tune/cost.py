@@ -2,9 +2,10 @@
 
 A candidate is priced without functional execution: the compiled
 program's static shape (:class:`~repro.opt.ProgramStats`) supplies
-transferred bytes and launch count, and a whole-resource-edge
+transferred bytes and launch count, and a
 :func:`~repro.runtime.schedule.build_schedule` replay over a few frames
-supplies the modelled makespan under the candidate's depth and placement.
+supplies the modelled makespan under the candidate's depth and placement,
+with the region-precise dependence edges every schedule uses.
 The three numbers compare **lexicographically** — makespan first, then
 transferred bytes, then launches — so "never worse than the default"
 and "strictly better" are plain tuple comparisons with no magic weights.

@@ -14,7 +14,9 @@
    same seed, same winner.
 
 Every candidate is priced by the modelled cost only (static program
-stats + a whole-resource-edge schedule replay; no functional execution),
+stats + a region-edge schedule replay, the same edges
+:class:`~repro.runtime.pipeline.FramePipeline` charges; no functional
+execution),
 memoised in the :class:`~repro.runtime.cache.CompileCache` under
 :func:`~repro.runtime.cache.tune_eval_key` — revisits are free, which is
 what lets a few hundred visited candidates cost only tens of distinct
@@ -142,7 +144,6 @@ class _Evaluator:
                 self.executor,
                 runs=runs,
                 depth=config.depth,
-                regions=False,
                 topology=self.topology,
                 placement=config.placement,
                 frame_batch=self.subject.instances_per_frame,

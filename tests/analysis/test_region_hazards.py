@@ -1,15 +1,19 @@
-"""Region-precise hazard filtering.
+"""Region-precise hazard detection.
 
-Two documented PR1 false positives — disjoint tile accesses flagged as
-races at whole-buffer granularity — must disappear with ``regions=True``,
-and (property) the region-filtered finding set is always a subset of the
-whole-buffer one.
+Two documented false positives of whole-buffer race detection —
+disjoint tile accesses that are unordered but touch different rows —
+are not races, and (property) ``find_hazards`` reports exactly the
+unordered op pairs whose element masks, found by executing each access,
+intersect on a shared buffer.
 """
 
+from itertools import combinations
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import find_hazards
+from repro.analysis import build_happens_before, find_hazards
 from repro.ir import (
     AllocDevice,
     ArrayParam,
@@ -23,6 +27,7 @@ from repro.ir import (
     Store,
     ThreadIdx,
 )
+from repro.ir.evalvec import evaluate_kernel
 
 SHAPE = (8, 8)
 
@@ -46,9 +51,9 @@ class TestDocumentedFalsePositives:
         """FP #1: a tile upload racing a kernel that writes *other* rows.
 
         The kernel (compute engine) and the second upload (h2d engine)
-        are genuinely unordered, and both "write d" at whole-buffer
-        granularity — PR1 flags RACE001.  Their boxes are rows [4, 8)
-        vs rows [0, 4): provably disjoint, no race.
+        are genuinely unordered, and both write ``d`` — whole-buffer race
+        detection flagged RACE001.  Their boxes are rows [4, 8) vs rows
+        [0, 4): provably disjoint, no race.
         """
         prog = DeviceProgram(
             "tile_upload",
@@ -61,17 +66,17 @@ class TestDocumentedFalsePositives:
             host_inputs=("h_full", "h_tile"),
             host_outputs=(),
         )
-        coarse = find_hazards(prog, regions=False)
-        assert [d.code for d in coarse] == ["RACE001"]
-        assert find_hazards(prog, regions=True) == []
+        assert not build_happens_before(prog).ordered(2, 3)
+        assert find_hazards(prog) == []
 
     def test_partial_download_vs_disjoint_tile_writer(self):
         """FP #2: downloading finished rows while a kernel writes others.
 
         The download of rows [4, 8) only waits on the *last writer* of
         ``d`` (the initial upload); the kernel writing rows [0, 4) runs
-        concurrently — PR1 flags the read/write pair as RACE002.  The
-        regions are disjoint, so streaming the finished tile out is legal.
+        concurrently — whole-buffer detection flagged the pair as
+        RACE002.  The regions are disjoint, so streaming the finished tile
+        out is legal.
         """
         prog = DeviceProgram(
             "tile_download",
@@ -84,9 +89,8 @@ class TestDocumentedFalsePositives:
             host_inputs=("h_in",),
             host_outputs=("h_done",),
         )
-        coarse = find_hazards(prog, regions=False)
-        assert [d.code for d in coarse] == ["RACE002"]
-        assert find_hazards(prog, regions=True) == []
+        assert not build_happens_before(prog).ordered(2, 3)
+        assert find_hazards(prog) == []
 
     def test_overlapping_tiles_still_race(self):
         """Negative control: overlapping rows keep the finding."""
@@ -101,11 +105,11 @@ class TestDocumentedFalsePositives:
             host_inputs=("h_full", "h_tile"),
             host_outputs=(),
         )
-        assert [d.code for d in find_hazards(prog, regions=True)] == ["RACE001"]
+        assert [d.code for d in find_hazards(prog)] == ["RACE001"]
 
 
 # ---------------------------------------------------------------------------
-# property: filtering only ever removes findings
+# property: the findings are exactly the unordered overlapping pairs
 
 
 @st.composite
@@ -139,9 +143,45 @@ def racy_programs(draw) -> DeviceProgram:
     )
 
 
-@settings(max_examples=60, deadline=None)
+def element_mask(op) -> np.ndarray:
+    """The 8x8 elements ``op`` touches, found without the region oracle:
+    a kernel is executed on a zero buffer, a transfer's region sliced."""
+    if isinstance(op, LaunchKernel):
+        dst = np.zeros(SHAPE)
+        evaluate_kernel(op.kernel, {"dst": dst})
+        return dst != 0
+    mask = np.zeros(SHAPE, dtype=bool)
+    region = op.region or tuple((0, n, 1) for n in SHAPE)
+    mask[tuple(slice(*r) for r in region)] = True
+    return mask
+
+
+def device_accesses(program: DeviceProgram) -> list[tuple[int, str, bool]]:
+    """``(op index, device buffer, writes)`` of every racy-program op."""
+    out = []
+    for i, op in enumerate(program.ops):
+        if isinstance(op, HostToDevice):
+            out.append((i, op.device, True))
+        elif isinstance(op, DeviceToHost):
+            out.append((i, op.device, False))
+        elif isinstance(op, LaunchKernel):
+            out.extend((i, buf, True) for _param, buf in op.array_args)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
 @given(program=racy_programs())
-def test_region_findings_are_a_subset_of_whole_buffer_findings(program):
-    coarse = {(d.code, d.message) for d in find_hazards(program, regions=False)}
-    precise = {(d.code, d.message) for d in find_hazards(program, regions=True)}
-    assert precise <= coarse
+def test_findings_are_the_unordered_overlapping_pairs(program):
+    hb = build_happens_before(program)
+    want = set()
+    for (i, buf_i, w_i), (j, buf_j, w_j) in combinations(device_accesses(program), 2):
+        if buf_i != buf_j or not (w_i or w_j) or hb.ordered(i, j):
+            continue
+        if (element_mask(program.ops[i]) & element_mask(program.ops[j])).any():
+            want.add(("RACE001" if w_i and w_j else "RACE002", i, j, buf_i))
+    got = set()
+    for d in find_hazards(program):
+        first, second = (int(part.split("]")[0]) for part in d.message.split("ops[")[1:])
+        buf = d.message.split("'")[1]
+        got.add((d.code, first, second, buf))
+    assert got == want

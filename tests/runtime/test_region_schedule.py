@@ -1,6 +1,9 @@
 """Region-aware scheduling: disjoint accesses overlap, soundness holds."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
 
 from repro.gpu import GTX480_CALIBRATED, CostModel, GPUExecutor
 from repro.ir import (
@@ -17,6 +20,7 @@ from repro.ir import (
     ThreadIdx,
 )
 from repro.runtime import build_schedule, schedule_violations
+from tests.analysis.test_region_hazards import element_mask, racy_programs
 
 SHAPE = (64, 64)
 
@@ -67,35 +71,18 @@ class TestRegionOverlap:
     def test_disjoint_download_overlaps_the_kernel(
         self, tile_stream_program, executor
     ):
-        precise = build_schedule(tile_stream_program, executor, runs=1)
-        coarse = build_schedule(
-            tile_stream_program, executor, runs=1, regions=False
-        )
-        # whole-resource edges: the kernel writing "d" must wait for the
-        # in-flight download of "d" (WAR)
-        k_coarse = _node(coarse, 3)
-        d2h_coarse = _node(coarse, 2)
-        assert k_coarse.start_us >= d2h_coarse.end_us - 1e-9
-        assert d2h_coarse.id in k_coarse.deps
-        # region edges: rows [0,32) vs rows [32,64) are disjoint — the
-        # kernel starts while the download is still on the wire
-        k = _node(precise, 3)
-        d2h = _node(precise, 2)
+        # rows [0,32) vs rows [32,64) are disjoint — the kernel starts
+        # while the download is still on the wire
+        s = build_schedule(tile_stream_program, executor, runs=1)
+        k = _node(s, 3)
+        d2h = _node(s, 2)
         assert d2h.id not in k.deps
         assert k.start_us < d2h.end_us - 1e-9
-        assert precise.makespan_us < coarse.makespan_us - 1e-9
 
-    def test_both_modes_are_violation_free(self, tile_stream_program, executor):
-        for regions in (True, False):
-            for runs, depth in ((1, 1), (4, 2), (4, None)):
-                s = build_schedule(
-                    tile_stream_program,
-                    executor,
-                    runs=runs,
-                    depth=depth,
-                    regions=regions,
-                )
-                assert schedule_violations(s) == []
+    def test_schedules_are_violation_free(self, tile_stream_program, executor):
+        for runs, depth in ((1, 1), (4, 2), (4, None)):
+            s = build_schedule(tile_stream_program, executor, runs=runs, depth=depth)
+            assert schedule_violations(s) == []
 
     def test_overlapping_regions_still_wait(self, executor):
         prog = DeviceProgram(
@@ -115,17 +102,6 @@ class TestRegionOverlap:
         assert k.start_us >= d2h.end_us - 1e-9
         assert schedule_violations(s) == []
 
-    def test_region_mode_never_slower(self, tile_stream_program, executor):
-        for runs in (1, 3, 6):
-            precise = build_schedule(
-                tile_stream_program, executor, runs=runs, depth=2
-            )
-            coarse = build_schedule(
-                tile_stream_program, executor, runs=runs, depth=2, regions=False
-            )
-            assert precise.makespan_us <= coarse.makespan_us + 1e-9
-            assert precise.serial_us == pytest.approx(coarse.serial_us)
-
     def test_partial_transfer_charged_by_region_bytes(
         self, tile_stream_program, executor
     ):
@@ -143,19 +119,22 @@ class TestRegionOverlap:
     def test_unsound_pruning_would_be_caught(self, tile_stream_program, executor):
         """schedule_violations re-derives the dependence requirements from
         the recorded boxes: forging an early start on an overlapping pair
-        is reported even though the builder's own schedule is clean."""
+        (the kernel against the full upload) is reported even though the
+        builder's own schedule is clean, and the disjoint pair (the kernel
+        against the half download) is not."""
         from dataclasses import replace
 
-        s = build_schedule(
-            tile_stream_program, executor, runs=1, regions=False
-        )
+        s = build_schedule(tile_stream_program, executor, runs=1)
+        assert schedule_violations(s) == []
         k = _node(s, 3)
         forged = tuple(
             replace(n, start_us=0.0, deps=()) if n.id == k.id else n
             for n in s.nodes
         )
         broken = replace(s, nodes=forged)
-        assert any("WAR" in v or "engine" in v for v in schedule_violations(broken))
+        (violation,) = schedule_violations(broken)
+        assert violation.startswith(f"WAW on ('dev', 'd@s0'): node {k.id} (top)")
+        assert "(h2d:d)" in violation
 
 
 def test_region_build_tests_each_box_pair_once(sac_programs, executor, monkeypatch):
@@ -179,3 +158,26 @@ def test_region_build_tests_each_box_pair_once(sac_programs, executor, monkeypat
         build_schedule(sac_programs[NONGENERIC], executor, runs=runs)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(program=racy_programs())
+def test_conflicting_nodes_never_overlap_in_time(program):
+    """Ground truth for the region edges: two scheduled nodes on the same
+    slot of a resource, one of them writing it, whose element masks
+    (found by executing each access) intersect never run at once."""
+    executor = GPUExecutor(CostModel(GTX480_CALIBRATED))
+    for runs in (1, 2, 3):
+        for depth in (1, 2, None):
+            s = build_schedule(program, executor, runs=runs, depth=depth)
+            for a, b in combinations(s.nodes, 2):
+                shared = (set(a.writes) & set(b.reads + b.writes)) | (
+                    set(b.writes) & set(a.reads)
+                )
+                if not shared:
+                    continue
+                mask_a = element_mask(program.ops[a.op_index])
+                if (mask_a & element_mask(program.ops[b.op_index])).any():
+                    assert a.end_us <= b.start_us + 1e-9 or b.end_us <= a.start_us + 1e-9, (
+                        f"{a.name}@run{a.run} and {b.name}@run{b.run} overlap on {shared}"
+                    )

@@ -594,3 +594,167 @@ def test_tune_json_winner_never_worse(capsys):
     )
     assert entry["candidates"] == 10
     assert len(entry["record_content"]) == 64
+
+
+# -- the CLI surface -----------------------------------------------------------
+
+_ROUTES = ("sac", "gaspard", "both")
+_SIZES = ("hd", "cif")
+_VARIANTS = ("nongeneric", "generic")
+
+#: every subcommand's parsed defaults (``fn`` and ``command`` aside) and
+#: every option's choices: the public CLI surface, which reorganising the
+#: parser must leave alone
+SURFACE = {
+    "compile-sac": (
+        {"emit": False, "entry": "f", "file": "f.sac", "target": "cuda"},
+        {"target": ("cuda", "seq")},
+    ),
+    "downscale": (
+        {"route": "sac", "size": "hd", "variant": "nongeneric"},
+        {"route": ("sac", "gaspard"), "size": _SIZES, "variant": _VARIANTS},
+    ),
+    "experiment": (
+        {"frames": 300, "json": False, "size": "hd", "which": "all"},
+        {
+            "size": _SIZES,
+            "which": (
+                "table1", "table2", "figure9", "figure12", "claims", "overlap", "all",
+            ),
+        },
+    ),
+    "gaspard": ({"emit": False, "size": "hd"}, {"size": _SIZES}),
+    "lint": (
+        {
+            "app": "downscaler", "assert_clean": False, "baseline": None, "entry": None,
+            "explain": None, "file": None, "format": "text", "route": "all", "size": "hd",
+        },
+        {
+            "app": ("downscaler", "convolution"), "format": ("text", "json"),
+            "route": ("sac", "gaspard", "all"), "size": _SIZES,
+        },
+    ),
+    "metrics": (
+        {"format": "text", "frames": 4, "route": "both", "size": "hd"},
+        {"format": ("text", "json"), "route": _ROUTES, "size": _SIZES},
+    ),
+    "opt": (
+        {
+            "json": False, "no_certify": False, "no_dce": False, "no_fusion": False,
+            "no_pooling": False, "no_sibling_fusion": False, "no_transfer_elim": False,
+            "route": "both", "size": "hd", "transfers": "per_kernel",
+            "variant": "nongeneric",
+        },
+        {
+            "route": _ROUTES, "size": _SIZES, "transfers": ("boundary", "per_kernel"),
+            "variant": _VARIANTS,
+        },
+    ),
+    "pipeline": (
+        {
+            "depth": 2, "devices": 1, "frames": 300, "json": False, "lint": False,
+            "no_validate": False, "opt": False, "placement": "round-robin",
+            "route": "both", "serialize": False, "size": "hd", "trace": None,
+            "variant": "nongeneric",
+        },
+        {
+            "placement": ("round-robin", "least-loaded", "cache-affinity"),
+            "route": _ROUTES, "size": _SIZES, "variant": _VARIANTS,
+        },
+    ),
+    "serve": (
+        {
+            "clients": 8, "deadline_ms": None, "depth": 2, "devices": 1,
+            "jitter_seed": None, "json": False, "max_batch": 8, "mode": "open",
+            "no_execute": False, "opt": False, "queue_budget": 64, "rate": 200.0,
+            "requests": 32, "route": "both", "size": "cif", "slo_ms": 50.0, "tenants": 4,
+            "variant": "nongeneric",
+        },
+        {
+            "mode": ("open", "closed"), "route": _ROUTES, "size": _SIZES,
+            "variant": _VARIANTS,
+        },
+    ),
+    "trace": (
+        {
+            "depth": 2, "frames": 4, "opt": False, "out": "trace.json", "route": "both",
+            "serialize": False, "size": "hd", "variant": "nongeneric",
+        },
+        {"route": _ROUTES, "size": _SIZES, "variant": _VARIANTS},
+    ),
+    "tune": (
+        {
+            "app": "downscaler", "budget": 200, "devices": 1, "frames": 4, "json": False,
+            "route": "both", "seed": 0, "size": "hd",
+        },
+        {"app": ("downscaler", "convolution"), "route": _ROUTES, "size": _SIZES},
+    ),
+}
+
+#: the positional arguments a subcommand cannot parse without
+_REQUIRED = {"compile-sac": ["f.sac", "--entry", "f"], "experiment": ["all"]}
+
+
+def test_every_subcommand_keeps_its_defaults_and_choices():
+    import argparse
+
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(SURFACE)
+    for name, subparser in sub.choices.items():
+        parsed = vars(parser.parse_args([name, *_REQUIRED.get(name, [])]))
+        assert parsed.pop("command") == name
+        parsed.pop("fn")
+        choices = {
+            a.dest: tuple(a.choices) for a in subparser._actions if a.choices is not None
+        }
+        assert (parsed, choices) == SURFACE[name], name
+
+
+@pytest.mark.parametrize("argv", [
+    "pipeline --size cif --frames -1",
+    "metrics --size cif --frames -2",
+    "pipeline --size cif --frames 2 --devices 0",
+    "pipeline --size cif --frames 2 --depth -1",
+    "serve --size cif --max-batch 0 --requests 2",
+    "serve --size cif --rate 0 --requests 2",
+    "experiment table1 --size cif --frames 0",
+    "experiment overlap --size cif --frames 0",
+    "tune --app convolution --route sac --budget 2 --frames 0",
+    "serve --size cif --mode closed --clients 0 --requests 2",
+])
+def test_out_of_range_numbers_are_usage_errors(argv, capsys):
+    """Rejected by argparse (exit 2), never a traceback (exit 1 would read
+    as a lint finding) nor a silently empty run."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    assert "must be" in capsys.readouterr().err
+
+
+def test_zero_frames_is_an_empty_pipeline_report(capsys):
+    import json
+
+    assert main(["pipeline", "--size", "cif", "--frames", "0", "--route", "sac", "--json"]) == 0
+    (entry,) = json.loads(capsys.readouterr().out)["routes"]
+    assert entry["report"]["frames"] == 0
+
+
+def test_pipeline_trace_disagreeing_with_its_report_exits_3(tmp_path, monkeypatch, capsys):
+    """`pipeline --trace` checks the artefact against the report, as
+    `repro trace` does: a busy time that disagrees is a repro error and
+    no file is written."""
+    import repro.obs
+
+    monkeypatch.setattr(
+        repro.obs, "engine_busy_from_trace", lambda doc, pid=None: {"compute": 0.0}
+    )
+    out = tmp_path / "p.json"
+    assert main(
+        ["pipeline", "--route", "gaspard", "--size", "cif", "--frames", "2",
+         "--trace", str(out)]
+    ) == 3
+    assert "disagrees with the pipeline report" in capsys.readouterr().err
+    assert not out.exists()
