@@ -340,7 +340,7 @@ def _collect_run(reg, pipe, report):
 def _cmd_pipeline(args) -> int:
     from repro.apps.downscaler.serving import downscaler_job
     from repro.obs import MetricsRegistry, Tracer
-    from repro.runtime import FramePipeline, check_pipeline_hazards
+    from repro.runtime import FramePipeline, PipelineHazardReport, check_pipeline_hazards
 
     size = _size(args.size)
     variant = _variant(args.variant)
@@ -373,27 +373,32 @@ def _cmd_pipeline(args) -> int:
             opt_report = pipe.run(opt_job, frames=args.frames)
             opt_entry = opt_report.as_dict()
             opt_entry["baseline_job"] = report.job
-            opt_entry["fps_speedup_vs_baseline"] = round(
-                opt_report.frames_per_second / report.frames_per_second, 4
+            # no frames, no rate: a zero-frame run has no speed-up to report
+            opt_entry["fps_speedup_vs_baseline"] = (
+                round(opt_report.frames_per_second / report.frames_per_second, 4)
+                if report.frames_per_second else None
             )
             metrics = _collect_run(MetricsRegistry(), pipe, opt_report).as_dict()
             doc["routes"].append({"report": opt_entry, "metrics": metrics})
             if not args.json:
                 print(_render_pipeline_report(opt_report))
+                speedup = opt_entry["fps_speedup_vs_baseline"]
                 print(
                     f"  --opt:      {report.frames_per_second:.1f} -> "
                     f"{opt_report.frames_per_second:.1f} frames/s "
-                    f"({opt_entry['fps_speedup_vs_baseline']:.2f}x), "
+                    f"({'n/a' if speedup is None else f'{speedup:.2f}x'}), "
                     f"p95 latency {report.latency_p95_us:.1f} -> "
                     f"{opt_report.latency_p95_us:.1f} us"
                 )
         if args.lint:
-            program = job.compile(pipe.cache)
             runs = min(args.frames * job.instances_per_frame, 6)
-            haz = check_pipeline_hazards(
-                program, pipe.executor, runs=runs,
-                depth=depth, serialize=args.serialize,
-            )
+            if runs:
+                haz = check_pipeline_hazards(
+                    job.compile(pipe.cache), pipe.executor, runs=runs,
+                    depth=depth, serialize=args.serialize,
+                )
+            else:  # zero frames unroll no run: there is nothing to race-check
+                haz = PipelineHazardReport(program="", runs=0, depth=0, unexpected=())
             hazard_failures += len(haz.unexpected) + len(haz.schedule_violations)
             entry["hazards"] = {
                 "runs": haz.runs,

@@ -3,13 +3,23 @@
 The simulated GPU executes a kernel by evaluating its body **once for the
 whole index space** with NumPy array semantics: every scalar expression is
 mapped to an array over the grid of work-items, static ``For`` loops are
-unrolled, and ``Store`` statements become fancy-indexed assignments.
+unrolled, and ``Store`` statements become indexed assignments.  Index
+values are open grids (:meth:`~repro.ir.kernel.IndexSpace.index_values`),
+so index arithmetic costs one axis's values, and a store broadcasts its
+index to the launch's extent.
 
 This gives bit-exact results (C-truncating integer division via
 :func:`repro.ir.expr.c_div`) at NumPy speed, with the same write-conflict
 resolution as :func:`repro.tilers.ops.scatter` (row-major last writer wins —
 kernels emitted by the backends never have intra-launch write conflicts,
 which :mod:`repro.ir.validate` checks for the downscaler programs).
+
+A plain launch (no ``space=``, no ``observer=``) runs the kernel's
+:mod:`~repro.ir.plan`, compiled on its first launch: index values, their
+checks and their lowering to slices are worked out once, not per launch.
+The tree-walking interpreter here runs everything else — sub-space and
+observed evaluations, kernels the plan cannot lower — and is the
+reference the plan is tested against.
 
 An optional *observer* receives every evaluated memory access; the
 coalescing prober in :mod:`repro.ir.metrics` uses it to measure address
@@ -41,7 +51,9 @@ from repro.ir.stmt import Assign, For, Store
 
 __all__ = ["evaluate_kernel", "KernelEvaluationError", "AccessObserver"]
 
-#: signature: (kind, array_name, index_arrays) with kind in {"read", "store"}
+#: signature: (kind, array_name, index_arrays) with kind in {"read", "store"};
+#: the index arrays broadcast to the launch's extent (they are open grids,
+#: or 0-d for a constant component)
 AccessObserver = Callable[[str, str, tuple[np.ndarray, ...]], None]
 
 
@@ -62,6 +74,7 @@ class _Evaluator:
         self.arrays = arrays
         self.scalars = scalars
         self.idx_values = space.index_values()
+        self.extent = space.extent
         self.env: dict = {}
         self.observer = observer
 
@@ -92,16 +105,9 @@ class _Evaluator:
         if isinstance(expr, Read):
             return self._read(expr)
         if isinstance(expr, BinOp):
-            return _apply_binop(expr.op, self.eval(expr.lhs), self.eval(expr.rhs))
+            return binary_function(expr.op)(self.eval(expr.lhs), self.eval(expr.rhs))
         if isinstance(expr, UnOp):
-            val = self.eval(expr.operand)
-            if expr.op == "-":
-                return np.negative(val)
-            if expr.op == "abs":
-                return np.abs(val)
-            if expr.op == "!":
-                return np.logical_not(val)
-            raise KernelEvaluationError(f"unknown unary op {expr.op!r}")
+            return unary_function(expr.op)(self.eval(expr.operand))
         if isinstance(expr, Select):
             return np.where(
                 self.eval(expr.cond), self.eval(expr.if_true), self.eval(expr.if_false)
@@ -109,25 +115,11 @@ class _Evaluator:
         raise KernelEvaluationError(f"unknown expression node {type(expr).__name__}")
 
     def _index_tuple(self, index, shape, array, what):
-        if len(index) != len(shape):
-            raise KernelEvaluationError(
-                f"{what} of {array!r}: index rank {len(index)} != array rank "
-                f"{len(shape)}"
-            )
-        out = []
-        for d, e in enumerate(index):
-            v = np.asarray(self.eval(e))
-            if not np.issubdtype(v.dtype, np.integer):
-                raise KernelEvaluationError(
-                    f"{what} of {array!r}: index dim {d} is not integral"
-                )
-            if v.size and (int(v.min()) < 0 or int(v.max()) >= shape[d]):
-                raise KernelEvaluationError(
-                    f"{what} of {array!r}: index dim {d} out of bounds "
-                    f"[{int(v.min())}, {int(v.max())}] for extent {shape[d]}"
-                )
-            out.append(v)
-        return tuple(out)
+        check_rank(index, shape, array, what)
+        return tuple(
+            check_component(self.eval(e), d, shape[d], array, what)
+            for d, e in enumerate(index)
+        )
 
     def _read(self, expr: Read):
         try:
@@ -139,10 +131,7 @@ class _Evaluator:
         idx = self._index_tuple(expr.index, buf.shape, expr.array, "read")
         if self.observer is not None:
             self.observer("read", expr.array, idx)
-        val = buf[idx]
-        if np.issubdtype(np.asarray(val).dtype, np.integer):
-            return np.asarray(val, dtype=np.int64)
-        return val
+        return widen(buf[idx])
 
     # -- statements ------------------------------------------------------------
 
@@ -165,46 +154,98 @@ class _Evaluator:
                 if self.observer is not None:
                     self.observer("store", s.array, idx)
                 val = self.eval(s.value)
-                buf[idx] = val  # cast to buffer dtype; row-major last writer wins
+                buf[broadcast_index(idx, self.extent)] = val
             else:
                 raise KernelEvaluationError(
                     f"unknown statement node {type(s).__name__}"
                 )
 
 
-def _apply_binop(op: str, lhs, rhs):
-    if op == "+":
-        return np.add(lhs, rhs)
-    if op == "-":
-        return np.subtract(lhs, rhs)
-    if op == "*":
-        return np.multiply(lhs, rhs)
-    if op in ("/", "%"):
+def check_rank(index, shape, array: str, what: str) -> None:
+    """Reject an access whose index rank differs from the array's."""
+    if len(index) != len(shape):
+        raise KernelEvaluationError(
+            f"{what} of {array!r}: index rank {len(index)} != array rank "
+            f"{len(shape)}"
+        )
+
+
+def check_component(value, d: int, extent: int, array: str, what: str) -> np.ndarray:
+    """One index component's values as an array, checked integral and in
+    ``[0, extent)``."""
+    v = np.asarray(value)
+    if not np.issubdtype(v.dtype, np.integer):
+        raise KernelEvaluationError(
+            f"{what} of {array!r}: index dim {d} is not integral"
+        )
+    if v.size and (int(v.min()) < 0 or int(v.max()) >= extent):
+        raise KernelEvaluationError(
+            f"{what} of {array!r}: index dim {d} out of bounds "
+            f"[{int(v.min())}, {int(v.max())}] for extent {extent}"
+        )
+    return v
+
+
+def widen(val):
+    """A read's value: integer elements widen to int64, as C promotes them."""
+    if np.issubdtype(np.asarray(val).dtype, np.integer):
+        return np.asarray(val, dtype=np.int64)
+    return val
+
+
+def broadcast_index(idx: tuple, extent: tuple[int, ...]) -> tuple:
+    """A store's index broadcast to the launch's extent (views, no copies):
+    work-items sharing an element then write it row-major, last one wins."""
+    return tuple(np.broadcast_to(i, extent) for i in idx)
+
+
+def _divide(op: str):
+    fn = c_div if op == "/" else c_mod
+
+    def apply(lhs, rhs):
         # both branches of a Select run, so a zero scalar divisor may be dead:
         # evaluate it as one zero lane, which gives 0 instead of raising
         rhs = rhs if np.ndim(rhs) or rhs else np.zeros(1, np.asarray(rhs).dtype)
-        return c_div(lhs, rhs) if op == "/" else c_mod(lhs, rhs)
-    if op == "min":
-        return np.minimum(lhs, rhs)
-    if op == "max":
-        return np.maximum(lhs, rhs)
-    if op == "<":
-        return np.less(lhs, rhs)
-    if op == "<=":
-        return np.less_equal(lhs, rhs)
-    if op == ">":
-        return np.greater(lhs, rhs)
-    if op == ">=":
-        return np.greater_equal(lhs, rhs)
-    if op == "==":
-        return np.equal(lhs, rhs)
-    if op == "!=":
-        return np.not_equal(lhs, rhs)
-    if op == "&&":
-        return np.logical_and(lhs, rhs)
-    if op == "||":
-        return np.logical_or(lhs, rhs)
-    raise KernelEvaluationError(f"unknown binary op {op!r}")
+        return fn(lhs, rhs)
+
+    return apply
+
+
+_BINARY = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": _divide("/"),
+    "%": _divide("%"),
+    "min": np.minimum,
+    "max": np.maximum,
+    "<": np.less,
+    "<=": np.less_equal,
+    ">": np.greater,
+    ">=": np.greater_equal,
+    "==": np.equal,
+    "!=": np.not_equal,
+    "&&": np.logical_and,
+    "||": np.logical_or,
+}
+
+_UNARY = {"-": np.negative, "abs": np.abs, "!": np.logical_not}
+
+
+def binary_function(op: str):
+    """The NumPy function the evaluators apply for binary operator ``op``."""
+    try:
+        return _BINARY[op]
+    except KeyError:
+        raise KernelEvaluationError(f"unknown binary op {op!r}") from None
+
+
+def unary_function(op: str):
+    """The NumPy function the evaluators apply for unary operator ``op``."""
+    try:
+        return _UNARY[op]
+    except KeyError:
+        raise KernelEvaluationError(f"unknown unary op {op!r}") from None
 
 
 def evaluate_kernel(
@@ -220,7 +261,9 @@ def evaluate_kernel(
     match the declared parameter shapes; ``scalars`` binds scalar
     parameters.  ``space`` overrides the kernel's index space (the metrics
     prober evaluates over a 2-point sub-space); ``observer`` receives every
-    memory access as ``(kind, array, index_arrays)``.
+    memory access as ``(kind, array, index_arrays)``.  Without either, the
+    launch runs the kernel's compiled plan when it has one
+    (:func:`repro.ir.plan.plan_of`); otherwise the interpreter runs.
     """
     scalars = dict(scalars or {})
     for p in kernel.arrays:
@@ -238,7 +281,15 @@ def evaluate_kernel(
             raise KernelEvaluationError(
                 f"kernel {kernel.name!r}: scalar parameter {p.name!r} not bound"
             )
+    plain = space is None and observer is None
     space = space if space is not None else kernel.space
     if space.is_empty():
         return
+    if plain:
+        from repro.ir.plan import plan_of
+
+        plan = plan_of(kernel)
+        if plan is not None:
+            plan.run(arrays, scalars)
+            return
     _Evaluator(kernel, arrays, scalars, space, observer).exec(kernel.body)

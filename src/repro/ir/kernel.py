@@ -74,17 +74,19 @@ class IndexSpace:
         return self.size == 0
 
     def index_values(self) -> list[np.ndarray]:
-        """Per-dimension logical index values, broadcast over the grid.
+        """Per-dimension logical index values as open grids.
 
-        Returns ``rank`` arrays of shape :attr:`extent`; element ``[p]`` of
-        array ``d`` is the value of ``iv[d]`` at grid point ``p``.
+        Returns ``rank`` int64 arrays; array ``d`` has extent 1 on every
+        axis but ``d``, where it enumerates ``iv[d]``.  They broadcast to
+        :attr:`extent`, so element ``[p]`` of the broadcast array ``d`` is
+        the value of ``iv[d]`` at grid point ``p``, and index arithmetic
+        costs one axis's values instead of the whole grid.
         """
         axes = [
             np.arange(lo, hi, st, dtype=np.int64)
             for lo, hi, st in zip(self.lower, self.upper, self.step)
         ]
-        grids = np.meshgrid(*axes, indexing="ij", sparse=False)
-        return list(grids)
+        return list(np.meshgrid(*axes, indexing="ij", sparse=True))
 
     def contains(self, point) -> bool:
         """Whether an integer point is enumerated by this space."""

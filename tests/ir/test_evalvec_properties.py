@@ -1,12 +1,16 @@
-"""Property test: the vectorised evaluator equals per-point evaluation.
+"""Property tests: the vectorised evaluators equal per-point evaluation.
 
-A naive scalar reference evaluator executes the kernel body one index
-point at a time with plain Python arithmetic; random kernels over random
-buffers must agree exactly.  This is the semantic foundation the whole
-simulator rests on.
+A naive scalar reference evaluator executes the kernel body with plain
+Python arithmetic, one index point at a time per statement (the lock-step
+order the vectorised evaluators implement: a statement finishes for every
+work-item before the next starts, and a store reads all its values before
+it writes).  Random kernels over random buffers must agree exactly on
+both vectorised paths: the compiled plan (:mod:`repro.ir.plan`) and the
+interpreter.  This is the semantic foundation the whole simulator rests on.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,8 +19,10 @@ from repro.ir import (
     Assign,
     BinOp,
     Const,
+    For,
     IndexSpace,
     Kernel,
+    KernelEvaluationError,
     LocalRef,
     Read,
     Select,
@@ -26,8 +32,7 @@ from repro.ir import (
     evaluate_kernel,
     unique_access_bytes,
 )
-from repro.ir import expr as ir
-from repro.ir import stmt as irs
+from repro.ir.plan import plan_of
 
 N = 10  # 1-D buffer extent
 
@@ -89,34 +94,42 @@ def _ref_expr(e, iv, env, bufs):
     raise AssertionError(e)
 
 
+def _wrap32(x: int) -> int:  # C int32 store semantics
+    return ((int(x) + 2**31) % 2**32) - 2**31
+
+
+def _points(space):
+    """Every index point of ``space``, in row-major order."""
+    points = [()]
+    for lo, hi, step in zip(space.lower, space.upper, space.step):
+        points = [p + (v,) for p in points for v in range(lo, hi, step)]
+    return points
+
+
 def _ref_kernel(kernel, bufs):
-    lo, hi, st_ = kernel.space.lower, kernel.space.upper, kernel.space.step
-    points = []
+    """Run ``kernel`` point by point over object-dtype buffers (int32 stores)."""
+    points = _points(kernel.space)
+    envs = [{} for _ in points]
 
-    def rec(d, cur):
-        if d == len(lo):
-            points.append(tuple(cur))
-            return
-        v = lo[d]
-        while v < hi[d]:
-            rec(d + 1, cur + [v])
-            v += st_[d]
-
-    rec(0, [])
-    for iv in points:
-        env = {}
-        for s in kernel.body:
+    def run(stmts):
+        for s in stmts:
             if isinstance(s, Assign):
-                env[s.name] = _ref_expr(s.value, iv, env, bufs)
-            elif isinstance(s, irs.For):
+                for iv, env in zip(points, envs):
+                    env[s.name] = _ref_expr(s.value, iv, env, bufs)
+            elif isinstance(s, For):
                 for t in range(s.start, s.stop):
-                    env[s.var] = t
-                    for inner in s.body:
-                        assert isinstance(inner, Assign)
-                        env[inner.name] = _ref_expr(inner.value, iv, env, bufs)
+                    for env in envs:
+                        env[s.var] = t
+                    run(s.body)
             elif isinstance(s, Store):
-                idx = tuple(int(_ref_expr(c, iv, env, bufs)) for c in s.index)
-                bufs[s.array][idx] = _ref_expr(s.value, iv, env, bufs)
+                writes = []
+                for iv, env in zip(points, envs):
+                    idx = tuple(int(_ref_expr(c, iv, env, bufs)) for c in s.index)
+                    writes.append((idx, _ref_expr(s.value, iv, env, bufs)))
+                for idx, value in writes:  # row-major: the last writer wins
+                    bufs[s.array][idx] = _wrap32(value)
+
+    run(kernel.body)
 
 
 # -- random kernels ----------------------------------------------------------------
@@ -187,11 +200,196 @@ def test_vectorised_equals_scalar_reference(kernel, seed):
     evaluate_kernel(kernel, {"src": src.copy(), "dst": dst_vec})
     bufs = {"src": src.astype(object), "dst": np.zeros(N, dtype=object)}
     _ref_kernel(kernel, bufs)
-    def wrap32(x: int) -> int:  # C int32 store semantics
-        return ((int(x) + 2**31) % 2**32) - 2**31
+    np.testing.assert_array_equal(dst_vec, bufs["dst"].astype(np.int32))
 
-    expected = np.array([wrap32(x) for x in bufs["dst"]], dtype=np.int32)
-    np.testing.assert_array_equal(dst_vec, expected)
+
+# -- 2-D kernels: plan, interpreter and reference --------------------------------
+
+SRC, DST = (7, 9), (6, 8)  # buffer shapes of the 2-D kernels
+
+
+def _affine(a, t, c):
+    return BinOp("+", BinOp("*", Const(a), t), Const(c))
+
+
+@st.composite
+def index_components(draw, extent, spans):
+    """One index component whose values lie in ``[0, extent)`` over the
+    space: a progression (ascending or descending), a ``%`` wrap, a
+    constant, a truncating division, or a mix of both grid axes."""
+    kind = draw(st.sampled_from(["asc", "desc", "wrap", "const", "div", "mixed"]))
+    ax = draw(st.integers(0, 1))
+    t = draw(st.sampled_from([ThreadIdx(ax), LocalRef(f"i{ax}")]))  # via a static local
+    lo, last = spans[ax]
+    a = draw(st.integers(1, 3))
+    if kind == "const":
+        return Const(draw(st.integers(0, extent - 1)))
+    if kind == "asc":
+        c = draw(st.integers(-a * lo, max(-a * lo, extent - 1 - a * last)))
+        e = _affine(a, t, c)
+        return e if a * last + c < extent else BinOp("%", e, Const(extent))
+    if kind == "desc":
+        c = draw(st.integers(a * last, max(a * last, extent - 1 + a * lo)))
+        e = BinOp("-", Const(c), BinOp("*", Const(a), t))
+        return e if c - a * lo < extent else BinOp("%", e, Const(extent))
+    if kind == "wrap":  # wraps inside the space: np.take, not a slice
+        return BinOp("%", _affine(a, t, draw(st.integers(0, extent))), Const(extent))
+    if kind == "div":  # several work-items share one value
+        return BinOp("%", BinOp("/", t, Const(a)), Const(extent))
+    mixed = BinOp("+", ThreadIdx(0), _affine(a, ThreadIdx(1), draw(st.integers(0, 3))))
+    return BinOp("%", mixed, Const(extent))
+
+
+@st.composite
+def index_tuples(draw, shape, spans):
+    """An in-bounds index of an array of ``shape``; sometimes transposed
+    (dim 0 along grid axis 1) or with both components on one axis."""
+    form = draw(st.sampled_from(["free", "transposed", "same-axis"]))
+    if form == "free":
+        return tuple(draw(index_components(n, spans)) for n in shape)
+    axes = (1, 0) if form == "transposed" else (0, 0)
+    return tuple(
+        BinOp("%", _affine(draw(st.integers(1, 2)), ThreadIdx(ax), draw(st.integers(0, 4))),
+              Const(n))
+        for ax, n in zip(axes, shape)
+    )
+
+
+@st.composite
+def values_2d(draw, spans, depth=0):
+    """A data-dependent value: reads (of the output and its alias too),
+    arithmetic, and selects whose untaken branch divides by zero."""
+    if depth >= 2:
+        array = draw(st.sampled_from(["src", "src", "dst", "alias"]))
+        shape = SRC if array == "src" else DST
+        return draw(st.one_of(
+            st.builds(Read, st.just(array), index_tuples(shape, spans)),
+            st.sampled_from([ThreadIdx(0), ThreadIdx(1), LocalRef("i1")]),
+            st.integers(-9, 9).map(Const),
+        ))
+    op = draw(st.sampled_from(["+", "-", "*", "min", "max", "/", "%", "sel", "dead", "neg"]))
+    a = draw(values_2d(spans, depth + 1))
+    if op == "neg":
+        return UnOp(draw(st.sampled_from(["-", "abs"])), a)
+    b = draw(values_2d(spans, depth + 1))
+    if op in ("/", "%"):
+        return BinOp(op, a, Const(draw(st.sampled_from([-3, -2, 1, 2, 5]))))
+    if op == "sel":
+        return Select(BinOp("<", a, b), a, b)
+    if op == "dead":  # the divisor is zero exactly where the branch is not taken
+        d = draw(st.sampled_from([b, BinOp("-", ThreadIdx(0), Const(2)), Const(0)]))
+        return Select(BinOp("!=", d, Const(0)), BinOp(draw(st.sampled_from("/%")), a, d), b)
+    return BinOp(op, a, b)
+
+
+@st.composite
+def kernels_2d(draw):
+    lower = tuple(draw(st.integers(0, 2)) for _ in range(2))
+    step = tuple(draw(st.integers(1, 3)) for _ in range(2))
+    upper = tuple(lo + draw(st.integers(1, 7)) for lo in lower)
+    space = IndexSpace(lower, upper, step)
+    spans = [(lo, lo + (n - 1) * st_) for lo, n, st_ in zip(lower, space.extent, step)]
+    body = [Assign("i0", ThreadIdx(0)), Assign("i1", ThreadIdx(1))]  # static locals
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["store", "local", "loop", "reread"]))
+        if kind == "store":  # possibly shared by several work-items
+            body.append(Store("dst", draw(index_tuples(DST, spans)), draw(values_2d(spans))))
+        elif kind == "reread":  # one read before and after a store to its buffer
+            again = Read(draw(st.sampled_from(["dst", "alias"])), draw(index_tuples(DST, spans)))
+            body += [
+                Assign("before", again),
+                Store("dst", draw(index_tuples(DST, spans)), BinOp("+", again, Const(1))),
+                Store("dst", draw(index_tuples(DST, spans)),
+                      BinOp("-", BinOp("*", again, Const(2)), LocalRef("before"))),
+            ]
+        elif kind == "local":
+            body.append(Assign("v", draw(values_2d(spans))))
+            body.append(Store("dst", draw(index_tuples(DST, spans)), LocalRef("v")))
+        else:  # an unrolled loop whose variable enters the read index
+            trip = draw(st.integers(1, 3))
+            row = BinOp("%", BinOp("+", ThreadIdx(0), LocalRef("k")), Const(SRC[0]))
+            col = draw(index_components(SRC[1], spans))
+            body += [
+                Assign("acc", Const(0)),
+                For("k", 0, trip, (
+                    Assign("acc", BinOp("+", LocalRef("acc"), Read("src", (row, col)))),
+                )),
+                Store("dst", draw(index_tuples(DST, spans)), LocalRef("acc")),
+            ]
+    return Kernel(
+        name="k2",
+        space=space,
+        arrays=(
+            ArrayParam("src", SRC, intent="in"),
+            ArrayParam("dst", DST, intent="inout"),
+            ArrayParam("alias", DST, intent="in"),
+        ),
+        body=tuple(body),
+    )
+
+
+@given(kernels_2d(), st.integers(0, 2**31 - 1), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_plan_interpreter_and_reference_agree(kernel, seed, alias_src):
+    """``alias`` is bound to the buffer of ``dst``, or to one of its own
+    when ``alias_src``: a store to ``dst`` must then show in later reads
+    of ``alias`` exactly when the two share a buffer."""
+    assert plan_of(kernel) is not None
+    rng = np.random.default_rng(seed)
+    src = rng.integers(-40, 40, size=SRC).astype(np.int32)
+    dst = rng.integers(-40, 40, size=DST).astype(np.int32)
+    other = rng.integers(-40, 40, size=DST).astype(np.int32)
+
+    def buffers(copy):
+        d = copy(dst)
+        return {"src": copy(src), "dst": d, "alias": copy(other) if alias_src else d}
+
+    planned, interpreted = buffers(np.copy), buffers(np.copy)
+    evaluate_kernel(kernel, planned)  # no space=, no observer=: the plan
+    evaluate_kernel(kernel, interpreted, space=kernel.space)  # the interpreter
+    ref = buffers(lambda a: a.astype(object))
+    _ref_kernel(kernel, ref)
+    for name in ("dst", "alias"):
+        np.testing.assert_array_equal(planned[name], interpreted[name])
+        np.testing.assert_array_equal(planned[name], ref[name].astype(np.int32))
+
+
+def _error_kernels():
+    space = IndexSpace((0, 0), (4, 6))
+    arrays = (ArrayParam("a", (4, 6), intent="in"), ArrayParam("b", (4, 6), intent="out"))
+    copy = Store("b", (ThreadIdx(0), ThreadIdx(1)), Read("a", (ThreadIdx(0), ThreadIdx(1))))
+    bad = {
+        "oob-read": Read("a", (ThreadIdx(0), BinOp("+", ThreadIdx(1), Const(1)))),
+        "thread-idx-rank": Read("a", (ThreadIdx(0), ThreadIdx(2))),
+        "unbound-array": Read("nope", (ThreadIdx(0), ThreadIdx(1))),
+    }
+    return {
+        name: Kernel("bad", space, arrays, body=(copy, Store("b", (ThreadIdx(1), Const(0)), e)))
+        for name, e in bad.items()
+    } | {
+        "oob-store": Kernel("bad", space, arrays, body=(
+            copy, Store("b", (Const(4), ThreadIdx(1)), Const(1)),
+        )),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_error_kernels()))
+def test_plan_path_raises_what_the_interpreter_raises(name):
+    """A kernel whose static check fails gets no plan: the interpreter
+    raises, after the same earlier stores, the same error as always."""
+    kernel = _error_kernels()[name]
+    assert plan_of(kernel) is None
+    errors, results = [], []
+    for kwargs in ({}, {"space": kernel.space}):
+        arrays = {"a": np.arange(24, dtype=np.int32).reshape(4, 6),
+                  "b": np.zeros((4, 6), np.int32)}
+        with pytest.raises(KernelEvaluationError) as exc:
+            evaluate_kernel(kernel, arrays, **kwargs)
+        errors.append((type(exc.value), str(exc.value)))
+        results.append(arrays["b"])
+    assert errors[0] == errors[1]
+    np.testing.assert_array_equal(results[0], results[1])
+    np.testing.assert_array_equal(results[0], np.arange(24).reshape(4, 6))
 
 
 # -- footprint counting ------------------------------------------------------------

@@ -81,6 +81,39 @@ class TestCArithmeticProperties:
         assert c_div(a, y).tolist() == [_trunc_divmod(x, y)[0] for x, _ in pairs]
         assert c_mod(a, y).tolist() == [_trunc_divmod(x, y)[1] for x, _ in pairs]
 
+    @given(
+        st.sampled_from([np.int32, np.int64]),
+        st.data(),
+        st.booleans(),
+        st.integers(-9, 9).filter(bool),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sized_dividends_match_the_c_reference(self, dtype, data, non_negative, y):
+        """int32 and int64 dividends, negative lanes or none (the
+        ``a - (a // b) * b`` fast path), against scalar divisors of each
+        width and array divisors with zero lanes: the C definitions the
+        evaluator property tests use, 0 on a zero lane, and the dtype
+        ``np.fmod`` gives the operands as arrays."""
+        info = np.iinfo(dtype)
+        xs = data.draw(st.lists(st.integers(info.min + 1, info.max), min_size=1, max_size=12))
+        if non_negative:
+            xs = [abs(x) for x in xs]
+        a = np.array(xs, dtype=dtype)
+        for b in (y, dtype(y), np.int64(y)):
+            with np.errstate(all="ignore"):
+                want_dtype = np.fmod(a, np.asarray(b)).dtype
+            q, r = c_div(a, b), c_mod(a, b)
+            assert q.dtype == r.dtype == want_dtype
+            want = [_trunc_divmod(x, y) for x in xs]
+            assert list(zip(q.tolist(), r.tolist())) == want
+        ys = data.draw(st.lists(st.integers(-9, 9), min_size=len(xs), max_size=len(xs)))
+        b = np.array(ys, dtype=dtype)
+        want = [_trunc_divmod(x, d) if d else (0, 0) for x, d in zip(xs, ys)]
+        assert list(zip(c_div(a, b).tolist(), c_mod(a, b).tolist())) == want
+        for fn in (c_div, c_mod):
+            with pytest.raises(IRError, match="by zero"):
+                fn(a, dtype(0))
+
     def test_operand_dtype_is_kept(self):
         a = np.arange(-20, 20, dtype=np.int32)
         assert c_div(a, np.int32(6)).dtype == np.int32

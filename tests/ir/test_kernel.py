@@ -39,6 +39,10 @@ class TestIndexSpace:
     def test_index_values_enumerate_logical_indices(self):
         s = IndexSpace(lower=(0, 1), upper=(2, 7), step=(1, 3))
         iv0, iv1 = s.index_values()
+        # open grids: extent 1 on every axis but their own
+        assert iv0.shape == (2, 1) and iv1.shape == (1, 2)
+        assert iv0.dtype == iv1.dtype == np.int64
+        iv0, iv1 = np.broadcast_arrays(iv0, iv1)
         np.testing.assert_array_equal(iv0, [[0, 0], [1, 1]])
         np.testing.assert_array_equal(iv1, [[1, 4], [1, 4]])
 

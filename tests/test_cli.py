@@ -734,12 +734,28 @@ def test_out_of_range_numbers_are_usage_errors(argv, capsys):
     assert "must be" in capsys.readouterr().err
 
 
-def test_zero_frames_is_an_empty_pipeline_report(capsys):
+@pytest.mark.parametrize(
+    "extra", [[], ["--lint"], ["--opt"]], ids=["plain", "lint", "opt"]
+)
+def test_zero_frames_is_an_empty_pipeline_report(extra, capsys):
     import json
 
-    assert main(["pipeline", "--size", "cif", "--frames", "0", "--route", "sac", "--json"]) == 0
-    (entry,) = json.loads(capsys.readouterr().out)["routes"]
-    assert entry["report"]["frames"] == 0
+    argv = ["pipeline", "--size", "cif", "--frames", "0", "--route", "sac", "--json"]
+    assert main(argv + extra) == 0
+    entries = [e["report"] for e in json.loads(capsys.readouterr().out)["routes"]]
+    assert len(entries) == (2 if "--opt" in extra else 1)
+    assert all(r["frames"] == 0 for r in entries)
+    if "--lint" in extra:
+        assert entries[0]["hazards"] == {
+            "runs": 0, "unexpected": [], "resolved": 0, "schedule_violations": [],
+        }
+    if "--opt" in extra:
+        assert [r["job"] for r in entries] == ["sac-nongeneric", "sac-nongeneric+opt"]
+        assert entries[1]["fps_speedup_vs_baseline"] is None
+    # the text report says so too, and exits 0
+    assert main(argv[:-1] + extra) == 0
+    if "--opt" in extra:
+        assert "frames/s (n/a)" in capsys.readouterr().out
 
 
 def test_pipeline_trace_disagreeing_with_its_report_exits_3(tmp_path, monkeypatch, capsys):
