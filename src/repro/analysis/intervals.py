@@ -1,8 +1,10 @@
 """Integer interval arithmetic with C semantics.
 
-The bounds checker abstracts every kernel scalar expression to an
-:class:`Interval` ``[lo, hi]`` (endpoints may be ``±inf``).  Division and
-modulo follow the C truncation semantics of :func:`repro.ir.expr.c_div` /
+The region oracle's affine evaluator (:mod:`repro.analysis.regions`)
+abstracts every kernel scalar expression it cannot keep affine to an
+:class:`Interval` ``[lo, hi]`` (endpoints may be ``±inf``); the bounds
+checker proves indices with the same evaluator.  Division and modulo
+follow the C truncation semantics of :func:`repro.ir.expr.c_div` /
 :func:`repro.ir.expr.c_mod`, matching what the vectorised evaluator and the
 emitted CUDA/OpenCL actually compute.
 """
@@ -93,19 +95,21 @@ class Interval:
         return Interval(min(cands), max(cands))
 
     def c_mod(self, other: "Interval") -> "Interval":
-        """C remainder (sign of the dividend)."""
+        """C remainder; TOP when the divisor may be zero.
+
+        The remainder keeps the dividend's sign, so with ``m`` the largest
+        divisor magnitude it lies in ``[max(lo, -(m-1)), min(hi, m-1)]``,
+        a side the dividend does not reach clipped to 0.  It is the
+        dividend itself when every ``|dividend|`` is below every
+        ``|divisor|``.
+        """
         if other.lo <= 0 <= other.hi:
             return TOP
-        m = max(abs(other.lo), abs(other.hi))  # |result| < m
-        lo, hi = -(m - 1), m - 1
-        if self.lo >= 0:
-            lo = 0
-        if self.hi <= 0:
-            hi = 0
-        # |result| <= |dividend| as well
-        if self.is_bounded:
-            bound = max(abs(self.lo), abs(self.hi))
-            lo, hi = max(lo, -bound), min(hi, bound)
+        if max(-self.lo, self.hi) < min(abs(other.lo), abs(other.hi)):
+            return self
+        m = max(abs(other.lo), abs(other.hi))
+        lo = max(self.lo, -(m - 1)) if self.lo < 0 else 0
+        hi = min(self.hi, m - 1) if self.hi > 0 else 0
         return Interval(lo, hi)
 
     def __str__(self) -> str:

@@ -20,6 +20,14 @@ written as **strided interval boxes** —
 with a sound whole-buffer fallback tagged *imprecise* (``fallback=True``)
 when an index escapes the analysable fragment.
 
+One walk, :func:`kernel_accesses`, visits a kernel's accesses in program
+order; symbolically it evaluates each index component to an affine form
+over the launch and loop axes, or to an :class:`~repro.analysis.intervals.
+Interval` where the component is not affine (``TOP`` when nothing bounds
+it).  :func:`kernel_walk` memoises that walk per kernel and scalar
+arguments, and both the boxes here and the bounds checker
+(:mod:`repro.analysis.bounds`) read it.
+
 Consumers see the result through :class:`RegionOracle`:
 
 * ``may_alias(i, j)`` — may ops ``i`` and ``j`` conflict, i.e. is there an
@@ -33,19 +41,23 @@ Consumers see the result through :class:`RegionOracle`:
 
 Soundness contract: every derived box is a **superset** of the true access
 set, so box disjointness proves access disjointness.  ``exact=True``
-additionally promises the box *equals* the true access set; only exact
-boxes participate in the under-approximating ``must_cover``.
+additionally promises the box *equals* the true access set (so each axis
+drives at most one of its dimensions: an axis moving two walks a
+diagonal through their product); only exact boxes participate in the
+under-approximating ``must_cover``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 import numpy as np
 
 from repro.analysis.diagnostics import Diagnostic
+from repro.analysis.intervals import TOP, Interval
 from repro.ir.expr import BinOp, Const, LocalRef, ParamRef, Read, Select, ThreadIdx, UnOp, walk
 from repro.ir.fused import FusedKernel
 from repro.ir.kernel import Kernel
@@ -58,7 +70,7 @@ from repro.ir.program import (
     HostToDevice,
     LaunchKernel,
 )
-from repro.ir.stmt import Assign, For, Store
+from repro.ir.stmt import Assign, For, Store, walk_stmts
 
 __all__ = [
     "Seg",
@@ -69,6 +81,8 @@ __all__ = [
     "boxes_overlap",
     "box_contains",
     "must_cover",
+    "kernel_accesses",
+    "kernel_walk",
     "kernel_access_boxes",
     "launch_access_boxes",
     "transfer_box",
@@ -289,17 +303,9 @@ class _Aff:
     terms: tuple[tuple[object, int], ...]  # (axis key, unit coefficient)
 
 
-@dataclass(frozen=True)
-class _Rng:
-    """A bounded but otherwise unknown integer: sound, never exact
-    (unless it is a single point)."""
-
-    lo: int
-    hi: int
-
-
 class _Ctx:
-    """Evaluation context: generator axes, loop axes, and local bindings."""
+    """Symbolic evaluation context: generator axes, loop axes, and local
+    bindings — the symbolic domain of :func:`kernel_accesses`."""
 
     def __init__(self, kernel: Kernel, scalars: dict):
         self.axes: dict[object, int] = {}  # axis key -> trip count
@@ -314,194 +320,218 @@ class _Ctx:
         # a loop are demoted to their bounds once the loop has closed
         self.locals: dict[str, tuple[object, frozenset]] = {}
         self.open: set = set()
-        self._loop_id = 0
 
-    def loop_key(self, var: str):
-        self._loop_id += 1
-        return ("for", var, self._loop_id)
-
-
-def _bounds(res, ctx: _Ctx):
-    """Integer bounds of an evaluation result, or None."""
-    if isinstance(res, _Rng):
-        return res.lo, res.hi
-    if isinstance(res, _Aff):
+    def interval(self, res) -> Interval:
+        """The integer range of an evaluation result."""
+        if isinstance(res, Interval):
+            return res
         lo = hi = res.const
         for key, coef in res.terms:
-            span = coef * (ctx.axes[key] - 1)
+            span = coef * (self.axes[key] - 1)
             lo += min(0, span)
             hi += max(0, span)
-        return lo, hi
-    return None
+        return Interval(lo, hi)
 
+    def bind(self, name: str, expr) -> None:
+        self.locals[name] = (_eval(expr, self), frozenset(self.open))
 
-def _to_rng(res, ctx: _Ctx):
-    b = _bounds(res, ctx)
-    return None if b is None else _Rng(*b)
-
-
-def _add(a, b, sign: int, ctx: _Ctx):
-    if isinstance(a, _Aff) and isinstance(b, _Aff):
-        terms = dict(a.terms)
-        for key, coef in b.terms:
-            terms[key] = terms.get(key, 0) + sign * coef
-        return _Aff(
-            a.const + sign * b.const,
-            tuple((k, c) for k, c in terms.items() if c),
+    def loop(self, s: For):
+        """Walk the body of ``s`` once, with its variable as an open axis."""
+        trip = s.stop - s.start
+        if trip <= 0:
+            return
+        if trip > 1:
+            # a name the body rebinds carries one iteration's value into
+            # the next iteration's uses before the rebinding: unknown there
+            body = list(walk_stmts(s.body))
+            rebound = {t.name for t in body if isinstance(t, Assign)}
+            rebound |= {t.var for t in body if isinstance(t, For)}
+            for name in rebound & self.locals.keys():
+                self.locals[name] = (TOP, frozenset())
+        key = ("for", s.var, len(self.axes))
+        self.axes[key] = trip
+        self.locals[s.var] = (
+            _Aff(s.start, ((key, 1),) if trip > 1 else ()),
+            frozenset(self.open | {key}),
         )
-    ba, bb = _bounds(a, ctx), _bounds(b, ctx)
-    if ba is None or bb is None:
-        return None
-    pts = (ba[0] + sign * bb[0], ba[0] + sign * bb[1], ba[1] + sign * bb[0], ba[1] + sign * bb[1])
-    return _Rng(min(pts), max(pts))
+        self.open.add(key)
+        yield
+        self.open.discard(key)
+        # after the loop the var holds one final value, not the range
+        self.locals[s.var] = (TOP, frozenset())
+
+
+def _constant(v):
+    if isinstance(v, bool) or not isinstance(v, int):
+        return TOP
+    return _Aff(v, ())
 
 
 def _eval(e, ctx: _Ctx):
-    """Evaluate an index expression to ``_Aff``/``_Rng``/None (sound)."""
+    """Evaluate an index expression to an ``_Aff``, or to a sound
+    :class:`Interval` where it is not affine (``TOP`` when nothing bounds
+    it: a ``Read``, an unbound name, a non-integer constant)."""
     if isinstance(e, Const):
-        v = e.value
-        if isinstance(v, bool) or not isinstance(v, int):
-            return None
-        return _Aff(int(v), ())
-    if isinstance(e, ThreadIdx):
-        return ctx.iv[e.dim] if e.dim < len(ctx.iv) else None
+        return _constant(e.value)
     if isinstance(e, ParamRef):
-        v = ctx.scalars.get(e.name)
-        if isinstance(v, bool) or not isinstance(v, int):
-            return None
-        return _Aff(int(v), ())
+        return _constant(ctx.scalars.get(e.name))
+    if isinstance(e, ThreadIdx):
+        return ctx.iv[e.dim] if e.dim < len(ctx.iv) else TOP
     if isinstance(e, LocalRef):
         bound = ctx.locals.get(e.name)
         if bound is None:
-            return None
+            return TOP
         res, open_at_bind = bound
         if open_at_bind - ctx.open:
             # bound under a loop that has since closed: the symbolic range
             # is a superset of the final value — keep bounds, drop exactness
-            return _to_rng(res, ctx)
+            return ctx.interval(res)
         return res
-    if isinstance(e, Read):
-        return None  # data-dependent index
     if isinstance(e, Select):
-        t, f = _to_rng(_eval(e.if_true, ctx), ctx), _to_rng(_eval(e.if_false, ctx), ctx)
-        if t is None or f is None:
-            return None
-        return _Rng(min(t.lo, f.lo), max(t.hi, f.hi))
+        t, f = _eval(e.if_true, ctx), _eval(e.if_false, ctx)
+        return ctx.interval(t).union(ctx.interval(f))
     if isinstance(e, UnOp):
         v = _eval(e.operand, ctx)
         if e.op == "-":
             if isinstance(v, _Aff):
                 return _Aff(-v.const, tuple((k, -c) for k, c in v.terms))
-            b = _bounds(v, ctx)
-            return None if b is None else _Rng(-b[1], -b[0])
+            return -v
         if e.op == "abs":
-            b = _bounds(v, ctx)
-            if b is None:
-                return None
-            lo, hi = b
-            if lo >= 0:
-                return v
-            if hi <= 0:
-                return _Rng(-hi, -lo)
-            return _Rng(0, max(-lo, hi))
-        if e.op == "!":
-            return _Rng(0, 1)
-        return None
+            iv = ctx.interval(v)
+            return v if iv.lo >= 0 else iv.abs()
+        return Interval(0, 1) if e.op == "!" else TOP
     if isinstance(e, BinOp):
         return _eval_binop(e, ctx)
-    return None
+    return TOP  # a Read: data-dependent index
+
+
+_RANGE_OPS = {
+    "+": Interval.__add__,
+    "-": Interval.__sub__,
+    "*": Interval.__mul__,
+    "/": Interval.c_div,
+    "%": Interval.c_mod,
+    "min": Interval.min,
+    "max": Interval.max,
+}
 
 
 def _eval_binop(e: BinOp, ctx: _Ctx):
     op = e.op
     if op in ("<", "<=", ">", ">=", "==", "!=", "&&", "||"):
-        return _Rng(0, 1)
+        return Interval(0, 1)
     a = _eval(e.lhs, ctx)
     b = _eval(e.rhs, ctx)
-    if op == "+":
-        return _add(a, b, 1, ctx)
-    if op == "-":
-        return _add(a, b, -1, ctx)
-    if op == "*":
-        for aff, other in ((a, b), (b, a)):
-            if isinstance(aff, _Aff) and not aff.terms:
-                c = aff.const
-                if isinstance(other, _Aff):
+    if isinstance(a, _Aff) and isinstance(b, _Aff):
+        if op in ("+", "-"):
+            sign = 1 if op == "+" else -1
+            terms = dict(a.terms)
+            for key, coef in b.terms:
+                terms[key] = terms.get(key, 0) + sign * coef
+            return _Aff(
+                a.const + sign * b.const,
+                tuple((k, c) for k, c in terms.items() if c),
+            )
+        if op == "*":
+            for aff, other in ((a, b), (b, a)):
+                if not aff.terms:
+                    c = aff.const
                     terms = tuple((k, c * v) for k, v in other.terms) if c else ()
                     return _Aff(c * other.const, terms)
-                bb = _bounds(other, ctx)
-                if bb is None:
-                    return None
-                pts = (c * bb[0], c * bb[1])
-                return _Rng(min(pts), max(pts))
-        ba, bb = _bounds(a, ctx), _bounds(b, ctx)
-        if ba is None or bb is None:
-            return None
-        pts = (ba[0] * bb[0], ba[0] * bb[1], ba[1] * bb[0], ba[1] * bb[1])
-        return _Rng(min(pts), max(pts))
-    if op == "/":
-        if not (isinstance(b, _Aff) and not b.terms and b.const != 0):
-            return None
         c = b.const
-        if isinstance(a, _Aff) and a.const % c == 0 and all(v % c == 0 for _, v in a.terms):
+        if (
+            op == "/"
+            and not b.terms
+            and c
+            and a.const % c == 0
+            and all(v % c == 0 for _, v in a.terms)
+        ):
             # exact division: truncating and exact quotients coincide
             return _Aff(a.const // c, tuple((k, v // c) for k, v in a.terms))
-        ba = _bounds(a, ctx)
-        if ba is None:
-            return None
-
-        def cdiv(x: int) -> int:  # C semantics: truncate toward zero
-            q = abs(x) // abs(c)
-            return -q if (x < 0) != (c < 0) else q
-
-        pts = (cdiv(ba[0]), cdiv(ba[1]))
-        return _Rng(min(pts), max(pts))
-    if op == "%":
-        if not (isinstance(b, _Aff) and not b.terms and b.const > 0):
-            return None
-        m = b.const
-        ba = _bounds(a, ctx)
-        if ba is None:
-            return None
-        lo, hi = ba
-        if 0 <= lo and hi < m:
-            return a  # the modulo is an identity on this range
-        if lo >= 0:
-            return _Rng(0, min(hi, m - 1))
-        if hi <= 0:
-            return _Rng(max(lo, -(m - 1)), 0)
-        return _Rng(max(lo, -(m - 1)), min(hi, m - 1))
-    if op in ("min", "max"):
-        ba, bb = _bounds(a, ctx), _bounds(b, ctx)
-        if ba is None or bb is None:
-            return None
-        if op == "min":
-            return _Rng(min(ba[0], bb[0]), min(ba[1], bb[1]))
-        return _Rng(max(ba[0], bb[0]), max(ba[1], bb[1]))
-    return None
+        if op == "%" and not b.terms and c > 0:
+            iv = ctx.interval(a)
+            if 0 <= iv.lo and iv.hi < c:
+                return a  # the modulo is an identity on this range
+    fn = _RANGE_OPS.get(op)
+    return TOP if fn is None else fn(ctx.interval(a), ctx.interval(b))
 
 
-def _index_box(index, shape: tuple[int, ...], ctx: _Ctx) -> Box:
-    """Box for one subscript; whole-buffer fallback if any dim escapes."""
+def _index_box(values, shape: tuple[int, ...], ctx: _Ctx) -> Box:
+    """Box for one subscript; whole-buffer fallback if any dim is unbounded.
+
+    An axis that moves two dimensions walks a diagonal through their
+    product, so a box is exact only when each axis drives at most one
+    dimension (and each dimension is exact on its own).
+    """
     segs: list[Seg] = []
     exact = True
-    for e, n in zip(index, shape):
-        res = _eval(e, ctx)
-        if res is None:
-            return full_box(shape, exact=False, fallback=True)
+    driven: set = set()
+    for res, n in zip(values, shape):
         if isinstance(res, _Aff):
+            keys = {k for k, _ in res.terms}
+            exact = exact and not keys & driven
+            driven |= keys
             seg, dim_exact = progression_box(
                 res.const, ((c, ctx.axes[k]) for k, c in res.terms)
             )
-        else:
+        elif res.is_bounded:
             seg, dim_exact = Seg(res.lo, res.hi, 1), res.lo == res.hi
+        else:
+            return full_box(shape, exact=False, fallback=True)
         segs.append(seg)
         exact = exact and dim_exact
     return Box(tuple(segs), exact=exact)
 
 
 # ---------------------------------------------------------------------------
-# per-kernel and per-op access boxes
+# the access walk, per-kernel and per-op access boxes
+
+
+def kernel_accesses(body, domain):
+    """Yield ``(site, kind, array, index)`` for every access of ``body`` in
+    program order, a store before the reads nested in it.
+
+    ``domain`` evaluates the body as the walk goes: ``domain.bind(name,
+    expr)`` binds each ``Assign`` after the reads in it, and each step of
+    ``domain.loop(s)`` is one pass over the body of ``For s``.  The
+    symbolic :class:`_Ctx` passes once, with the loop variable as an open
+    axis; :class:`~repro.ir.evalvec.IndexEvaluator` passes once per value.
+    Every pass numbers its accesses from where the loop starts, so a
+    ``site`` names one access of the program text in either domain.
+    """
+    return _accesses(body, domain, 0)
+
+
+def _accesses(body, domain, site: int):
+    """:func:`kernel_accesses` numbering from ``site``; returns the next
+    free number."""
+    for s in body:
+        if isinstance(s, For):
+            start = site
+            for _ in domain.loop(s):
+                site = yield from _accesses(s.body, domain, start)
+            continue
+        if isinstance(s, Assign):
+            accesses = _reads(s.value)
+        elif isinstance(s, Store):
+            accesses = [("store", s.array, s.index), *_reads(*s.index, s.value)]
+        else:
+            continue
+        for kind, array, index in accesses:
+            yield site, kind, array, index
+            site += 1
+        if isinstance(s, Assign):
+            domain.bind(s.name, s.value)
+    return site
+
+
+def _reads(*exprs) -> list:
+    return [
+        ("read", sub.array, sub.index)
+        for e in exprs
+        for sub in walk(e)
+        if isinstance(sub, Read)
+    ]
 
 
 @dataclass(frozen=True)
@@ -516,73 +546,60 @@ def _box_key(b: Box):
     return (b.fallback, not b.exact, tuple((s.lo, s.hi, s.step) for s in b.segs))
 
 
-_KERNEL_BOX_CACHE: dict[tuple, dict[str, ParamAccess]] = {}
+class KernelWalk:
+    """The symbolic walk of one kernel under one set of scalar arguments.
+
+    ``sites[n]`` is access site ``n`` of :func:`kernel_accesses` as
+    ``(kind, array, values)``, one ``_Aff`` or :class:`Interval` per index
+    component; ``interval`` gives a value's range.  The per-parameter
+    boxes are built from the sites on first use.
+    """
+
+    def __init__(self, kernel: Kernel, scalar_args: tuple):
+        self.kernel = kernel
+        self.ctx = ctx = _Ctx(kernel, dict(scalar_args))
+        self.interval = ctx.interval
+        self.sites = []
+        if not kernel.space.is_empty():
+            self.sites = [
+                (kind, array, tuple(_eval(e, ctx) for e in index))
+                for _site, kind, array, index in kernel_accesses(kernel.body, ctx)
+            ]
+
+    @cached_property
+    def boxes(self) -> dict[str, ParamAccess]:
+        acc: dict[str, tuple[set, set]] = {}
+        for kind, array, values in self.sites:
+            box = _index_box(values, self.kernel.array(array).shape, self.ctx)
+            reads, writes = acc.setdefault(array, (set(), set()))
+            (writes if kind == "store" else reads).add(box)
+        return {
+            name: ParamAccess(
+                reads=tuple(sorted(reads, key=_box_key)),
+                writes=tuple(sorted(writes, key=_box_key)),
+            )
+            for name, (reads, writes) in acc.items()
+        }
+
+
+_KERNEL_WALKS: dict[tuple, KernelWalk] = {}
+
+
+def kernel_walk(kernel: Kernel, scalar_args=()) -> KernelWalk:
+    """The :class:`KernelWalk` of ``kernel``, memoised globally per
+    ``(kernel, sorted scalar_args)`` — kernels are shared across pipeline
+    runs, and the bounds checker re-reads the walk the hazard pass made."""
+    key = (kernel, tuple(sorted(tuple(scalar_args))))
+    hit = _KERNEL_WALKS.get(key)
+    if hit is None:
+        hit = _KERNEL_WALKS[key] = KernelWalk(kernel, key[1])
+    return hit
 
 
 def kernel_access_boxes(kernel: Kernel, scalar_args=()) -> dict[str, ParamAccess]:
-    """Per-parameter read/write boxes of one kernel body.
-
-    Results are cached globally per ``(kernel, scalar_args)`` — kernels are
-    shared across pipeline runs, so the symbolic walk happens once.
-    """
-    cache_key = (kernel, tuple(sorted(tuple(scalar_args))))
-    hit = _KERNEL_BOX_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
-
-    acc: dict[str, tuple[set, set]] = {}
-    if not kernel.space.is_empty():
-        ctx = _Ctx(kernel, dict(scalar_args))
-
-        def record(array: str, index, write: bool) -> None:
-            shape = kernel.array(array).shape
-            box = _index_box(index, shape, ctx)
-            reads, writes = acc.setdefault(array, (set(), set()))
-            (writes if write else reads).add(box)
-
-        def scan_reads(expr) -> None:
-            for sub in walk(expr):
-                if isinstance(sub, Read):
-                    record(sub.array, sub.index, write=False)
-
-        def run(stmts) -> None:
-            for s in stmts:
-                if isinstance(s, Assign):
-                    scan_reads(s.value)
-                    ctx.locals[s.name] = (_eval(s.value, ctx), frozenset(ctx.open))
-                elif isinstance(s, For):
-                    trip = s.stop - s.start
-                    if trip <= 0:
-                        continue
-                    key = ctx.loop_key(s.var)
-                    ctx.axes[key] = trip
-                    ctx.locals[s.var] = (
-                        _Aff(s.start, ((key, 1),) if trip > 1 else ()),
-                        frozenset(ctx.open | {key}),
-                    )
-                    ctx.open.add(key)
-                    run(s.body)
-                    ctx.open.discard(key)
-                    # after the loop the var holds one final value, not the
-                    # range — later index uses fall back to "unanalysable"
-                    ctx.locals[s.var] = (None, frozenset())
-                elif isinstance(s, Store):
-                    scan_reads(s.value)
-                    for ix in s.index:
-                        scan_reads(ix)
-                    record(s.array, s.index, write=True)
-
-        run(kernel.body)
-
-    result = {
-        name: ParamAccess(
-            reads=tuple(sorted(reads, key=_box_key)),
-            writes=tuple(sorted(writes, key=_box_key)),
-        )
-        for name, (reads, writes) in acc.items()
-    }
-    _KERNEL_BOX_CACHE[cache_key] = result
-    return result
+    """Per-parameter read/write boxes of one kernel body (memoised with
+    its :func:`kernel_walk`)."""
+    return kernel_walk(kernel, scalar_args).boxes
 
 
 def launch_access_boxes(

@@ -23,7 +23,8 @@ reference the plan is tested against.
 
 An optional *observer* receives every evaluated memory access; the
 coalescing prober in :mod:`repro.ir.metrics` uses it to measure address
-strides without a second evaluator.
+strides without a second evaluator.  :class:`IndexEvaluator` is the same
+interpreter without memory, for the static index analyses.
 """
 
 from __future__ import annotations
@@ -49,7 +50,12 @@ from repro.ir.expr import (
 from repro.ir.kernel import IndexSpace, Kernel
 from repro.ir.stmt import Assign, For, Store
 
-__all__ = ["evaluate_kernel", "KernelEvaluationError", "AccessObserver"]
+__all__ = [
+    "evaluate_kernel",
+    "IndexEvaluator",
+    "KernelEvaluationError",
+    "AccessObserver",
+]
 
 #: signature: (kind, array_name, index_arrays) with kind in {"read", "store"};
 #: the index arrays broadcast to the launch's extent (they are open grids,
@@ -64,13 +70,11 @@ class KernelEvaluationError(IRError):
 class _Evaluator:
     def __init__(
         self,
-        kernel: Kernel,
         arrays: dict[str, np.ndarray],
         scalars: dict[str, int | float],
         space: IndexSpace,
         observer: AccessObserver | None,
     ):
-        self.kernel = kernel
         self.arrays = arrays
         self.scalars = scalars
         self.idx_values = space.index_values()
@@ -159,6 +163,44 @@ class _Evaluator:
                 raise KernelEvaluationError(
                     f"unknown statement node {type(s).__name__}"
                 )
+
+
+class IndexEvaluator(_Evaluator):
+    """The interpreter without memory, for static analyses of index
+    expressions over a whole index space (the bounds checker's exact phase,
+    the SaC wrap splitter).
+
+    An expression with no value raises :class:`~repro.errors.IRError`:
+    a ``Read``, an unbound local or scalar, or a ``ThreadIdx`` past the
+    rank (:class:`KernelEvaluationError`), and a scalar zero divisor.  A
+    launch instead gives a zero divisor's lane 0, because a ``Select``
+    evaluates both branches; here ``/`` and ``%`` are C division,
+    :func:`~repro.ir.expr.c_div` and :func:`~repro.ir.expr.c_mod`.
+    """
+
+    def __init__(self, space: IndexSpace, scalars: dict[str, int | float] | None = None):
+        super().__init__({}, dict(scalars or {}), space, None)
+
+    def eval(self, expr: Expr):
+        if isinstance(expr, BinOp) and expr.op in ("/", "%"):
+            divide = c_div if expr.op == "/" else c_mod
+            return divide(self.eval(expr.lhs), self.eval(expr.rhs))
+        return super().eval(expr)
+
+    def bind(self, name: str, expr: Expr) -> None:
+        """Bind local ``name`` to the value of ``expr``; unbind it when
+        ``expr`` has none."""
+        try:
+            self.env[name] = self.eval(expr)
+        except IRError:
+            self.env.pop(name, None)
+
+    def loop(self, s: For):
+        """Bind ``s``'s variable to each of its values in turn, yielding
+        after each: the caller walks the loop body once per value."""
+        for v in range(s.start, s.stop):
+            self.env[s.var] = v
+            yield
 
 
 def check_rank(index, shape, array: str, what: str) -> None:
@@ -292,4 +334,4 @@ def evaluate_kernel(
         if plan is not None:
             plan.run(arrays, scalars)
             return
-    _Evaluator(kernel, arrays, scalars, space, observer).exec(kernel.body)
+    _Evaluator(arrays, scalars, space, observer).exec(kernel.body)

@@ -14,6 +14,12 @@ This pass analyses each lowered generator:
   generator is **split** into a large affine bulk kernel and a small edge
   kernel that keeps the modulo.
 
+Each ``% extent`` dividend is evaluated over the generator's whole space
+by the interpreter without memory (:class:`~repro.ir.evalvec.
+IndexEvaluator`), under the generator's top-level local bindings.  A
+dividend with no value there (it reads memory or a loop variable, or
+divides by zero) blocks the split; the generator keeps its modulos.
+
 The split is what produces the paper's kernel counts: the horizontal
 filter's 3 folded generators become 3 bulk + 2 edge = 5 kernels, the
 vertical's 4 become 4 + 3 = 7 (Table II).
@@ -26,63 +32,13 @@ import numpy as np
 from repro.errors import IRError
 from repro.ir import expr as ir
 from repro.ir import stmt as irs
+from repro.ir.evalvec import IndexEvaluator
 from repro.ir.kernel import IndexSpace
 from repro.sac.backend.lower import LoweredGenerator, LoweredLoop
 
 __all__ = ["split_wrap_regions", "split_loop"]
 
 _MAX_RECURSION = 8
-
-
-class _Unanalysable(Exception):
-    """Expression depends on memory or unknown locals."""
-
-
-def _eval_index_expr(e: ir.Expr, idx_values, env) -> np.ndarray:
-    """Evaluate an index expression over the whole space (no memory)."""
-    if isinstance(e, ir.Const):
-        return np.asarray(e.value)
-    if isinstance(e, ir.ThreadIdx):
-        return idx_values[e.dim]
-    if isinstance(e, ir.LocalRef):
-        if e.name not in env:
-            raise _Unanalysable(e.name)
-        return env[e.name]
-    if isinstance(e, ir.BinOp):
-        lhs = _eval_index_expr(e.lhs, idx_values, env)
-        rhs = _eval_index_expr(e.rhs, idx_values, env)
-        if e.op == "+":
-            return lhs + rhs
-        if e.op == "-":
-            return lhs - rhs
-        if e.op == "*":
-            return lhs * rhs
-        if e.op == "/":
-            return ir.c_div(lhs, rhs)
-        if e.op == "%":
-            return ir.c_mod(lhs, rhs)
-        if e.op == "min":
-            return np.minimum(lhs, rhs)
-        if e.op == "max":
-            return np.maximum(lhs, rhs)
-        raise _Unanalysable(e.op)
-    if isinstance(e, ir.UnOp) and e.op == "-":
-        return -_eval_index_expr(e.operand, idx_values, env)
-    if isinstance(e, ir.UnOp) and e.op == "abs":
-        return np.abs(_eval_index_expr(e.operand, idx_values, env))
-    raise _Unanalysable(type(e).__name__)
-
-
-def _index_local_env(body, idx_values) -> dict[str, np.ndarray]:
-    """Evaluate index-only local assignments (poisoning memory-dependent ones)."""
-    env: dict[str, np.ndarray] = {}
-    for s in body:
-        if isinstance(s, irs.Assign):
-            try:
-                env[s.name] = _eval_index_expr(s.value, idx_values, env)
-            except (_Unanalysable, IRError):  # IRError: a scalar zero divisor
-                env.pop(s.name, None)  # poisoned
-    return env
 
 
 def _collect_mods(body) -> list[ir.BinOp]:
@@ -154,8 +110,10 @@ def split_wrap_regions(
     if not mods or depth >= _MAX_RECURSION:
         return [gen]
 
-    idx_values = gen.space.index_values()
-    env = _index_local_env(gen.body, idx_values)
+    ev = IndexEvaluator(gen.space)
+    for s in gen.body:
+        if isinstance(s, irs.Assign):
+            ev.bind(s.name, s.value)
 
     clean: dict[ir.Expr, ir.Expr] = {}
     wrap_mask = np.zeros(gen.space.extent, dtype=bool)
@@ -163,8 +121,8 @@ def split_wrap_regions(
     for mod in mods:
         c = int(mod.rhs.value)
         try:
-            val = _eval_index_expr(mod.lhs, idx_values, env)
-        except (_Unanalysable, IRError):  # IRError: a scalar zero divisor
+            val = ev.eval(mod.lhs)
+        except IRError:  # depends on memory or loop variables, or divides by 0
             analysable = False
             continue
         val = np.broadcast_to(np.asarray(val), gen.space.extent)

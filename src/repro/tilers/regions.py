@@ -11,7 +11,9 @@ ArrayOL route's connectors participate in disjointness proofs.
 
 A dimension that *does* wrap (the modulo folds some reference back into
 the array) covers an interval that is not a single progression; it is
-widened to the whole dimension and the box is marked inexact.
+widened to the whole dimension and the box is marked inexact.  So is a
+box in which one ``F``/``P`` column moves two dimensions: the tiler then
+walks a diagonal through their product, not the product itself.
 """
 
 from __future__ import annotations
@@ -24,28 +26,28 @@ __all__ = ["tiler_access_box"]
 def tiler_access_box(tiler: Tiler):
     """The strided box of array elements ``tiler`` touches.
 
-    Exact (``box.exact``) when every dimension's progression is complete
-    and nothing wraps; dimensions that wrap are widened to ``[0, n)`` and
-    drop exactness.  The result always *contains* every touched element,
-    so it is sound for ``may_alias``-style overlap queries; coverage
-    queries additionally require exactness, as everywhere else in
-    :mod:`repro.analysis.regions`.
+    Exact (``box.exact``) when every dimension's progression is complete,
+    nothing wraps and each ``F``/``P`` column that takes more than one
+    value moves at most one dimension; dimensions that wrap are widened to
+    ``[0, n)`` and drop exactness.  The result always *contains* every
+    touched element, so it is sound for ``may_alias``-style overlap
+    queries; coverage queries additionally require exactness, as
+    everywhere else in :mod:`repro.analysis.regions`.
     """
     # imported here: repro.analysis.__init__ pulls in the tiler lint,
     # which imports this package — a module-level import would cycle
     from repro.analysis.regions import Box, Seg, progression_box
 
+    counts = tiler.pattern_shape + tiler.repetition_shape
+    rows = [f + p for f, p in zip(tiler.fitting, tiler.paving)]
+    exact = all(
+        cnt == 1 or sum(1 for c in column if c) <= 1
+        for column, cnt in zip(zip(*rows), counts)
+    )
     segs: list[Seg] = []
-    exact = True
     for d, n in enumerate(tiler.array_shape):
         const = tiler.origin[d]
-        contributions = [
-            (tiler.fitting[d][k], tiler.pattern_shape[k])
-            for k in range(tiler.pattern_rank)
-        ] + [
-            (tiler.paving[d][k], tiler.repetition_shape[k])
-            for k in range(tiler.repetition_rank)
-        ]
+        contributions = list(zip(rows[d], counts))
         raw_lo = const + sum(
             min(0, c * (cnt - 1)) for c, cnt in contributions if cnt > 1
         )

@@ -3,6 +3,7 @@
 from repro.analysis import check_kernel_bounds
 from repro.ir import (
     ArrayParam,
+    Assign,
     BinOp,
     Const,
     For,
@@ -157,3 +158,39 @@ class TestViolations:
         warns = by_code(check_kernel_bounds(k), "BOUNDS003")
         assert len(warns) == 1
         assert "src" in warns[0].message
+
+    def test_thread_idx_past_the_rank_is_warning(self):
+        # a rank-1 space has no ThreadIdx(1): the index has no value, in the
+        # subscript itself or in a select condition the exact phase evaluates
+        past = ThreadIdx(1)
+        for idx in (
+            past,
+            Select(BinOp(">", past, Const(0)),
+                   BinOp("+", ThreadIdx(0), Const(1)), ThreadIdx(0)),
+        ):
+            k = kernel(
+                [Store("dst", (ThreadIdx(0),), Read("src", (idx,)))],
+                [ArrayParam("src", (8,), intent="in"),
+                 ArrayParam("dst", (8,), intent="out")],
+            )
+            warns = by_code(check_kernel_bounds(k), "BOUNDS003")
+            assert len(warns) == 1
+            assert "src" in warns[0].message
+
+    def test_loop_carried_index_is_checked(self):
+        # x is 0 before the loop and 5 from its second iteration on, so
+        # dst[x] reaches 5 although x's binding when the loop starts is 0
+        k = kernel(
+            [
+                Assign("x", Const(0)),
+                For("j", 0, 3, (
+                    Store("dst", (LocalRef("x"),), Const(1)),
+                    Assign("x", Const(5)),
+                )),
+            ],
+            [ArrayParam("dst", (4,), intent="out")],
+            space=IndexSpace((0,), (1,)),
+        )
+        errs = by_code(check_kernel_bounds(k), "BOUNDS002")
+        assert len(errs) == 1
+        assert "[0, 5]" in errs[0].message

@@ -66,6 +66,12 @@ class TestCDivMod:
         iv = Interval(0, 3).c_mod(Interval.point(100))
         assert iv.hi <= 3
 
+    def test_c_mod_is_bounded_by_the_dividend_on_each_side(self):
+        # the remainder keeps the dividend's sign and never passes it
+        assert Interval(-2, 10).c_mod(Interval.point(8)) == Interval(-2, 7)
+        # every |dividend| below every |divisor|: the identity
+        assert Interval(-5, -3).c_mod(Interval(8, 9)) == Interval(-5, -3)
+
     def test_str_formats_infinities(self):
         assert "inf" in str(TOP)
         assert str(Interval(0, 3)) == "[0, 3]"

@@ -4,6 +4,7 @@ from repro.analysis import check_lifetimes
 from repro.ir import (
     AllocDevice,
     ArrayParam,
+    Const,
     DeviceProgram,
     DeviceToHost,
     FreeDevice,
@@ -78,6 +79,28 @@ class TestMem001UseBeforeInit:
         diags = check_lifetimes(prog)
         hits = [d for d in diags if d.code == "MEM001"]
         assert [d.severity for d in hits] == ["warning"]
+
+    def test_diagonal_store_does_not_cover_the_download(self):
+        # dst[i, i] writes 4 of 16 elements: both index components move
+        # along one axis, so the write box is not exact and the whole-buffer
+        # download reads 12 uninitialised elements
+        diag = Kernel(
+            name="diag",
+            space=IndexSpace((0,), (4,)),
+            arrays=(ArrayParam("dst", (4, 4), intent="out"),),
+            body=(Store("dst", (ThreadIdx(0), ThreadIdx(0)), Const(1)),),
+        )
+        prog = _program(
+            [
+                AllocDevice("d_out", (4, 4)),
+                LaunchKernel(diag, (("dst", "d_out"),)),
+                DeviceToHost("d_out", "h_out"),
+            ],
+            inputs=(),
+        )
+        hits = [d for d in check_lifetimes(prog) if d.code == "MEM001"]
+        assert [d.severity for d in hits] == ["warning"]
+        assert "d_out" in hits[0].message
 
     def test_covering_tile_uploads_are_clean(self):
         prog = _program(

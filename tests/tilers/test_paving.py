@@ -105,3 +105,28 @@ def test_equivalence_handles_wrapping_tilers():
     )
     c = coarsen_paving(wrap, 1, 2)
     assert paving_equivalent(wrap, c)
+
+
+def test_equivalence_rejects_a_diagonal_against_the_full_array():
+    """One paving column moving both array dimensions visits the diagonal
+    (4 elements), not the 4x4 product its per-dimension ranges span."""
+    diag = Tiler(
+        origin=(0, 0),
+        fitting=((), ()),
+        paving=((1,), (1,)),
+        array_shape=(4, 4),
+        pattern_shape=(),
+        repetition_shape=(4,),
+        name="diag",
+    )
+    full = Tiler(
+        origin=(0, 0),
+        fitting=((), ()),
+        paving=((1, 0), (0, 1)),
+        array_shape=(4, 4),
+        pattern_shape=(),
+        repetition_shape=(4, 4),
+        name="full",
+    )
+    assert not paving_equivalent(diag, full)
+    assert not paving_equivalent(full, diag)
