@@ -11,7 +11,8 @@ resources) and what stays host code (CPU resources, e.g. the OpenCV IPs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import ModelValidationError
 from repro.arrayol.model import CompoundTask
@@ -64,12 +65,17 @@ class Allocation:
 
     platform: Platform
     mapping: tuple[tuple[str, str], ...]  # (instance, resource)
-    _index: dict = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_index", dict(self.mapping))
         for _, res in self.mapping:
             self.platform.resource(res)  # must exist
+
+    @cached_property
+    def _index(self) -> dict[str, str]:
+        """Instance -> resource name.  Kept in the instance ``__dict__``,
+        not a field, so the allocation stays immutable all the way down
+        and :func:`~repro.runtime.cache.canonical` memoises its text."""
+        return dict(self.mapping)
 
     def resource_of(self, instance: str) -> HwResource:
         try:

@@ -25,6 +25,7 @@ from repro.ir.expr import (
     ThreadIdx,
     UnOp,
     c_div,
+    c_int,
     c_mod,
 )
 from repro.ir.fused import (
@@ -53,7 +54,7 @@ from repro.ir.validate import validate_kernel, validate_program
 __all__ = [
     # expr
     "Expr", "Const", "ThreadIdx", "LocalRef", "ParamRef", "Read", "BinOp",
-    "UnOp", "Select", "c_div", "c_mod",
+    "UnOp", "Select", "c_div", "c_int", "c_mod",
     # stmt
     "Stmt", "Assign", "For", "Store",
     # kernel

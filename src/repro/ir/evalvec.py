@@ -9,7 +9,8 @@ so index arithmetic costs one axis's values, and a store broadcasts its
 index to the launch's extent.
 
 This gives bit-exact results (C-truncating integer division via
-:func:`repro.ir.expr.c_div`) at NumPy speed, with the same write-conflict
+:func:`repro.ir.expr.c_div`, C ``int`` wrapping via
+:func:`repro.ir.expr.c_int`) at NumPy speed, with the same write-conflict
 resolution as :func:`repro.tilers.ops.scatter` (row-major last writer wins —
 kernels emitted by the backends never have intra-launch write conflicts,
 which :mod:`repro.ir.validate` checks for the downscaler programs).
@@ -45,6 +46,7 @@ from repro.ir.expr import (
     ThreadIdx,
     UnOp,
     c_div,
+    c_int,
     c_mod,
 )
 from repro.ir.kernel import IndexSpace, Kernel
@@ -61,6 +63,9 @@ __all__ = [
 #: the index arrays broadcast to the launch's extent (they are open grids,
 #: or 0-d for a constant component)
 AccessObserver = Callable[[str, str, tuple[np.ndarray, ...]], None]
+
+
+_INT_MIN, _INT_MAX = -(2**31), 2**31 - 1
 
 
 class KernelEvaluationError(IRError):
@@ -86,7 +91,9 @@ class _Evaluator:
 
     def eval(self, expr: Expr):
         if isinstance(expr, Const):
-            return expr.value
+            v = expr.value
+            # C types an int literal past C ``int`` as a wider integer
+            return np.int64(v) if type(v) is int and not _INT_MIN <= v <= _INT_MAX else v
         if isinstance(expr, ThreadIdx):
             if expr.dim >= len(self.idx_values):
                 raise KernelEvaluationError(
@@ -114,7 +121,9 @@ class _Evaluator:
             return unary_function(expr.op)(self.eval(expr.operand))
         if isinstance(expr, Select):
             return np.where(
-                self.eval(expr.cond), self.eval(expr.if_true), self.eval(expr.if_false)
+                c_int(self.eval(expr.cond)),
+                self.eval(expr.if_true),
+                self.eval(expr.if_false),
             )
         raise KernelEvaluationError(f"unknown expression node {type(expr).__name__}")
 
@@ -135,7 +144,7 @@ class _Evaluator:
         idx = self._index_tuple(expr.index, buf.shape, expr.array, "read")
         if self.observer is not None:
             self.observer("read", expr.array, idx)
-        return widen(buf[idx])
+        return buf[idx]
 
     # -- statements ------------------------------------------------------------
 
@@ -157,7 +166,7 @@ class _Evaluator:
                 idx = self._index_tuple(s.index, buf.shape, s.array, "store")
                 if self.observer is not None:
                     self.observer("store", s.array, idx)
-                val = self.eval(s.value)
+                val = stored(self.eval(s.value), buf)
                 buf[broadcast_index(idx, self.extent)] = val
             else:
                 raise KernelEvaluationError(
@@ -184,7 +193,7 @@ class IndexEvaluator(_Evaluator):
     def eval(self, expr: Expr):
         if isinstance(expr, BinOp) and expr.op in ("/", "%"):
             divide = c_div if expr.op == "/" else c_mod
-            return divide(self.eval(expr.lhs), self.eval(expr.rhs))
+            return divide(c_int(self.eval(expr.lhs)), c_int(self.eval(expr.rhs)))
         return super().eval(expr)
 
     def bind(self, name: str, expr: Expr) -> None:
@@ -228,11 +237,11 @@ def check_component(value, d: int, extent: int, array: str, what: str) -> np.nda
     return v
 
 
-def widen(val):
-    """A read's value: integer elements widen to int64, as C promotes them."""
-    if np.issubdtype(np.asarray(val).dtype, np.integer):
-        return np.asarray(val, dtype=np.int64)
-    return val
+def stored(value, buf: np.ndarray):
+    """``value`` as a store into ``buf`` converts it: an int32 buffer keeps
+    the low 32 bits of an int64 value anyway, a float buffer gets the C
+    ``int`` value."""
+    return c_int(value) if buf.dtype.kind == "f" else value
 
 
 def broadcast_index(idx: tuple, extent: tuple[int, ...]) -> tuple:
@@ -253,25 +262,52 @@ def _divide(op: str):
     return apply
 
 
+def _is_float(value) -> bool:
+    dtype = getattr(value, "dtype", None)
+    return isinstance(value, float) if dtype is None else dtype.kind == "f"
+
+
+def _ring(fn):
+    """``+``, ``-``, ``*``: right modulo 2**32 on int64 values; an integer
+    operand of a float operation converts from its C ``int`` value."""
+
+    def apply(lhs, rhs):
+        if _is_float(lhs) or _is_float(rhs):
+            return fn(c_int(lhs), c_int(rhs))
+        return fn(lhs, rhs)
+
+    return apply
+
+
+def _on_c_ints(fn):
+    """``fn`` of C ``int`` operands: its result shows more than their low
+    32 bits."""
+    return lambda *operands: fn(*map(c_int, operands))
+
+
 _BINARY = {
-    "+": np.add,
-    "-": np.subtract,
-    "*": np.multiply,
-    "/": _divide("/"),
-    "%": _divide("%"),
-    "min": np.minimum,
-    "max": np.maximum,
-    "<": np.less,
-    "<=": np.less_equal,
-    ">": np.greater,
-    ">=": np.greater_equal,
-    "==": np.equal,
-    "!=": np.not_equal,
-    "&&": np.logical_and,
-    "||": np.logical_or,
+    "+": _ring(np.add),
+    "-": _ring(np.subtract),
+    "*": _ring(np.multiply),
+    "/": _on_c_ints(_divide("/")),
+    "%": _on_c_ints(_divide("%")),
+    "min": _on_c_ints(np.minimum),
+    "max": _on_c_ints(np.maximum),
+    "<": _on_c_ints(np.less),
+    "<=": _on_c_ints(np.less_equal),
+    ">": _on_c_ints(np.greater),
+    ">=": _on_c_ints(np.greater_equal),
+    "==": _on_c_ints(np.equal),
+    "!=": _on_c_ints(np.not_equal),
+    "&&": _on_c_ints(np.logical_and),
+    "||": _on_c_ints(np.logical_or),
 }
 
-_UNARY = {"-": np.negative, "abs": np.abs, "!": np.logical_not}
+_UNARY = {
+    "-": np.negative,
+    "abs": _on_c_ints(np.abs),
+    "!": _on_c_ints(np.logical_not),
+}
 
 
 def binary_function(op: str):

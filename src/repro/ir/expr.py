@@ -8,7 +8,9 @@ space at once with NumPy.
 Integer arithmetic follows **C semantics** — ``/`` truncates towards zero
 and ``%`` is the matching remainder — because the paper's filter
 (``tmp/6 - tmp%6``) is defined in C terms.  Helpers :func:`c_div` and
-:func:`c_mod` implement these semantics for NumPy arrays.
+:func:`c_mod` implement these semantics for NumPy arrays, and
+:func:`c_int` cuts a 64-bit intermediate to the 32-bit C ``int`` it stands
+for.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "UNARY_OPS",
     "c_div",
     "c_mod",
+    "c_int",
     "walk",
 ]
 
@@ -47,6 +50,22 @@ LOGICAL_OPS = frozenset({"&&", "||"})
 UNARY_OPS = frozenset({"-", "abs", "!"})
 
 _ALL_BINOPS = BINARY_OPS | COMPARISON_OPS | LOGICAL_OPS
+
+
+def c_int(a):
+    """``a`` as C ``int`` values: int64 elements cut to their low 32 bits
+    (two's complement, as a cast to ``int`` does); any other value as is.
+
+    Kernel data is int32, where NumPy wraps as C does; a value that mixes
+    in the int64 index grids is int64, where ``+``, ``-``, ``*`` and
+    negation still agree with 32-bit arithmetic modulo 2**32.  An
+    operation whose result depends on more than those low bits (``/``,
+    ``%``, ``min``, a comparison, a conversion to float) cuts its operands
+    first.
+    """
+    if getattr(a, "dtype", None) == np.int64:
+        return a.astype(np.int32)
+    return a
 
 
 def c_div(a, b):

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.errors import IRError
 from repro.ir.evalvec import evaluate_kernel
-from repro.ir.kernel import ArrayParam, IndexSpace
+from repro.ir.kernel import ArrayParam, IndexSpace, memo_hash
 from repro.ir.program import AllocDevice, LaunchKernel
 from repro.ir.validate import validate_kernel
 
@@ -75,6 +75,9 @@ class FusedKernel:
         object.__setattr__(self, "internal", tuple(self.internal))
         if not self.stages:
             raise IRError(f"fused kernel {self.name!r} has no stages")
+
+    def __hash__(self) -> int:
+        return memo_hash(self)
 
     @property
     def space(self) -> IndexSpace:

@@ -8,7 +8,7 @@ backend, *one kernel corresponds to one WITH-loop generator* (SaC route) or
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import prod
 
 import numpy as np
@@ -18,6 +18,31 @@ from repro.ir.expr import LocalRef, ParamRef, Read, ThreadIdx
 from repro.ir.stmt import Assign, For, Stmt, Store, expressions_of, walk_stmts
 
 __all__ = ["IndexSpace", "ArrayParam", "ScalarParam", "Kernel"]
+
+#: the instance-dict key under which :func:`memo_hash` keeps a hash
+_HASH = "_hash"
+
+
+def memo_hash(value) -> int:
+    """The hash ``@dataclass(frozen=True)`` gives ``value`` — of its
+    compared fields — computed once and kept in the instance ``__dict__``.
+
+    A kernel tree is deep and keys memos (:func:`repro.analysis.regions.
+    kernel_walk`) on every lookup, so recomputing its hash each time
+    costs more than the lookup.  The memo lies outside
+    ``dataclasses.fields``, as :func:`repro.runtime.cache.canonical`'s
+    does: ``==``, ``repr``, ``canonical`` and ``replace`` never see it,
+    and a replaced value hashes its own fields.
+    """
+    memo = value.__dict__
+    h = memo.get(_HASH)
+    if h is None:
+        h = memo[_HASH] = hash(tuple(
+            getattr(value, f.name)
+            for f in fields(value)
+            if (f.compare if f.hash is None else f.hash)
+        ))
+    return h
 
 
 @dataclass(frozen=True)
@@ -166,6 +191,9 @@ class Kernel:
         names = [a.name for a in self.arrays] + [s.name for s in self.scalars]
         if len(set(names)) != len(names):
             raise IRError(f"kernel {self.name!r} has duplicate parameter names: {names}")
+
+    def __hash__(self) -> int:
+        return memo_hash(self)
 
     # -- lookups -----------------------------------------------------------
 

@@ -48,8 +48,8 @@ from repro.ir.evalvec import (
     broadcast_index,
     check_component,
     check_rank,
+    stored,
     unary_function,
-    widen,
 )
 from repro.ir.expr import (
     BinOp,
@@ -61,6 +61,7 @@ from repro.ir.expr import (
     Select,
     ThreadIdx,
     UnOp,
+    c_int,
     walk,
 )
 from repro.ir.kernel import Kernel
@@ -232,7 +233,8 @@ class _Compiler:
         array = s.array
 
         def store(arrays, scalars, registers):
-            write(arrays[array], value(arrays, scalars, registers))
+            buf = arrays[array]
+            write(buf, stored(value(arrays, scalars, registers), buf))
 
         self.steps.append(store)
 
@@ -281,7 +283,7 @@ class _Compiler:
                 self.operand(x, p) for x, p in zip((e.cond, e.if_true, e.if_false), parts)
             )
             return lambda arrays, scalars, registers: np.where(
-                cond(arrays, scalars, registers),
+                c_int(cond(arrays, scalars, registers)),
                 if_true(arrays, scalars, registers),
                 if_false(arrays, scalars, registers),
             )
@@ -390,7 +392,7 @@ def _lower_read(comps: list[_Component], rank: int):
             slicer.append(c.lane)
             continue
         if c.lane is None or c.lane[0] in axes:
-            return (lambda buf: widen(buf[values])), "fancy"
+            return (lambda buf: buf[values]), "fancy"
         if c.slice is None:
             takes.append((len(axes), c.lane[1]))
         slicer.append(c.slice or slice(None))
@@ -398,8 +400,8 @@ def _lower_read(comps: list[_Component], rank: int):
     slicer = tuple(slicer)
     if not axes:  # one element for the whole launch
         if not shape:
-            return (lambda buf: widen(buf[slicer])), "slice"
-        return (lambda buf: widen(np.reshape(buf[slicer], shape))), "slice"
+            return (lambda buf: buf[slicer]), "slice"
+        return (lambda buf: np.reshape(buf[slicer], shape)), "slice"
     perm = tuple(sorted(range(len(axes)), key=axes.__getitem__))
 
     def load(buf):
@@ -407,10 +409,8 @@ def _lower_read(comps: list[_Component], rank: int):
         for pos, index in takes:
             v = v.take(index, axis=pos)
         v = v.transpose(perm).reshape(shape)
-        if takes:
-            return widen(v)
-        # a view of the buffer: copy it, as the interpreter's gather does
-        return v.astype(np.int64) if np.issubdtype(v.dtype, np.integer) else v.copy()
+        # a view of the buffer (no take): copy it, as the interpreter's gather does
+        return v if takes else v.copy()
 
     return load, ("take" if takes else "slice")
 

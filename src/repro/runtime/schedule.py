@@ -24,18 +24,26 @@ overlapped numbers from it.  It models:
 ``depth=None`` gives every run private slots, so no slot is ever
 recycled: the unbounded-buffering what-if that ``repro experiment
 overlap`` charts.
+
+A build has two pieces.  Every run issues the same ops with the same
+access boxes on the same engines, and host arrays are per run, so which
+ops of its own run and of its slot's previous occupant an op waits on is
+fixed by the program: :class:`_DependenceTemplate` finds those edges once.
+The timing pass then walks the runs, maps the template to node ids
+through each device stream's run history, and adds the edges that depend
+on the timeline: the host-step barrier, the serialise chain, a migrated
+frame's fence and the PCIe staging channels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 from repro.errors import DeviceError
 from repro.ir.program import (
-    AllocDevice,
     DeviceProgram,
     DeviceToHost,
-    FreeDevice,
     HostCompute,
     HostToDevice,
     LaunchKernel,
@@ -90,6 +98,35 @@ class ScheduledNode:
         return self.end_us - self.start_us
 
 
+_NODE_FIELDS = tuple(f.name for f in fields(ScheduledNode))
+
+
+def _node(*values) -> ScheduledNode:
+    """The :class:`ScheduledNode` of ``values``, in field order.
+
+    The frozen ``__init__`` sets each field through
+    ``object.__setattr__``; filling the instance dict builds the same
+    node in about half the time, on the builder's hottest line (one node
+    per op per run).
+    """
+    node = object.__new__(ScheduledNode)
+    node.__dict__.update(zip(_NODE_FIELDS, values))
+    return node
+
+
+@dataclass(frozen=True)
+class _Totals:
+    """What the reports read off a schedule, from one pass over its nodes."""
+
+    #: engines in order of first appearance
+    engines: tuple[str, ...]
+    #: per engine, its nodes' durations summed in node order
+    busy_us: dict[str, float]
+    #: per run, (earliest start, latest end) of its nodes
+    run_spans_us: dict[int, tuple[float, float]]
+    makespan_us: float
+
+
 @dataclass(frozen=True)
 class PipelineSchedule:
     """A complete schedule of ``runs`` back-to-back program executions."""
@@ -109,9 +146,34 @@ class PipelineSchedule:
     migrations: int = 0
     migration_us: float = 0.0
 
+    @cached_property
+    def _totals(self) -> _Totals:
+        """One pass over the nodes, kept in the instance ``__dict__``
+        (a schedule is immutable; ``replace`` builds a new one).  Busy
+        time starts from ``0`` and adds in node order, as ``sum`` did."""
+        busy: dict[str, float] = {}
+        spans: dict[int, list[float]] = {}
+        for n in self.nodes:
+            start, end = n.start_us, n.end_us
+            busy[n.engine] = busy.get(n.engine, 0) + (end - start)
+            span = spans.get(n.run)
+            if span is None:
+                spans[n.run] = [start, end]
+            else:
+                if start < span[0]:
+                    span[0] = start
+                if end > span[1]:
+                    span[1] = end
+        return _Totals(
+            engines=tuple(busy),
+            busy_us=busy,
+            run_spans_us={run: (lo, hi) for run, (lo, hi) in spans.items()},
+            makespan_us=max((hi for _, hi in spans.values()), default=0.0),
+        )
+
     @property
     def makespan_us(self) -> float:
-        return max((n.end_us for n in self.nodes), default=0.0)
+        return self._totals.makespan_us
 
     @property
     def speedup(self) -> float:
@@ -120,14 +182,10 @@ class PipelineSchedule:
 
     @property
     def engines(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for n in self.nodes:
-            if n.engine not in seen:
-                seen.append(n.engine)
-        return tuple(seen)
+        return self._totals.engines
 
     def engine_busy_us(self, engine: str) -> float:
-        return sum(n.duration_us for n in self.nodes if n.engine == engine)
+        return self._totals.busy_us.get(engine, 0)
 
     def engine_occupancy(
         self, engines: tuple[str, ...] | None = None
@@ -148,6 +206,12 @@ class PipelineSchedule:
             out[e] = busy / span if busy > 0.0 and span > 0.0 else 0.0
         return out
 
+    @property
+    def run_spans_us(self) -> dict[int, tuple[float, float]]:
+        """Per run: (first start, last end) of its nodes, a migrated
+        frame's staging transfers counted with its first run."""
+        return self._totals.run_spans_us
+
     def device_nodes(self, device: int) -> tuple[ScheduledNode, ...]:
         return tuple(n for n in self.nodes if n.device == device)
 
@@ -162,10 +226,10 @@ class PipelineSchedule:
         if batch <= 0:
             raise ValueError("batch must be positive")
         spans: dict[int, tuple[float, float]] = {}
-        for n in self.nodes:
-            g = n.run // batch
-            lo, hi = spans.get(g, (n.start_us, n.end_us))
-            spans[g] = (min(lo, n.start_us), max(hi, n.end_us))
+        for run, (start, end) in self.run_spans_us.items():
+            g = run // batch
+            lo, hi = spans.get(g, (start, end))
+            spans[g] = (min(lo, start), max(hi, end))
         return [hi - lo for _, (lo, hi) in sorted(spans.items())]
 
 
@@ -224,6 +288,174 @@ def build_schedule(
         )
         span.set(nodes=len(schedule.nodes), makespan_us=schedule.makespan_us)
         return schedule
+
+
+@dataclass(frozen=True)
+class _Step:
+    """One scheduled op of the program, as every run issues it."""
+
+    op_index: int
+    name: str
+    kind: str  # "h2d" | "compute" | "d2h" | "host"
+    dur: float
+    #: a PCIe transfer: on a fleet it also queues on the staging channels
+    channel: bool
+    #: resources as ``(DEV, buffer)`` / ``(HOST, array)``, before the
+    #: timing pass names them by slot and run
+    reads: tuple[tuple[str, str], ...]
+    writes: tuple[tuple[str, str], ...]
+    read_boxes: tuple
+    write_boxes: tuple
+    #: the accesses that wait on earlier ones, as (resource, boxes,
+    #: writes): all of them, except that an upload's host read waits on
+    #: nothing (only the host-step barrier orders it)
+    waits: tuple
+
+
+def _steps(program: DeviceProgram, prices, op_access) -> list[_Step]:
+    """The program's scheduled ops (allocations and frees take no time
+    and order nothing) with their resources and access boxes."""
+
+    def boxes(i: int, kind: str, name: str, write: bool):
+        """Access boxes of ``program.ops[i]`` on a resource (None = whole)."""
+        return op_access[i][1 if write else 0].get((kind, name))
+
+    def waiting(i: int, name: str, kind: str, dur: float, accesses) -> _Step:
+        """A step each of whose ``(resource, boxes, writes)`` waits."""
+        accesses = tuple(accesses)
+        return _Step(
+            i, name, kind, dur, False,
+            reads=tuple(res for res, _, write in accesses if not write),
+            writes=tuple(res for res, _, write in accesses if write),
+            read_boxes=tuple(b for _, b, write in accesses if not write),
+            write_boxes=tuple(b for _, b, write in accesses if write),
+            waits=accesses,
+        )
+
+    steps: list[_Step] = []
+    for i, (op, dur) in enumerate(zip(program.ops, prices)):
+        if isinstance(op, HostToDevice):
+            dev, host = (DEV, op.device), (HOST, op.host)
+            wb = boxes(i, "device buffer", op.device, True)
+            rb = boxes(i, "host array", op.host, False)
+            steps.append(_Step(
+                i, f"h2d:{op.device}", "h2d", dur, True,
+                reads=(host,), writes=(dev,), read_boxes=(rb,), write_boxes=(wb,),
+                waits=((dev, wb, True),),
+            ))
+        elif isinstance(op, DeviceToHost):
+            dev, host = (DEV, op.device), (HOST, op.host)
+            rb = boxes(i, "device buffer", op.device, False)
+            wb = boxes(i, "host array", op.host, True)
+            steps.append(_Step(
+                i, f"d2h:{op.device}", "d2h", dur, True,
+                reads=(dev,), writes=(host,), read_boxes=(rb,), write_boxes=(wb,),
+                waits=((dev, rb, False), (host, wb, True)),
+            ))
+        elif isinstance(op, LaunchKernel):
+            accesses = []
+            for param, buf in op.array_args:
+                intent = op.kernel.array(param).intent
+                if intent in ("in", "inout"):
+                    accesses.append(((DEV, buf), boxes(i, "device buffer", buf, False), False))
+                if intent in ("out", "inout"):
+                    accesses.append(((DEV, buf), boxes(i, "device buffer", buf, True), True))
+            steps.append(waiting(i, op.kernel.name, "compute", dur, accesses))
+        elif isinstance(op, HostCompute):
+            accesses = [
+                ((HOST, n), boxes(i, "host array", n, write), write)
+                for names, write in ((op.reads, False), (op.writes, True))
+                for n in names
+            ]
+            steps.append(waiting(i, op.name, "host", dur, accesses))
+    return steps
+
+
+class _DependenceTemplate:
+    """The ops of its own run, and of its slot's previous occupant, that
+    each step of a run waits on.
+
+    Found by issuing one fresh run (empty slot tables) and one recycled
+    run (the tables a finished run leaves) under the writer/reader rules:
+    per resource, the writers and readers still relevant for dependences,
+    as ``(ref, boxes, engine kind)``.  A whole-resource write supersedes
+    everything before it (it waited on all of it); a boxed write
+    supersedes equal-boxed writers, a read supersedes equal-boxed reads
+    on the same engine (FIFO orders them).  Every op of a run supersedes
+    its own entry of the slot's previous occupant (same boxes, same
+    engine), so a run leaves the same tables whoever occupied the slot
+    before it, and every recycled run waits on the same ops.
+    """
+
+    def __init__(self, steps: list[_Step], disjoint):
+        self.steps = steps
+        self._disjoint = disjoint
+        writers: dict[tuple[str, str], list] = {}
+        readers: dict[tuple[str, str], list] = {}
+        #: per step, (positions in its own run, positions in the slot's
+        #: previous occupant) it waits on: none of the latter when fresh
+        self.fresh = self._occupy(writers, readers)
+        self._left = _left_in_slot(writers, readers)
+
+    @cached_property
+    def recycled(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The same for a run recycling a slot (found on first use)."""
+        writers, readers = (dict(table) for table in self._left)
+        waits = self._occupy(writers, readers)
+        assert _left_in_slot(writers, readers) == self._left, (
+            "a recycled run must leave its slot as a fresh run does"
+        )
+        return waits
+
+    def _occupy(self, writers: dict, readers: dict):
+        """Issue one run's steps against the tables (mutated); refs are
+        step positions, ``~pos`` for the previous occupant's."""
+        disjoint = self._disjoint
+        out = []
+        for pos, step in enumerate(self.steps):
+            refs: set[int] = set()
+            for res, boxes, write in step.waits:
+                for ref, wb, _ in writers.get(res, ()):
+                    if not disjoint(boxes, wb):
+                        refs.add(ref)
+                if write:  # WAW above, WAR (slot recycling) here
+                    for ref, rb, _ in readers.get(res, ()):
+                        if not disjoint(boxes, rb):
+                            refs.add(ref)
+            out.append((
+                tuple(sorted(r for r in refs if r >= 0)),
+                tuple(sorted(~r for r in refs if r < 0)),
+            ))
+            for res, wb in zip(step.writes, step.write_boxes):
+                if wb is None:
+                    writers[res] = [(pos, None, step.kind)]
+                    readers[res] = []
+                else:
+                    kept = [w for w in writers.get(res, ()) if w[1] != wb]
+                    kept.append((pos, wb, step.kind))
+                    writers[res] = kept
+            for res, rb in zip(step.reads, step.read_boxes):
+                kept = [
+                    r for r in readers.get(res, ())
+                    if not (r[1] == rb and r[2] == step.kind)
+                ]
+                kept.append((pos, rb, step.kind))
+                readers[res] = kept
+        return out
+
+
+def _left_in_slot(writers: dict, readers: dict) -> tuple[dict, dict]:
+    """The tables a finished run leaves its slot's next occupant: the
+    device resources only (host arrays are per run), with each entry's
+    ref turned into a previous-occupant one (``~pos``)."""
+    return tuple(
+        {
+            res: [(~ref, boxes, kind) for ref, boxes, kind in entries]
+            for res, entries in table.items()
+            if res[0] == DEV
+        }
+        for table in (writers, readers)
+    )
 
 
 def _build_schedule(
@@ -285,13 +517,9 @@ def _build_schedule(
     oracle = RegionOracle(program)
     op_access = [oracle.accesses(i) for i in range(len(program.ops))]
 
-    def boxes_for(i: int, kind: str, name: str, write: bool):
-        """Access boxes of ``program.ops[i]`` on a resource (None = whole)."""
-        return op_access[i][1 if write else 0].get((kind, name))
-
     #: every boxes tuple compared below is an ``op_access`` entry, alive
-    #: for the whole build, so a pair's identity keys its answer: each
-    #: run re-asks the pairs of the run before it
+    #: for the whole build, so a pair's identity keys its answer: the
+    #: recycled run re-asks the pairs of the fresh one
     answers: dict[tuple[int, int], bool] = {}
 
     def disjoint(a, b) -> bool:
@@ -303,6 +531,9 @@ def _build_schedule(
             answer = answers[key] = not any(boxes_overlap(x, y) for x in a for y in b)
         return answer
 
+    template = _DependenceTemplate(_steps(program, prices, op_access), disjoint)
+    steps = template.steps
+
     if topology is None:
         engine_ready: dict[str, float] = {"h2d": 0.0, "compute": 0.0, "d2h": 0.0}
         chan_ready = None
@@ -311,82 +542,39 @@ def _build_schedule(
         # transfers additionally queue on the shared staging channels
         engine_ready = {e: 0.0 for e in topology.engines()}
         chan_ready = [0.0] * topology.host_channels
-    #: per resource, the writers/readers still relevant for dependences:
-    #: (node id, end, access boxes, engine).  A whole-resource write
-    #: supersedes everything before it (it waited on all of it); a
-    #: boxed write supersedes equal-boxed writers, a read supersedes
-    #: equal-boxed reads on the same engine (FIFO orders them).
-    writers: dict[tuple[str, str], list] = {}
-    readers: dict[tuple[str, str], list] = {}
     #: host-step barriers are per device stream: a host step of one
     #: device's frame must not stall another device's issue
     host_sync: dict[int, float] = {}
     host_barrier: dict[int, int] = {}
     prev_node: tuple[int, float] | None = None  # for serialize
     nodes: list[ScheduledNode] = []
+    ends: list[float] = []  # end of every node, by id
     serial = 0.0
     migration_total = 0.0
     migration_count = 0
     mig_nbytes: int | None = None
-    dev_run_count: dict[int, int] = {}
     frame_floors: dict[int, tuple[float, int]] = {}
     cur_dev = 0   # device stream of the run being scheduled
-    cur_slot = 0  # its per-device buffer slot (round-robin over depth)
     floor_end = 0.0  # earliest start of the current run (migration fence)
     floor_dep: int | None = None
-
-    def eng(kind: str) -> str:
-        return kind if topology is None else f"d{cur_dev}:{kind}"
-
-    def lane() -> str:
-        return "host" if topology is None else topology.host_lane(cur_dev)
-
-    def dev(buffer: str, run: int) -> tuple[str, str]:
-        if topology is None:
-            return (DEV, f"{buffer}@s{run % depth}")
-        return (DEV, f"d{cur_dev}/{buffer}@s{cur_slot}")
-
-    def host_res(name: str, run: int) -> tuple[str, str]:
-        return (HOST, f"{name}@r{run}")
-
-    def wait_read(
-        res: tuple[str, str], after: float, deps: set[int], boxes=None
-    ) -> float:
-        for wid, wend, wb, _ in writers.get(res, ()):
-            if disjoint(boxes, wb):
-                continue
-            deps.add(wid)
-            after = max(after, wend)
-        return after
-
-    def wait_write(
-        res: tuple[str, str], after: float, deps: set[int], boxes=None
-    ) -> float:
-        after = wait_read(res, after, deps, boxes)  # WAW
-        for rid, rend, rb, _ in readers.get(res, ()):  # WAR (slot recycling)
-            if disjoint(boxes, rb):
-                continue
-            deps.add(rid)
-            after = max(after, rend)
-        return after
+    #: per device stream, the node id of each of its runs' first step
+    history: dict[int, list[int]] = {}
+    #: per device stream, the engine of each step; per (device, slot),
+    #: the device resources' names and each step's (reads, writes) named,
+    #: ``None`` for a step touching a host array (named per run)
+    engines_of: dict[int, list[str]] = {}
+    named_in: dict[tuple[int, int], tuple[dict, list]] = {}
+    host_arrays = dict.fromkeys(
+        r for s in steps for r in s.reads + s.writes if r[0] == HOST
+    )
 
     def place(
-        run: int,
-        op_index: int,
-        name: str,
-        engine: str,
-        dur: float,
-        after: float,
-        deps: set[int],
-        read_res: tuple[tuple[str, str], ...],
-        write_res: tuple[tuple[str, str], ...],
-        read_boxes: tuple = (),
-        write_boxes: tuple = (),
-        device: int | None = None,
-        channel: bool = False,
+        run: int, op_index: int, name: str, engine: str, dur: float,
+        after: float, deps: set[int], stream: int, channel: bool,
+        reads: tuple = (), writes: tuple = (),
+        read_boxes: tuple = (), write_boxes: tuple = (),
     ) -> ScheduledNode:
         nonlocal prev_node, floor_dep
-        stream = cur_dev if device is None else device
         barrier = host_barrier.get(stream)
         if barrier is not None:
             deps.add(barrier)
@@ -422,39 +610,12 @@ def _build_schedule(
         end = start + dur
         if engine in engine_ready:
             engine_ready[engine] = end
-        node = ScheduledNode(
-            id=len(nodes),
-            run=run,
-            op_index=op_index,
-            name=name,
-            engine=engine,
-            start_us=start,
-            end_us=end,
-            device=stream,
-            deps=tuple(sorted(deps)),
-            reads=read_res,
-            writes=write_res,
-            read_boxes=read_boxes,
-            write_boxes=write_boxes,
+        node = _node(
+            len(nodes), run, op_index, name, engine, start, end, stream,
+            tuple(sorted(deps)), reads, writes, read_boxes, write_boxes,
         )
         nodes.append(node)
-        for res, wb in zip(write_res, write_boxes):
-            if wb is None:
-                # a whole-resource write waited on every recorded
-                # predecessor, so it supersedes the lot
-                writers[res] = [(node.id, end, None, engine)]
-                readers[res] = []
-            else:
-                kept = [w for w in writers.get(res, ()) if w[2] != wb]
-                kept.append((node.id, end, wb, engine))
-                writers[res] = kept
-        for res, rb in zip(read_res, read_boxes):
-            kept = [
-                r for r in readers.get(res, ())
-                if not (r[2] == rb and r[3] == engine)
-            ]
-            kept.append((node.id, end, rb, engine))
-            readers[res] = kept
+        ends.append(end)
         prev_node = (node.id, end)
         return node
 
@@ -463,9 +624,6 @@ def _build_schedule(
             frame = run // frame_batch
             dcsn = decisions[frame]
             cur_dev = dcsn.device
-            count = dev_run_count.get(cur_dev, 0)
-            cur_slot = count % depth
-            dev_run_count[cur_dev] = count + 1
             floor_end, floor_dep = 0.0, None
             if (
                 run % frame_batch == 0
@@ -483,96 +641,72 @@ def _build_schedule(
                 src, dst = dcsn.migrate_from, cur_dev
                 nsrc = place(
                     run, -1, f"migrate-d2h:{src}->{dst}", f"d{src}:d2h",
-                    d2h_us, 0.0, set(), read_res=(), write_res=(),
-                    device=src, channel=True,
+                    d2h_us, 0.0, set(), src, True,
                 )
                 ndst = place(
                     run, -1, f"migrate-h2d:{src}->{dst}", f"d{dst}:h2d",
-                    h2d_us, nsrc.end_us, {nsrc.id}, read_res=(), write_res=(),
-                    device=dst, channel=True,
+                    h2d_us, nsrc.end_us, {nsrc.id}, dst, True,
                 )
                 frame_floors[frame] = (ndst.end_us, ndst.id)
                 migration_total += d2h_us + h2d_us
                 migration_count += 1
             if frame in frame_floors:
                 floor_end, floor_dep = frame_floors[frame]
-        for i, (op, dur) in enumerate(zip(program.ops, prices)):
-            if isinstance(op, (AllocDevice, FreeDevice)):
-                continue
-            serial += dur
-            if isinstance(op, HostToDevice):
-                deps: set[int] = set()
-                res = dev(op.device, run)
-                wb = boxes_for(i, "device buffer", op.device, True)
-                rb = boxes_for(i, "host array", op.host, False)
-                after = wait_write(res, 0.0, deps, wb)
-                place(
-                    run, i, f"h2d:{op.device}", eng("h2d"), dur, after, deps,
-                    read_res=(host_res(op.host, run),), write_res=(res,),
-                    read_boxes=(rb,), write_boxes=(wb,), channel=True,
+
+        # the run's slot on its device stream, and the node ids the
+        # template's edges point at: its own, and the slot's previous
+        # occupant's, ``depth`` runs back on the same stream
+        runs_here = history.setdefault(cur_dev, [])
+        count = len(runs_here)
+        base = len(nodes)
+        runs_here.append(base)
+        if count >= depth:
+            waits = template.recycled
+            prev_base = runs_here[count - depth]
+        else:
+            waits, prev_base = template.fresh, base
+        slot = count % depth
+        engines = engines_of.get(cur_dev)
+        if engines is None:
+            engines = engines_of[cur_dev] = [
+                s.kind if topology is None
+                else topology.host_lane(cur_dev) if s.kind == "host"
+                else f"d{cur_dev}:{s.kind}"
+                for s in steps
+            ]
+        named = named_in.get((cur_dev, slot))
+        if named is None:
+            prefix = "" if topology is None else f"d{cur_dev}/"
+            dev_names = {
+                r: (DEV, f"{prefix}{r[1]}@s{slot}")
+                for s in steps for r in s.reads + s.writes if r[0] == DEV
+            }
+            named = named_in[(cur_dev, slot)] = (dev_names, [
+                None if any(r[0] == HOST for r in s.reads + s.writes) else (
+                    tuple([dev_names[r] for r in s.reads]),
+                    tuple([dev_names[r] for r in s.writes]),
                 )
-            elif isinstance(op, LaunchKernel):
-                deps = set()
-                after = 0.0
-                read_res: list[tuple[str, str]] = []
-                write_res: list[tuple[str, str]] = []
-                read_boxes: list = []
-                write_boxes: list = []
-                for param, buf in op.array_args:
-                    res = dev(buf, run)
-                    intent = op.kernel.array(param).intent
-                    if intent in ("in", "inout"):
-                        rb = boxes_for(i, "device buffer", buf, False)
-                        read_res.append(res)
-                        read_boxes.append(rb)
-                        after = wait_read(res, after, deps, rb)
-                    if intent in ("out", "inout"):
-                        wb = boxes_for(i, "device buffer", buf, True)
-                        write_res.append(res)
-                        write_boxes.append(wb)
-                        after = wait_write(res, after, deps, wb)
-                place(
-                    run, i, op.kernel.name, eng("compute"), dur, after, deps,
-                    read_res=tuple(read_res), write_res=tuple(write_res),
-                    read_boxes=tuple(read_boxes), write_boxes=tuple(write_boxes),
-                )
-            elif isinstance(op, DeviceToHost):
-                deps = set()
-                res = dev(op.device, run)
-                out_res = host_res(op.host, run)
-                rb = boxes_for(i, "device buffer", op.device, False)
-                wb = boxes_for(i, "host array", op.host, True)
-                after = wait_read(res, 0.0, deps, rb)
-                after = wait_write(out_res, after, deps, wb)
-                place(
-                    run, i, f"d2h:{op.device}", eng("d2h"), dur, after, deps,
-                    read_res=(res,), write_res=(out_res,),
-                    read_boxes=(rb,), write_boxes=(wb,), channel=True,
-                )
-            elif isinstance(op, HostCompute):
-                deps = set()
-                after = 0.0
-                read_res = []
-                write_res = []
-                read_boxes = []
-                write_boxes = []
-                for name in op.reads:
-                    res = host_res(name, run)
-                    rb = boxes_for(i, "host array", name, False)
-                    read_res.append(res)
-                    read_boxes.append(rb)
-                    after = wait_read(res, after, deps, rb)
-                for name in op.writes:
-                    res = host_res(name, run)
-                    wb = boxes_for(i, "host array", name, True)
-                    write_res.append(res)
-                    write_boxes.append(wb)
-                    after = wait_write(res, after, deps, wb)
-                node = place(
-                    run, i, op.name, lane(), dur, after, deps,
-                    read_res=tuple(read_res), write_res=tuple(write_res),
-                    read_boxes=tuple(read_boxes), write_boxes=tuple(write_boxes),
-                )
+                for s in steps
+            ])
+        # host arrays are per run
+        names = named[0] | {r: (HOST, f"{r[1]}@r{run}") for r in host_arrays}
+
+        for step, engine, (same, prev), rw in zip(steps, engines, waits, named[1]):
+            serial += step.dur
+            deps = {base + p for p in same}
+            if prev:
+                deps.update([prev_base + p for p in prev])
+            after = max([ends[d] for d in deps], default=0.0)
+            reads, writes = rw or (
+                tuple([names[r] for r in step.reads]),
+                tuple([names[r] for r in step.writes]),
+            )
+            node = place(
+                run, step.op_index, step.name, engine, step.dur, after, deps,
+                cur_dev, step.channel, reads, writes,
+                step.read_boxes, step.write_boxes,
+            )
+            if step.kind == "host":
                 host_sync[cur_dev] = node.end_us
                 host_barrier[cur_dev] = node.id
 

@@ -28,7 +28,7 @@ from repro.errors import OptimisationError
 from repro.ir.expr import c_div, c_mod
 from repro.sac import ast
 from repro.sac.builtins import BUILTINS
-from repro.sac.values import BASE_DTYPES
+from repro.sac.values import BASE_DTYPES, to_python
 
 __all__ = ["fold_program", "fold_function", "AVal"]
 
@@ -198,7 +198,7 @@ class _Folder:
         # run that division (``false && 1 / 0 == 0`` is valid)
         zero_divisor = op in ("/", "%") and _is_const_zero(ra)
         if la.value is not None and ra.value is not None and not zero_divisor:
-            val = _apply_op(op, la.value, ra.value, e.loc)
+            val = _scalar_as_interpreted(_apply_op(op, la.value, ra.value, e.loc))
             lit = _literal(val, e.loc)
             if lit is not None:
                 return lit, AVal.const(val)
@@ -264,6 +264,7 @@ class _Folder:
         operand, aval = self.fold(e.operand)
         if aval.value is not None:
             val = np.negative(aval.value) if e.op == "-" else np.logical_not(aval.value)
+            val = _scalar_as_interpreted(val)
             lit = _literal(val, e.loc)
             if lit is not None:
                 return lit, AVal.const(val)
@@ -690,6 +691,12 @@ class _Folder:
                 self.env[n] = AVal.shaped(va.shape)
             else:
                 self.env[n] = _TOP
+
+
+def _scalar_as_interpreted(value):
+    """A folded scalar as the interpreter holds it: a Python value, an
+    integer cut to C ``int`` (:func:`~repro.sac.values.to_python`)."""
+    return to_python(value) if np.ndim(value) == 0 else value
 
 
 def _apply_op(op: str, a, b, loc):

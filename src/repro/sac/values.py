@@ -2,10 +2,12 @@
 
 SaC values are multidimensional arrays; scalars are rank-0.  We represent
 arrays as NumPy arrays (``int32`` / ``float32`` / ``float64`` / ``bool``)
-and scalars as Python ``int`` / ``float`` / ``bool``.  Selection follows
-SaC's vector-indexing rule: an index *vector* of length ``k`` selects along
-the first ``k`` axes, yielding a scalar when ``k`` equals the rank and a
-sub-array otherwise.
+and scalars as Python ``int`` / ``float`` / ``bool``.  An ``int`` is a C
+``int``: array arithmetic wraps in int32, and :func:`to_python` cuts a
+scalar result to 32 bits, so every intermediate wraps as the compiled
+kernels' do.  Selection follows SaC's vector-indexing rule: an index
+*vector* of length ``k`` selects along the first ``k`` axes, yielding a
+scalar when ``k`` equals the rank and a sub-array otherwise.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SacRuntimeError
+from repro.ir.expr import c_int
 
 __all__ = [
     "Value",
@@ -50,14 +53,15 @@ def rank_of(v: Value) -> int:
 
 
 def to_python(v: Value) -> Value:
-    """Collapse NumPy scalars (rank-0 arrays) to Python scalars."""
+    """Collapse NumPy scalars (rank-0 arrays) to Python scalars; an
+    integer is cut to its C ``int`` value."""
     if isinstance(v, np.ndarray) and v.ndim == 0:
         v = v[()]
     if isinstance(v, np.generic):
         if isinstance(v, np.bool_):
             return bool(v)
         if np.issubdtype(type(v), np.integer):
-            return int(v)
+            return int(c_int(v))
         return float(v)
     return v
 

@@ -444,9 +444,9 @@ class ServeBroker:
                         depth=self.config.depth, serialize=self.config.serialize,
                     )
                 ends = [0.0] * len(batch)
-                for node in schedule.nodes:
-                    i = node.run // ipf
-                    ends[i] = max(ends[i], node.end_us)
+                for run, (_, end) in schedule.run_spans_us.items():
+                    i = run // ipf
+                    ends[i] = max(ends[i], end)
                 outputs: list[dict | None] = [None] * len(batch)
                 validated = [False] * len(batch)
                 if self.config.execute == "all":

@@ -567,3 +567,24 @@ class TestLaunchBoxes:
         reads, writes = launch_access_boxes(op)
         assert set(reads) == {"d_a"}
         assert set(writes) == {"d_a"}
+
+
+def test_warm_kernel_access_boxes_does_not_hash_the_kernel_again(monkeypatch):
+    """The walk memo is keyed by the kernel, whose hash it keeps: a
+    second lookup hashes nothing inside the kernel tree."""
+    kernel = _tile_writer("warm", 2, 6)
+    cold = kernel_access_boxes(kernel)
+    hashed = []
+    real = IndexSpace.__hash__
+
+    def spy(self):
+        hashed.append(self)
+        return real(self)
+
+    monkeypatch.setattr(IndexSpace, "__hash__", spy)
+    assert kernel_access_boxes(kernel) is cold
+    assert kernel_access_boxes(kernel, ()) is cold
+    assert hashed == []
+    # an equal kernel no lookup has hashed yet hashes its tree once
+    assert kernel_access_boxes(_tile_writer("warm", 2, 6)) is cold
+    assert len(hashed) == 1

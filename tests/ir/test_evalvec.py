@@ -22,6 +22,7 @@ from repro.ir import (
     UnOp,
     evaluate_kernel,
 )
+from repro.ir.plan import plan_of
 
 
 def make_kernel(body, arrays, space=None, scalars=()):
@@ -133,6 +134,53 @@ def test_paper_filter_body():
     evaluate_kernel(k, {"src": src, "dst": dst})
     tmp = src[:, :6].astype(np.int64).sum(axis=1)
     np.testing.assert_array_equal(dst, (tmp // 6 - tmp % 6).astype(np.int32))
+
+
+_X = Read("src", (ThreadIdx(0),))
+
+
+@pytest.mark.parametrize("observed", [False, True], ids=["plan", "interpreter"])
+@pytest.mark.parametrize(
+    "square, small",
+    [
+        (BinOp("*", _X, _X), 9),  # int32 data: NumPy wraps it
+        (BinOp("*", _X, BinOp("+", _X, ThreadIdx(0))), 12),  # int64 with the index
+    ],
+    ids=["int32", "index-mixed"],
+)
+def test_int_arithmetic_wraps_as_c_int(observed, square, small):
+    """An overflowing int product reaches ``min``, ``/``, a comparison, a
+    ``Select`` condition and float conversions as its 32-bit C value, on
+    both evaluation paths."""
+    w = -2147479015  # 46341**2 = 2**31 + 4633, cut to 32 bits
+    out = ("lo", "q", "neg", "nz")
+    k = make_kernel(
+        body=[
+            Store("lo", (ThreadIdx(0),), BinOp("min", square, Const(0))),
+            Store("q", (ThreadIdx(0),), BinOp("/", square, Const(7))),
+            Store("neg", (ThreadIdx(0),), Select(BinOp("<", square, Const(0)), Const(1), Const(0))),
+            # square - w is 2**32 in 64 bits and 0 as a C int
+            Store("nz", (ThreadIdx(0),), Select(BinOp("-", square, Const(w)), Const(1), Const(0))),
+            Store("f", (ThreadIdx(0),), BinOp("+", square, Const(0.5))),
+            Store("g", (ThreadIdx(0),), square),
+        ],
+        arrays=[ArrayParam("src", (2,), intent="in")]
+        + [ArrayParam(name, (2,), intent="out") for name in out]
+        + [ArrayParam(name, (2,), dtype="float64", intent="out") for name in "fg"],
+        space=IndexSpace((0,), (2,)),
+    )
+    arrays = {"src": np.array([46341, 3], dtype=np.int32)}
+    arrays.update({name: np.zeros(2, np.int32) for name in out})
+    arrays.update({name: np.zeros(2, np.float64) for name in "fg"})
+    observer = (lambda *access: None) if observed else None
+    evaluate_kernel(k, arrays, observer=observer)
+    assert observed or plan_of(k) is not None  # a plain launch ran the plan
+    assert arrays["lo"].tolist() == [w, 0]
+    assert arrays["q"].tolist() == [-(-w // 7), small // 7]
+    assert arrays["neg"].tolist() == [1, 0]
+    assert arrays["nz"].tolist() == [0, 1]
+    assert arrays["f"].tolist() == [w + 0.5, small + 0.5]
+    assert arrays["g"].tolist() == [w, small]
 
 
 def test_select_and_comparison():

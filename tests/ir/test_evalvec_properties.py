@@ -1,7 +1,8 @@
 """Property tests: the vectorised evaluators equal per-point evaluation.
 
 A naive scalar reference evaluator executes the kernel body with plain
-Python arithmetic, one index point at a time per statement (the lock-step
+Python arithmetic cut to C ``int`` after every integer operation, one
+index point at a time per statement (the lock-step
 order the vectorised evaluators implement: a statement finishes for every
 work-item before the next starts, and a store reads all its values before
 it writes).  Random kernels over random buffers must agree exactly on
@@ -52,7 +53,9 @@ def _ref_expr(e, iv, env, bufs):
         return int(bufs[e.array][idx])
     if isinstance(e, UnOp):
         v = _ref_expr(e.operand, iv, env, bufs)
-        return {"-": lambda x: -x, "abs": abs, "!": lambda x: not x}[e.op](v)
+        if e.op == "!":
+            return not v
+        return _wrap32(-v if e.op == "-" else abs(v))
     if isinstance(e, Select):
         return (
             _ref_expr(e.if_true, iv, env, bufs)
@@ -63,18 +66,18 @@ def _ref_expr(e, iv, env, bufs):
         a = _ref_expr(e.lhs, iv, env, bufs)
         b = _ref_expr(e.rhs, iv, env, bufs)
         if e.op == "+":
-            return a + b
+            return _wrap32(a + b)
         if e.op == "-":
-            return a - b
+            return _wrap32(a - b)
         if e.op == "*":
-            return a * b
+            return _wrap32(a * b)
         if e.op == "/":
             q = abs(a) // abs(b)
-            return q if (a >= 0) == (b >= 0) else -q
+            return _wrap32(q if (a >= 0) == (b >= 0) else -q)
         if e.op == "%":
             q = abs(a) // abs(b)
             q = q if (a >= 0) == (b >= 0) else -q
-            return a - q * b
+            return _wrap32(a - q * b)
         if e.op == "min":
             return min(a, b)
         if e.op == "max":
@@ -94,7 +97,7 @@ def _ref_expr(e, iv, env, bufs):
     raise AssertionError(e)
 
 
-def _wrap32(x: int) -> int:  # C int32 store semantics
+def _wrap32(x: int) -> int:  # C int: two's complement, 32 bits
     return ((int(x) + 2**31) % 2**32) - 2**31
 
 

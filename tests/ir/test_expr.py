@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import IRError
-from repro.ir import BinOp, Const, Read, Select, ThreadIdx, UnOp, c_div, c_mod
+from repro.ir import BinOp, Const, Read, Select, ThreadIdx, UnOp, c_div, c_int, c_mod
 from repro.ir.expr import LocalRef, walk
 
 
@@ -40,6 +40,16 @@ class TestCArithmetic:
 
     def test_float_division_is_true_division(self):
         assert c_div(np.float64(7.0), np.float64(2.0)) == 3.5
+
+    def test_c_int_keeps_the_low_32_bits(self):
+        wide = np.array([2**31, -(2**31) - 1, 46341 * 46341, -5], dtype=np.int64)
+        cut = c_int(wide)
+        assert cut.dtype == np.int32
+        assert cut.tolist() == [-(2**31), 2**31 - 1, -2147479015, -5]
+        assert c_int(np.int64(2**32 + 7)) == 7
+        narrow = np.arange(3, dtype=np.int32)
+        assert c_int(narrow) is narrow
+        assert c_int(2.5) == 2.5 and c_int(7) == 7
 
     def test_paper_filter_formula(self):
         # out = tmp/6 - tmp%6 with C semantics (paper Figure 5)

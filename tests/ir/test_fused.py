@@ -1,5 +1,7 @@
 """Unit tests for FusedKernel (repro.ir.fused)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -168,3 +170,31 @@ def test_validate_rejects_shape_mismatch():
 def test_empty_fused_kernel_rejected():
     with pytest.raises(IRError, match="no stages"):
         FusedKernel(name="empty", stages=(), arrays=())
+
+
+@pytest.mark.parametrize("fused", [False, True], ids=["kernel", "fused"])
+def test_kept_hash_is_the_dataclass_hash_and_invisible(fused):
+    """``Kernel`` and ``FusedKernel`` keep their hash in the instance dict:
+    it equals the generated frozen-dataclass hash (of the compared
+    fields), and ``==``, ``repr``, ``canonical`` and ``replace`` never
+    see it."""
+    from repro.runtime.cache import canonical
+
+    def build():
+        if fused:
+            return make_fused_launch("f", chain_stages(), {"d_mid"}, GEOMETRY).kernel
+        return pointwise("k1")
+
+    held, fresh = build(), build()
+    compared = tuple(
+        getattr(held, f.name) for f in dataclasses.fields(held) if f.compare
+    )
+    assert hash(held) == hash(compared) == hash(fresh)
+    assert "_hash" in held.__dict__
+    assert held == fresh and repr(held) == repr(fresh)
+    assert canonical(held) == canonical(fresh)
+    renamed = dataclasses.replace(held, name="renamed")
+    assert "_hash" not in renamed.__dict__
+    assert hash(renamed) == hash(
+        tuple(getattr(renamed, f.name) for f in dataclasses.fields(renamed) if f.compare)
+    ) != hash(held)

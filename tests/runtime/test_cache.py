@@ -194,8 +194,33 @@ def test_memoised_model_serialises_like_the_reference(size):
 
 
 def test_allocation_serialises_like_the_reference():
-    # its private mapping index is a dict, so it is never memoised
-    _assert_matches_reference(downscaler_allocation())
+    allocation = downscaler_allocation()
+    _assert_matches_reference(allocation)
+    # its mapping index is not a field, so the text is held like a model's
+    assert canonical(allocation) is canonical(allocation)
+
+
+def test_warm_gaspard_lookup_does_not_serialise_the_allocation(monkeypatch):
+    """A held job's warm compile reads the model's and the allocation's
+    text from the memo: no dataclass is serialised again."""
+    from repro.apps.downscaler.serving import downscaler_job
+
+    job = downscaler_job("gaspard", size=CIF)
+    cache = CompileCache()
+    program = job.compile(cache)
+    _, allocation = job._compile_inputs
+    assert allocation.on_device("hf_rhf")  # builds the index on first use
+    seen = []
+    real = cache_module._serialise
+
+    def spy(value, mutable):
+        seen.append(type(value))
+        return real(value, mutable)
+
+    monkeypatch.setattr(cache_module, "_serialise", spy)
+    assert job.compile(cache) is program
+    assert (cache.stats.hits, cache.stats.misses) == (1, 1)
+    assert seen and not any(dataclasses.is_dataclass(t) for t in seen), seen
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,181 @@
+"""Pins of every scheduled node on the programs both backends emit.
+
+Each digest covers every :class:`ScheduledNode` field (times as
+``float.hex``, access boxes as ``Box.as_dict()``) and the schedule's
+``serial_us``, ``makespan_us`` and fleet accounting, over a grid of
+builds of one program: depth 1/2/3/None x serialize x 1/2/3/4/7 runs on
+one device, and 2-/3-device fleets under each placement policy and
+with host-staged migrations.  A change to any modelled start, end or
+dependence edge changes a digest here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from repro.apps.convolution import (
+    convolution_allocation,
+    convolution_model,
+    convolution_program_source,
+    gaussian3,
+)
+from repro.apps.downscaler.config import CIF
+from repro.apps.downscaler.sac_sources import GENERIC, NONGENERIC
+from repro.apps.downscaler.serving import downscaler_job
+from repro.gpu import GTX480_CALIBRATED, CostModel, GPUExecutor
+from repro.opt import OptOptions
+from repro.runtime import build_schedule
+from repro.runtime.cache import CompileCache
+from repro.runtime.fleet import (
+    CacheAffinityPlacement,
+    DeviceTopology,
+    PlacementDecision,
+)
+from repro.sac.backend import CompileOptions
+
+#: the first 16 hex digits of each program's single-device digest
+PINS = {
+    "convolution-gaspard-default": "b4fd4d8903e9f0a1",
+    "convolution-gaspard-opt": "a8e07f0c9dab04d0",
+    "convolution-sac-default": "3424e65f654e3f2d",
+    "convolution-sac-opt": "e06eeeea44023cae",
+    "downscaler-gaspard-default": "337439c69f20ac9a",
+    "downscaler-gaspard-opt": "30878f3293349349",
+    "downscaler-sac-default": "8eb6a84d41e487bc",
+    "downscaler-sac-generic-default": "3df7c0ac23aa3292",
+    "downscaler-sac-generic-opt": "7ce70ea10b24a9fc",
+    "downscaler-sac-opt": "ab369328d08bb0b4",
+}
+
+#: the same, over the fleet builds
+FLEET_PINS = {
+    "convolution-gaspard-default": "cb1586862d2b1c12",
+    "convolution-gaspard-opt": "01d360091d24a8fa",
+    "convolution-sac-default": "26ca261a1b43c732",
+    "convolution-sac-opt": "2479a3f7f0ed8c35",
+    "downscaler-gaspard-default": "704614cefbcc94ba",
+    "downscaler-gaspard-opt": "6795ecee1b45d084",
+    "downscaler-sac-default": "daa375797692fd1f",
+    "downscaler-sac-generic-default": "992bbb732b7cb019",
+    "downscaler-sac-generic-opt": "f0ced441fa926848",
+    "downscaler-sac-opt": "9bb38101706f681d",
+}
+
+DEPTHS = (1, 2, 3, None)
+RUNS = (1, 2, 3, 4, 7)
+POLICIES = ("round-robin", "least-loaded", "cache-affinity")
+#: (runs, frame_batch, depth) of each fleet build
+FLEET_SHAPES = ((7, 1, 2), (9, 3, 1), (6, 3, None))
+#: explicit placements: (devices, frame_batch, [(device, migrate_from)])
+MIGRATIONS = (
+    # the two-frame move of test_fleet.py
+    (2, 1, [(0, None), (1, 0)]),
+    (3, 2, [(0, None), (1, 0), (2, 1), (0, 2), (0, None)]),
+)
+
+
+@pytest.fixture(scope="module")
+def cache():
+    return CompileCache()
+
+
+@pytest.fixture(scope="module")
+def executor():
+    return GPUExecutor(CostModel(GTX480_CALIBRATED))
+
+
+def _program(name: str, cache: CompileCache):
+    app, *route, setting = name.split("-")
+    opt = OptOptions() if setting == "opt" else None
+    if app == "downscaler":
+        variant = GENERIC if route[1:] == ["generic"] else NONGENERIC
+        return downscaler_job(route[0], size=CIF, variant=variant, opt=opt).compile(cache)
+    config = gaussian3(96, 128)
+    if route == ["sac"]:
+        return cache.compile_sac(
+            convolution_program_source(config), "blur", CompileOptions(opt=opt)
+        ).program
+    return cache.compile_gaspard(
+        convolution_model(config), convolution_allocation(), opt=opt
+    )[0].program
+
+
+def _boxes(entries) -> list:
+    return [None if b is None else [box.as_dict() for box in b] for b in entries]
+
+
+def schedule_record(s) -> list:
+    """Every field of ``s`` and of each of its nodes, as JSON values."""
+    return [
+        s.program, s.runs, s.depth, s.serialize, s.serial_us.hex(),
+        s.makespan_us.hex(), s.devices, list(s.placements), s.migrations,
+        s.migration_us.hex(),
+        [
+            [
+                n.id, n.run, n.op_index, n.name, n.engine, n.start_us.hex(),
+                n.end_us.hex(), n.device, list(n.deps), n.reads, n.writes,
+                _boxes(n.read_boxes), _boxes(n.write_boxes),
+            ]
+            for n in s.nodes
+        ],
+    ]
+
+
+def digest(records: list) -> str:
+    text = json.dumps(records, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def single_device_digest(program, executor) -> str:
+    return digest([
+        schedule_record(build_schedule(
+            program, executor, runs=runs, depth=depth, serialize=serialize,
+        ))
+        for depth in DEPTHS
+        for serialize in (False, True)
+        for runs in RUNS
+    ])
+
+
+def fleet_digest(program, executor) -> str:
+    records = []
+    for serialize in (False, True):
+        for devices in (2, 3):
+            topology = DeviceTopology.build(devices)
+            for policy in POLICIES:
+                for runs, frame_batch, depth in FLEET_SHAPES:
+                    records.append(schedule_record(build_schedule(
+                        program, executor, runs=runs, depth=depth,
+                        serialize=serialize, topology=topology,
+                        placement=policy, frame_batch=frame_batch,
+                    )))
+            # an eager expander: every cold placement stages a migration
+            records.append(schedule_record(build_schedule(
+                program, executor, runs=6, depth=2, serialize=serialize,
+                topology=topology,
+                placement=CacheAffinityPlacement(
+                    devices, spread_factor=0.0, migrate=True
+                ),
+            )))
+        for devices, frame_batch, moves in MIGRATIONS:
+            decisions = [
+                PlacementDecision(frame=f, device=d, migrate_from=src)
+                for f, (d, src) in enumerate(moves)
+            ]
+            records.append(schedule_record(build_schedule(
+                program, executor, runs=len(moves) * frame_batch, depth=2,
+                serialize=serialize, topology=DeviceTopology.build(devices),
+                placements=decisions, frame_batch=frame_batch,
+            )))
+    return digest(records)
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_single_device_schedules_are_pinned(name, cache, executor):
+    assert single_device_digest(_program(name, cache), executor) == PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(FLEET_PINS))
+def test_fleet_schedules_are_pinned(name, cache, executor):
+    assert fleet_digest(_program(name, cache), executor) == FLEET_PINS[name]

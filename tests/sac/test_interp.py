@@ -42,6 +42,14 @@ class TestScalars:
         assert run("int main() { return -(3); }") == -3
         assert run("bool main() { return !false; }") is True
 
+    def test_int_intermediates_wrap_as_c_int(self):
+        # 100000 * 100000 wraps to 1410065408 before the division and min
+        assert run("int main() { a = 100000; return a * a / 7; }") == 201437915
+        assert run("int main() { a = 100000; return min(a * a * 2, 0); }") == (
+            -1474836480
+        )
+        assert run("int main() { a = 65536; return -(a * a * 2 - 1); }") == 1
+
     def test_float_literals(self):
         assert run("double main() { return 1.5 + 2.5; }") == pytest.approx(4.0)
 

@@ -135,6 +135,12 @@ class TestFold:
         f = self._folded("int main() { return -7 / 2; }")
         assert f.body[0].value.value == -3
 
+    def test_folded_int_wraps_as_c_int(self):
+        f = self._folded("int main() { return 100000 * 100000 / 7; }")
+        assert f.body[0].value.value == 201437915
+        f = self._folded("int main() { return -(65536 * 32768); }")
+        assert f.body[0].value.value == -(2**31)
+
     def test_shape_of_static_param_folded(self):
         f = self._folded("int[.] main(int[6,8] m) { return shape(m); }")
         v = f.body[0].value

@@ -8,7 +8,7 @@ downscaler's shape.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sac.interp import Interpreter
@@ -16,6 +16,22 @@ from repro.sac.opt import OptimisationFlags, optimize_program
 from repro.sac.parser import parse
 
 SIZE = 12  # every generated array has this many elements
+
+#: found by the property below: once WLF folds ``x2`` into the ``min``,
+#: its product overflows int32 inside one expression, and the compiled
+#: route agreed with the interpreter only when both wrap every
+#: intermediate as C ``int`` arithmetic does
+OVERFLOW_INTO_MIN = (
+    "int[.] main(int[12] x0) {\n"
+    "  x1 = with { (. <= iv <= .) : ((((x0[iv]) + (x0[iv]))) + (((x0[iv]) * (x0[iv])))); }"
+    " : genarray([12]);\n"
+    "  x2 = with { (. <= iv <= .) : ((((x1[iv]) + (x1[iv]))) * (((x1[iv]) * (x1[iv])))); }"
+    " : genarray([12]);\n"
+    "  x3 = with { (. <= iv <= .) : min(((x2[iv]) + (x2[iv])), x2[iv]); }"
+    " : genarray([12]);\n"
+    "  return x3;\n"
+    "}"
+)
 
 
 @st.composite
@@ -74,6 +90,7 @@ def stage_programs(draw):
 
 
 @given(stage_programs(), st.integers(0, 2**31 - 1))
+@example(OVERFLOW_INTO_MIN, 0)
 @settings(max_examples=40, deadline=None)
 def test_optimised_program_matches_interpreter(source, seed):
     prog = parse(source)
@@ -86,6 +103,7 @@ def test_optimised_program_matches_interpreter(source, seed):
 
 
 @given(stage_programs(), st.integers(0, 2**31 - 1))
+@example(OVERFLOW_INTO_MIN, 0)
 @settings(max_examples=25, deadline=None)
 def test_compiled_program_matches_interpreter(source, seed):
     """The whole stack: optimiser + CUDA backend + simulated execution."""
