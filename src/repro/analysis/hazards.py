@@ -19,11 +19,13 @@ or RACE002 (read/write).  These are exactly the interleavings the paper's
 ``memcpyHtoDasync`` calls make legal.
 
 Every edge is an engine-FIFO, writer-to-reader or barrier edge; the graph
-has no reader-to-writer (WAR) edges.  The runtime scheduler
-(:func:`repro.runtime.schedule.build_schedule`) also waits for readers
-before a write, so a pair reported here may still be ordered in an actual
-schedule: :mod:`repro.runtime.unroll` certifies the recycled-slot pairs
-against it.
+has no reader-to-writer (WAR) edges, so a write after an unordered read of
+the same elements is reported even though the runtime scheduler
+(:func:`repro.runtime.schedule.build_schedule`) would order it.  The model
+covers one run of the program.  Orderings across runs, such as the WAR
+waits of a recycled buffer slot, are checked on the built schedule by
+:func:`repro.runtime.schedule.schedule_violations`; ``repro pipeline
+--lint`` applies both checks.
 
 Whether two accesses overlap is the access-region oracle's answer
 (:mod:`repro.analysis.regions`): accesses touching provably disjoint

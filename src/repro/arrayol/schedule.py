@@ -9,7 +9,7 @@ allocation.
 
 from __future__ import annotations
 
-import networkx as nx
+import heapq
 
 from repro.errors import SchedulingError
 from repro.arrayol.model import CompoundTask
@@ -19,12 +19,27 @@ __all__ = ["schedule_instances", "buffer_bindings"]
 
 
 def schedule_instances(task: CompoundTask) -> list[str]:
-    """Deterministic topological order of the compound's instances."""
-    g = dataflow_graph(task)
-    try:
-        return list(nx.lexicographical_topological_sort(g))
-    except nx.NetworkXUnfeasible:
-        raise SchedulingError("dataflow graph has a cycle", task.name) from None
+    """Deterministic topological order of the compound's instances: the
+    lexicographically smallest one (Kahn's algorithm, smallest ready
+    instance first)."""
+    graph = dataflow_graph(task)
+    indegree = dict.fromkeys(graph, 0)
+    for succ in graph.values():
+        for node in succ:
+            indegree[node] += 1
+    ready = [node for node, d in indegree.items() if d == 0]
+    heapq.heapify(ready)
+    order: list[str] = []
+    while ready:
+        node = heapq.heappop(ready)
+        order.append(node)
+        for succ in graph[node]:
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
+                heapq.heappush(ready, succ)
+    if len(order) < len(graph):
+        raise SchedulingError("dataflow graph has a cycle", task.name)
+    return order
 
 
 def buffer_bindings(task: CompoundTask) -> dict[tuple[str, str], str]:

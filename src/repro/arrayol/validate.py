@@ -13,8 +13,6 @@ Checks (paper Section II-A):
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.errors import ModelValidationError, SchedulingError
 from repro.arrayol.model import (
     ApplicationModel,
@@ -109,17 +107,41 @@ def _validate_repetitive(task: RepetitiveTask) -> None:
             )
 
 
-def dataflow_graph(task: CompoundTask) -> nx.DiGraph:
-    """Instance-level dependence graph (edges follow links)."""
-    g = nx.DiGraph()
-    for inst in task.instances:
-        g.add_node(inst.name)
+def dataflow_graph(task: CompoundTask) -> dict[str, list[str]]:
+    """Instance-level dependence graph: each instance's successors, in
+    link order (links between the same two instances count once)."""
+    graph: dict[str, list[str]] = {inst.name: [] for inst in task.instances}
     for link in task.links:
         src_inst, _ = link.src
         dst_inst, _ = link.dst
         if src_inst and dst_inst:
-            g.add_edge(src_inst, dst_inst)
-    return g
+            succ = graph.setdefault(src_inst, [])
+            graph.setdefault(dst_inst, [])
+            if dst_inst not in succ:
+                succ.append(dst_inst)
+    return graph
+
+
+def _find_cycle(graph: dict[str, list[str]]) -> list[str]:
+    """The first cycle a depth-first search over ``graph`` meets (nodes
+    and successors in order), from the node it closes on; empty when the
+    graph is acyclic."""
+    finished: set[str] = set()
+    for start in graph:
+        if start in finished:
+            continue
+        path, pending = [start], [iter(graph[start])]
+        while pending:
+            node = next(pending[-1], None)
+            if node is None:
+                finished.add(path.pop())
+                pending.pop()
+            elif node in path:
+                return path[path.index(node):]
+            elif node not in finished:
+                path.append(node)
+                pending.append(iter(graph[node]))
+    return []
 
 
 def _endpoint_port(task: CompoundTask, end: tuple[str, str], expect: str):
@@ -171,9 +193,6 @@ def _validate_compound(task: CompoundTask) -> None:
                 f"compound output {p.name!r} is not driven", task.name
             )
 
-    g = dataflow_graph(task)
-    if not nx.is_directed_acyclic_graph(g):
-        cycle = nx.find_cycle(g)
-        raise SchedulingError(
-            f"dataflow cycle: {' -> '.join(str(e[0]) for e in cycle)}", task.name
-        )
+    cycle = _find_cycle(dataflow_graph(task))
+    if cycle:
+        raise SchedulingError(f"dataflow cycle: {' -> '.join(cycle)}", task.name)

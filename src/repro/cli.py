@@ -337,17 +337,45 @@ def _collect_run(reg, pipe, report):
     return reg
 
 
+def _race_check(entry: dict, job, report, pipe, quiet: bool) -> int:
+    """``pipeline --lint`` on one served report: races within one run of
+    its program (the rule ``repro lint`` applies) and ordering violations
+    of its schedule, across runs, recycled slots and fleet devices.  Adds
+    them to ``entry``; returns how many there are."""
+    from repro.analysis.hazards import find_hazards
+    from repro.runtime import schedule_violations
+
+    served = report.schedule is not None  # zero frames serve nothing
+    races = find_hazards(job.compile(pipe.cache)) if served else []
+    violations = schedule_violations(report.schedule) if served else []
+    entry["hazards"] = {
+        "runs": report.instances,
+        "unexpected": [d.message for d in races],
+        "schedule_violations": violations,
+    }
+    if not quiet:
+        print(
+            f"  hazards:    {'FINDINGS' if races or violations else 'clean'} "
+            f"over {report.instances} run(s) ({len(races)} race(s) within a "
+            f"run, {len(violations)} schedule violation(s))"
+        )
+        for d in races:
+            print(f"    {d.message}")
+        for v in violations:
+            print(f"    schedule: {v}")
+    return len(races) + len(violations)
+
+
 def _cmd_pipeline(args) -> int:
     from repro.apps.downscaler.serving import downscaler_job
     from repro.obs import MetricsRegistry, Tracer
-    from repro.runtime import FramePipeline, PipelineHazardReport, check_pipeline_hazards
+    from repro.runtime import FramePipeline
 
     size = _size(args.size)
     variant = _variant(args.variant)
     routes = _routes(args.route)
-    depth = _depth(args.depth)
     pipe = FramePipeline(
-        depth=depth,
+        depth=_depth(args.depth),
         serialize=args.serialize,
         validate="none" if args.no_validate else "first",
         devices=args.devices,
@@ -368,6 +396,8 @@ def _cmd_pipeline(args) -> int:
         doc["routes"].append({"report": entry, "metrics": metrics})
         if not args.json:
             print(_render_pipeline_report(report))
+        if args.lint:
+            hazard_failures += _race_check(entry, job, report, pipe, args.json)
         if args.opt:
             opt_job = downscaler_job(route, size=size, variant=variant, opt=_opt(args.opt))
             opt_report = pipe.run(opt_job, frames=args.frames)
@@ -390,33 +420,10 @@ def _cmd_pipeline(args) -> int:
                     f"p95 latency {report.latency_p95_us:.1f} -> "
                     f"{opt_report.latency_p95_us:.1f} us"
                 )
-        if args.lint:
-            runs = min(args.frames * job.instances_per_frame, 6)
-            if runs:
-                haz = check_pipeline_hazards(
-                    job.compile(pipe.cache), pipe.executor, runs=runs,
-                    depth=depth, serialize=args.serialize,
+            if args.lint:
+                hazard_failures += _race_check(
+                    opt_entry, opt_job, opt_report, pipe, args.json
                 )
-            else:  # zero frames unroll no run: there is nothing to race-check
-                haz = PipelineHazardReport(program="", runs=0, depth=0, unexpected=())
-            hazard_failures += len(haz.unexpected) + len(haz.schedule_violations)
-            entry["hazards"] = {
-                "runs": haz.runs,
-                "unexpected": [d.message for d in haz.unexpected],
-                "resolved": len(haz.resolved),
-                "schedule_violations": list(haz.schedule_violations),
-            }
-            if not args.json:
-                status = "clean" if haz.clean else "FINDINGS"
-                print(
-                    f"  hazards:    {status} over {haz.runs} unrolled run(s) "
-                    f"({len(haz.resolved)} recycle hazard(s) certified by the "
-                    f"schedule, {len(haz.unexpected)} unexpected)"
-                )
-                for d in haz.unexpected:
-                    print(f"    {d.message}")
-                for v in haz.schedule_violations:
-                    print(f"    schedule: {v}")
         if args.trace:
             path = _trace_path(args.trace, route, multi=len(routes) > 1)
             trace_doc, _busy = _write_trace(path, job, report, tracer, args)
@@ -762,10 +769,6 @@ def _lint_sac_file(path: str, entry: str | None, titles: list) -> list:
     prog = _parse_file(path)
     diags = list(analyze_sac_program(prog))
     if entry:
-        if not any(f.name == entry for f in prog.functions):
-            from repro.errors import ReproError
-
-            raise ReproError(f"{path}: no function named {entry!r}")
         cf = compile_function(prog, entry, CompileOptions(target="cuda"))
         diags += analyze_program(cf.program)
         titles.append(f"{path} (entry {entry!r})")
@@ -916,7 +919,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--lint", action="store_true",
-        help="race-check the unrolled pipeline (exit 1 on unexpected findings)",
+        help=(
+            "race-check each served program and its schedule (exit 1 on "
+            "any race or ordering violation)"
+        ),
     )
     _shared(
         p, "opt",

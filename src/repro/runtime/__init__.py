@@ -8,14 +8,13 @@ three engines (H2D copy, compute, D2H copy) actually could:
 
 * :mod:`repro.runtime.schedule` — the dependence scheduler (engine FIFO,
   RAW/WAR/WAW over ``depth``-deep recycled buffer slots, serialise knob),
-  the one place overlapped time is computed;
+  the one place overlapped time is computed, and the checker that replays
+  every ordering on a built schedule;
 * :mod:`repro.runtime.cache` — :class:`CompileCache`, memoised
   compilation for both routes with hit/miss/invalidation statistics;
 * :mod:`repro.runtime.pipeline` — :class:`FramePipeline`, the batched
   frame server (compile -> upload -> launch -> download with
   double-buffering and throughput/latency metrics);
-* :mod:`repro.runtime.unroll` — pipeline unrolling for the static
-  analyses plus the hazard certification of the overlapped schedule;
 * :mod:`repro.runtime.fleet` — the device-fleet topology (K devices,
   shared host lanes and PCIe staging channels) and the frame-placement
   policies (round-robin / least-loaded / cache-affinity) behind
@@ -49,13 +48,6 @@ from repro.runtime.schedule import (
     build_schedule,
     schedule_violations,
 )
-from repro.runtime.unroll import (
-    PipelineHazardReport,
-    ResolvedHazard,
-    UnrolledPipeline,
-    check_pipeline_hazards,
-    unroll_pipeline,
-)
 
 __all__ = [
     "build_schedule", "schedule_violations", "PipelineSchedule", "ScheduledNode",
@@ -64,6 +56,4 @@ __all__ = [
     "DeviceTopology", "FleetDevice", "FrameTicket", "PlacementDecision",
     "PlacementPolicy", "RoundRobinPlacement", "LeastLoadedPlacement",
     "CacheAffinityPlacement", "make_placement",
-    "unroll_pipeline", "UnrolledPipeline",
-    "check_pipeline_hazards", "PipelineHazardReport", "ResolvedHazard",
 ]

@@ -9,14 +9,14 @@ overlapped numbers from it.  It models:
 * **three device engines** (H2D copy, compute, D2H copy — Fermi's dual
   copy engines plus the SMs) each process their operations in FIFO order;
 * **true data dependences**: a kernel waits for the writers of every
-  buffer it reads, a download waits for the writer of its buffer, a host
-  step waits for the downloads it consumes and blocks subsequent issue;
+  buffer it reads, a download waits for the writer of its buffer, an
+  upload waits for the download that fills its host array, a host step
+  waits for the downloads it consumes and blocks subsequent issue;
 * **bounded double-buffering**: device buffers are backed by ``depth``
   physical slots recycled round-robin across program runs, so a write
   into a recycled slot additionally waits for every reader of the slot's
-  previous occupant (the WAR dependence the static happens-before model
-  of :mod:`repro.analysis.hazards` cannot see — see
-  :mod:`repro.runtime.unroll`);
+  previous occupant (a WAR dependence across runs, which the one-run
+  happens-before model of :mod:`repro.analysis.hazards` does not cover);
 * a **serialise knob**: with ``serialize=True`` every operation waits for
   the previous one, reproducing the paper's measured behaviour (the
   ablation baseline the overlapped numbers are reported against).
@@ -24,6 +24,11 @@ overlapped numbers from it.  It models:
 ``depth=None`` gives every run private slots, so no slot is ever
 recycled: the unbounded-buffering what-if that ``repro experiment
 overlap`` charts.
+
+:func:`schedule_violations` replays every ordering on a built schedule,
+across runs, recycled slots and fleet devices; ``repro pipeline --lint``
+applies it to the served schedule, and every schedule the builder
+returns must pass it.
 
 A build has two pieces.  Every run issues the same ops with the same
 access boxes on the same engines, and host arrays are per run, so which
@@ -127,6 +132,33 @@ class _Totals:
     makespan_us: float
 
 
+class _Disjoint:
+    """``disjoint(a, b)``: whether two access-box tuples are provably
+    disjoint (``None``, a whole-resource access, never is).
+
+    Answers are memoised by the tuples' identities.  A schedule's boxes
+    are the region oracle's per-op tuples, shared by every run, so the
+    builder answers each pair once and :func:`schedule_violations`
+    re-asks the builder's pairs.  An entry holds both tuples, so neither
+    id can be reused while its answer is kept.
+    """
+
+    def __init__(self):
+        self._answers: dict[tuple[int, int], tuple] = {}
+
+    def __call__(self, a, b) -> bool:
+        if a is None or b is None:
+            return False
+        key = (id(a), id(b))
+        entry = self._answers.get(key)
+        if entry is None:
+            from repro.analysis.regions import boxes_overlap
+
+            apart = not any(boxes_overlap(x, y) for x in a for y in b)
+            entry = self._answers[key] = (apart, a, b)
+        return entry[0]
+
+
 @dataclass(frozen=True)
 class PipelineSchedule:
     """A complete schedule of ``runs`` back-to-back program executions."""
@@ -145,6 +177,10 @@ class PipelineSchedule:
     placements: tuple[int, ...] = field(default=(), compare=False)
     migrations: int = 0
     migration_us: float = 0.0
+    #: the build's box-disjointness memo, which the checker reuses
+    _disjoint: _Disjoint = field(
+        default_factory=_Disjoint, compare=False, repr=False
+    )
 
     @cached_property
     def _totals(self) -> _Totals:
@@ -301,73 +337,51 @@ class _Step:
     #: a PCIe transfer: on a fleet it also queues on the staging channels
     channel: bool
     #: resources as ``(DEV, buffer)`` / ``(HOST, array)``, before the
-    #: timing pass names them by slot and run
+    #: timing pass names them by slot and run; every access waits on the
+    #: earlier ones it conflicts with
     reads: tuple[tuple[str, str], ...]
     writes: tuple[tuple[str, str], ...]
     read_boxes: tuple
     write_boxes: tuple
-    #: the accesses that wait on earlier ones, as (resource, boxes,
-    #: writes): all of them, except that an upload's host read waits on
-    #: nothing (only the host-step barrier orders it)
-    waits: tuple
+
+
+#: the region oracle's name of each resource kind
+_ORACLE_KIND = {DEV: "device buffer", HOST: "host array"}
 
 
 def _steps(program: DeviceProgram, prices, op_access) -> list[_Step]:
     """The program's scheduled ops (allocations and frees take no time
     and order nothing) with their resources and access boxes."""
-
-    def boxes(i: int, kind: str, name: str, write: bool):
-        """Access boxes of ``program.ops[i]`` on a resource (None = whole)."""
-        return op_access[i][1 if write else 0].get((kind, name))
-
-    def waiting(i: int, name: str, kind: str, dur: float, accesses) -> _Step:
-        """A step each of whose ``(resource, boxes, writes)`` waits."""
-        accesses = tuple(accesses)
-        return _Step(
-            i, name, kind, dur, False,
-            reads=tuple(res for res, _, write in accesses if not write),
-            writes=tuple(res for res, _, write in accesses if write),
-            read_boxes=tuple(b for _, b, write in accesses if not write),
-            write_boxes=tuple(b for _, b, write in accesses if write),
-            waits=accesses,
-        )
-
     steps: list[_Step] = []
     for i, (op, dur) in enumerate(zip(program.ops, prices)):
         if isinstance(op, HostToDevice):
-            dev, host = (DEV, op.device), (HOST, op.host)
-            wb = boxes(i, "device buffer", op.device, True)
-            rb = boxes(i, "host array", op.host, False)
-            steps.append(_Step(
-                i, f"h2d:{op.device}", "h2d", dur, True,
-                reads=(host,), writes=(dev,), read_boxes=(rb,), write_boxes=(wb,),
-                waits=((dev, wb, True),),
-            ))
+            name, kind = f"h2d:{op.device}", "h2d"
+            reads, writes = [(HOST, op.host)], [(DEV, op.device)]
         elif isinstance(op, DeviceToHost):
-            dev, host = (DEV, op.device), (HOST, op.host)
-            rb = boxes(i, "device buffer", op.device, False)
-            wb = boxes(i, "host array", op.host, True)
-            steps.append(_Step(
-                i, f"d2h:{op.device}", "d2h", dur, True,
-                reads=(dev,), writes=(host,), read_boxes=(rb,), write_boxes=(wb,),
-                waits=((dev, rb, False), (host, wb, True)),
-            ))
+            name, kind = f"d2h:{op.device}", "d2h"
+            reads, writes = [(DEV, op.device)], [(HOST, op.host)]
         elif isinstance(op, LaunchKernel):
-            accesses = []
+            name, kind = op.kernel.name, "compute"
+            reads, writes = [], []
             for param, buf in op.array_args:
                 intent = op.kernel.array(param).intent
                 if intent in ("in", "inout"):
-                    accesses.append(((DEV, buf), boxes(i, "device buffer", buf, False), False))
+                    reads.append((DEV, buf))
                 if intent in ("out", "inout"):
-                    accesses.append(((DEV, buf), boxes(i, "device buffer", buf, True), True))
-            steps.append(waiting(i, op.kernel.name, "compute", dur, accesses))
+                    writes.append((DEV, buf))
         elif isinstance(op, HostCompute):
-            accesses = [
-                ((HOST, n), boxes(i, "host array", n, write), write)
-                for names, write in ((op.reads, False), (op.writes, True))
-                for n in names
-            ]
-            steps.append(waiting(i, op.name, "host", dur, accesses))
+            name, kind = op.name, "host"
+            reads = [(HOST, n) for n in op.reads]
+            writes = [(HOST, n) for n in op.writes]
+        else:
+            continue
+        # per resource, the oracle's access boxes (None = whole resource)
+        read_at, write_at = op_access[i]
+        steps.append(_Step(
+            i, name, kind, dur, kind in ("h2d", "d2h"), tuple(reads), tuple(writes),
+            read_boxes=tuple(read_at.get((_ORACLE_KIND[k], n)) for k, n in reads),
+            write_boxes=tuple(write_at.get((_ORACLE_KIND[k], n)) for k, n in writes),
+        ))
     return steps
 
 
@@ -414,13 +428,15 @@ class _DependenceTemplate:
         out = []
         for pos, step in enumerate(self.steps):
             refs: set[int] = set()
-            for res, boxes, write in step.waits:
+            for res, boxes in zip(step.reads, step.read_boxes):  # RAW
                 for ref, wb, _ in writers.get(res, ()):
                     if not disjoint(boxes, wb):
                         refs.add(ref)
-                if write:  # WAW above, WAR (slot recycling) here
-                    for ref, rb, _ in readers.get(res, ()):
-                        if not disjoint(boxes, rb):
+            for res, boxes in zip(step.writes, step.write_boxes):
+                # WAW, and WAR (slot recycling among them)
+                for table in (writers, readers):
+                    for ref, b, _ in table.get(res, ()):
+                        if not disjoint(boxes, b):
                             refs.add(ref)
             out.append((
                 tuple(sorted(r for r in refs if r >= 0)),
@@ -512,25 +528,12 @@ def _build_schedule(
         raise ValueError("placements require a device topology")
     prices = executor.price(program)
 
-    from repro.analysis.regions import RegionOracle, boxes_overlap
+    from repro.analysis.regions import RegionOracle
 
     oracle = RegionOracle(program)
     op_access = [oracle.accesses(i) for i in range(len(program.ops))]
-
-    #: every boxes tuple compared below is an ``op_access`` entry, alive
-    #: for the whole build, so a pair's identity keys its answer: the
-    #: recycled run re-asks the pairs of the fresh one
-    answers: dict[tuple[int, int], bool] = {}
-
-    def disjoint(a, b) -> bool:
-        if a is None or b is None:
-            return False
-        key = (id(a), id(b))
-        answer = answers.get(key)
-        if answer is None:
-            answer = answers[key] = not any(boxes_overlap(x, y) for x in a for y in b)
-        return answer
-
+    # the recycled run re-asks the box pairs of the fresh one
+    disjoint = _Disjoint()
     template = _DependenceTemplate(_steps(program, prices, op_access), disjoint)
     steps = template.steps
 
@@ -723,6 +726,7 @@ def _build_schedule(
         ),
         migrations=migration_count,
         migration_us=migration_total,
+        _disjoint=disjoint,
     )
 
 
@@ -733,20 +737,16 @@ def schedule_violations(schedule: PipelineSchedule) -> list[str]:
     schedule is valid): RAW (a read starting before its writer finishes),
     WAW/WAR (a write starting before the previous writer or any of its
     readers finish — slot recycling safety), and per-engine FIFO order.
-    Used by the property tests and the pipeline hazard check.
+    Used by the property tests and ``repro pipeline --lint``.
 
     The check mirrors the builder's region awareness symmetrically: a
     pair of accesses whose recorded boxes are provably disjoint needs no
     ordering, so skipping its dependence is not a violation.  An access
     without boxes (``None``, or a hand-built node that records none) is
-    checked whole-resource.
+    checked whole-resource.  Box pairs are answered from the build's
+    memo, but the replay below is the checker's own.
     """
-    from repro.analysis.regions import boxes_overlap
-
-    def disjoint(a, b) -> bool:
-        if a is None or b is None:
-            return False
-        return not any(boxes_overlap(x, y) for x in a for y in b)
+    disjoint = schedule._disjoint
 
     def aligned(boxes, resources):
         return boxes if boxes else (None,) * len(resources)

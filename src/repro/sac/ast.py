@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import SourceLocation
+from repro.errors import SacSemanticError, SourceLocation
 
 __all__ = [
     "Node", "TypeSpec", "Param", "FunDef", "Program",
@@ -299,7 +299,10 @@ class Program(Node):
         for f in self.functions:
             if f.name == name:
                 return f
-        raise KeyError(name)
+        defined = ", ".join(repr(f.name) for f in self.functions) or "none"
+        raise SacSemanticError(
+            f"no function named {name!r} (defined: {defined})", self.loc
+        )
 
     def replace_function(self, fun: FunDef) -> "Program":
         funs = tuple(fun if f.name == fun.name else f for f in self.functions)

@@ -4,7 +4,7 @@ Two documented false positives of whole-buffer race detection —
 disjoint tile accesses that are unordered but touch different rows —
 are not races, and (property) ``find_hazards`` reports exactly the
 unordered op pairs whose element masks, found by executing each access,
-intersect on a shared buffer.
+intersect on a shared buffer or host array.
 """
 
 from itertools import combinations
@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import build_happens_before, find_hazards
+from repro.analysis.hazards import _describe
 from repro.ir import (
     AllocDevice,
     ArrayParam,
@@ -115,10 +116,12 @@ class TestDocumentedFalsePositives:
 @st.composite
 def racy_programs(draw) -> DeviceProgram:
     """Programs mixing tile kernels and (partial) transfers, unordered on
-    purpose: the h2d engine does not wait for compute and vice versa."""
+    purpose: the h2d engine does not wait for compute and vice versa.  An
+    upload may read back what an earlier download wrote (a round trip)."""
     n_bufs = draw(st.integers(1, 2))
     ops: list = [AllocDevice(f"d_{b}", SHAPE) for b in range(n_bufs)]
     ops += [HostToDevice("h_in", f"d_{b}") for b in range(n_bufs)]
+    downloaded: list[str] = []
     n_steps = draw(st.integers(1, 5))
     for s in range(n_steps):
         buf = f"d_{draw(st.integers(0, n_bufs - 1))}"
@@ -131,10 +134,12 @@ def racy_programs(draw) -> DeviceProgram:
             )
         elif kind == "h2d":
             region = _rows(lo, hi) if draw(st.booleans()) else None
-            ops.append(HostToDevice("h_in", buf, region=region))
+            host = draw(st.sampled_from(["h_in", *downloaded]))
+            ops.append(HostToDevice(host, buf, region=region))
         else:
             region = _rows(lo, hi) if draw(st.booleans()) else None
             ops.append(DeviceToHost(buf, f"h_out_{s}", region=region))
+            downloaded.append(f"h_out_{s}")
     return DeviceProgram(
         "racy",
         ops=tuple(ops),
@@ -156,16 +161,19 @@ def element_mask(op) -> np.ndarray:
     return mask
 
 
-def device_accesses(program: DeviceProgram) -> list[tuple[int, str, bool]]:
-    """``(op index, device buffer, writes)`` of every racy-program op."""
+def accesses(program: DeviceProgram) -> list[tuple[int, tuple[str, str], bool]]:
+    """``(op index, resource, writes)`` of every racy-program op; a
+    resource is ``(kind, name)``, as the race detector names it."""
     out = []
     for i, op in enumerate(program.ops):
         if isinstance(op, HostToDevice):
-            out.append((i, op.device, True))
+            out.append((i, ("host array", op.host), False))
+            out.append((i, ("device buffer", op.device), True))
         elif isinstance(op, DeviceToHost):
-            out.append((i, op.device, False))
+            out.append((i, ("device buffer", op.device), False))
+            out.append((i, ("host array", op.host), True))
         elif isinstance(op, LaunchKernel):
-            out.extend((i, buf, True) for _param, buf in op.array_args)
+            out.extend((i, ("device buffer", buf), True) for _param, buf in op.array_args)
     return out
 
 
@@ -173,15 +181,17 @@ def device_accesses(program: DeviceProgram) -> list[tuple[int, str, bool]]:
 @given(program=racy_programs())
 def test_findings_are_the_unordered_overlapping_pairs(program):
     hb = build_happens_before(program)
+    ops = program.ops
     want = set()
-    for (i, buf_i, w_i), (j, buf_j, w_j) in combinations(device_accesses(program), 2):
-        if buf_i != buf_j or not (w_i or w_j) or hb.ordered(i, j):
+    for (i, res_i, w_i), (j, res_j, w_j) in combinations(accesses(program), 2):
+        if res_i != res_j or not (w_i or w_j) or hb.ordered(i, j):
             continue
-        if (element_mask(program.ops[i]) & element_mask(program.ops[j])).any():
-            want.add(("RACE001" if w_i and w_j else "RACE002", i, j, buf_i))
-    got = set()
-    for d in find_hazards(program):
-        first, second = (int(part.split("]")[0]) for part in d.message.split("ops[")[1:])
-        buf = d.message.split("'")[1]
-        got.add((d.code, first, second, buf))
-    assert got == want
+        if (element_mask(ops[i]) & element_mask(ops[j])).any():
+            both = w_i and w_j
+            kind, name = res_i
+            want.add((
+                "RACE001" if both else "RACE002",
+                f"unordered {'write/write' if both else 'read/write'} on {kind} "
+                f"{name!r}: {_describe(i, ops[i])} vs {_describe(j, ops[j])}",
+            ))
+    assert {(d.code, d.message) for d in find_hazards(program)} == want

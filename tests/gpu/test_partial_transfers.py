@@ -18,7 +18,6 @@ from repro.ir import (
     Store,
     ThreadIdx,
 )
-from repro.runtime import unroll_pipeline
 
 SHAPE = (8, 8)
 H_IN = np.arange(64, dtype=np.int32).reshape(SHAPE)
@@ -144,39 +143,3 @@ class TestPartialDownload:
         assert region_us < ex.cost.d2h_time_us(H_IN.nbytes)
         assert ex.price(prog) == (0.0, ex.cost.h2d_time_us(H_IN.nbytes), region_us)
         assert res.d2h_us == region_us
-
-
-class TestUnrollPreservesRegions:
-    def test_unrolled_pipeline_keeps_partial_semantics(self):
-        # the half-upload/half-download program must behave identically
-        # per run after slot/frame renaming
-        prog = DeviceProgram(
-            "roundtrip",
-            ops=(
-                AllocDevice("d", SHAPE),
-                HostToDevice("h_zero", "d"),
-                HostToDevice("h_in", "d", region=_rows(0, 4)),
-                DeviceToHost("d", "h_out", region=_rows(0, 4)),
-            ),
-            host_inputs=("h_zero", "h_in"),
-            host_outputs=("h_out",),
-        )
-        unrolled = unroll_pipeline(prog, runs=3, depth=2)
-        regions = [
-            op.region
-            for op in unrolled.program.ops
-            if isinstance(op, (HostToDevice, DeviceToHost))
-            and op.region is not None
-        ]
-        assert regions == [_rows(0, 4)] * 6  # 2 partial ops x 3 runs
-
-        env = {}
-        for r in range(3):
-            env[f"h_zero@r{r}"] = np.zeros(SHAPE, dtype=np.int32)
-            env[f"h_in@r{r}"] = H_IN + r
-        result = _executor().run(unrolled.program, env)
-        for r in range(3):
-            out = result.outputs[f"h_out@r{r}"]
-            want = np.zeros(SHAPE, dtype=np.int32)
-            want[0:4] = (H_IN + r)[0:4]
-            assert np.array_equal(out, want)

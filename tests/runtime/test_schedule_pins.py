@@ -24,6 +24,7 @@ from repro.apps.downscaler.config import CIF
 from repro.apps.downscaler.sac_sources import GENERIC, NONGENERIC
 from repro.apps.downscaler.serving import downscaler_job
 from repro.gpu import GTX480_CALIBRATED, CostModel, GPUExecutor
+from repro.ir import DeviceToHost, HostToDevice
 from repro.opt import OptOptions
 from repro.runtime import build_schedule
 from repro.runtime.cache import CompileCache
@@ -179,3 +180,16 @@ def test_single_device_schedules_are_pinned(name, cache, executor):
 @pytest.mark.parametrize("name", sorted(FLEET_PINS))
 def test_fleet_schedules_are_pinned(name, cache, executor):
     assert fleet_digest(_program(name, cache), executor) == FLEET_PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_no_upload_of_a_downloaded_array_into_another_buffer(name, cache):
+    """Such an upload is the one op an upload's wait on the download that
+    fills its host array orders (into the same buffer, its wait on the
+    buffer's readers already does), so it must not move the pins."""
+    downloaded_from: dict[str, str] = {}
+    for op in _program(name, cache).ops:
+        if isinstance(op, DeviceToHost):
+            downloaded_from[op.host] = op.device
+        elif isinstance(op, HostToDevice):
+            assert downloaded_from.get(op.host, op.device) == op.device, op

@@ -38,6 +38,22 @@ def test_compile_sac_file(tmp_path, capsys):
     assert "__global__" in out
 
 
+@pytest.mark.parametrize("command", [["compile-sac"], ["lint", "--file"]])
+@pytest.mark.parametrize(
+    "source, defined",
+    [("", "none"), ("int f(int a) { return a; }", "'f'")],
+    ids=["empty", "no-main"],
+)
+def test_missing_entry_is_a_repro_error(tmp_path, capsys, command, source, defined):
+    """A typed error naming the defined functions, exit 3: not a bare
+    ``KeyError`` traceback, whose exit 1 reads as a lint finding."""
+    src = tmp_path / "prog.sac"
+    src.write_text(source)
+    assert main([*command, str(src), "--entry", "main"]) == 3
+    err = capsys.readouterr().err
+    assert f"no function named 'main' (defined: {defined})" in err
+
+
 def test_experiment_claims_small(capsys):
     assert main(["experiment", "claims", "--frames", "2", "--size", "cif"]) == 0
     out = capsys.readouterr().out
@@ -197,6 +213,39 @@ def test_pipeline_lint_certifies_hazards(capsys):
     ) == 0
     out = capsys.readouterr().out
     assert "hazards:    clean" in out
+
+
+def test_pipeline_lint_checks_every_served_program(capsys):
+    """``--opt --lint`` race-checks the optimised program it served as
+    well as the baseline, each over its served run count."""
+    import json
+
+    assert main(
+        ["pipeline", "--size", "cif", "--frames", "2", "--route", "sac", "--opt",
+         "--lint", "--depth", "1", "--json"]
+    ) == 0
+    entries = [e["report"] for e in json.loads(capsys.readouterr().out)["routes"]]
+    assert [r["job"] for r in entries] == ["sac-nongeneric", "sac-nongeneric+opt"]
+    for r in entries:
+        assert r["instances"] == 6
+        assert r["hazards"] == {"runs": 6, "unexpected": [], "schedule_violations": []}
+
+
+@pytest.mark.parametrize("finding", ["race", "schedule"])
+def test_pipeline_lint_exits_1_on_any_finding(finding, monkeypatch, capsys):
+    import repro.analysis.hazards
+    import repro.runtime
+    from repro.analysis.diagnostics import Diagnostic
+
+    if finding == "race":
+        race = Diagnostic(code="RACE002", severity="error", message="a race")
+        monkeypatch.setattr(repro.analysis.hazards, "find_hazards", lambda p: [race])
+    else:
+        monkeypatch.setattr(repro.runtime, "schedule_violations", lambda s: ["late"])
+    assert main(
+        ["pipeline", "--size", "cif", "--frames", "1", "--route", "gaspard", "--lint"]
+    ) == 1
+    assert "hazards:    FINDINGS over 1 run(s)" in capsys.readouterr().out
 
 
 def test_pipeline_serialize_ablation(capsys):
@@ -747,7 +796,7 @@ def test_zero_frames_is_an_empty_pipeline_report(extra, capsys):
     assert all(r["frames"] == 0 for r in entries)
     if "--lint" in extra:
         assert entries[0]["hazards"] == {
-            "runs": 0, "unexpected": [], "resolved": 0, "schedule_violations": [],
+            "runs": 0, "unexpected": [], "schedule_violations": [],
         }
     if "--opt" in extra:
         assert [r["job"] for r in entries] == ["sac-nongeneric", "sac-nongeneric+opt"]
