@@ -4,7 +4,7 @@ Proves every ``Read``/``Store`` index of a kernel in-bounds against the
 declared array shapes, or emits a diagnostic with the offending range.
 
 Two phases per kernel, over one walk of its accesses
-(:func:`~repro.analysis.regions.kernel_accesses`):
+(:func:`~repro.ir.evalvec.kernel_accesses`):
 
 1. **Symbolic** — the region oracle's walk
    (:func:`~repro.analysis.regions.kernel_walk`) evaluates each index
@@ -18,10 +18,11 @@ Two phases per kernel, over one walk of its accesses
    the hazard pass has walked without walking it again.
 2. **Exact** — components the ranges cannot prove (lost correlations like
    ``x/6 - x%6``) are evaluated over the whole index space, each ``For``
-   iteration in turn, by the interpreter
-   (:class:`~repro.ir.evalvec.IndexEvaluator`).  A component that has no
-   value in some iteration (it reads memory, or divides by zero) gets a
-   *cannot-prove* diagnostic instead.
+   iteration in turn, by the interpreter without memory
+   (:class:`~repro.ir.evalvec.IndexEvaluator`), the walk the cost model's
+   access metrics take too (:mod:`repro.ir.metrics`).  A component that
+   has no value in some iteration (it reads memory, or divides by zero)
+   gets a *cannot-prove* diagnostic instead.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ import numpy as np
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.intervals import Interval
-from repro.analysis.regions import kernel_accesses, kernel_walk
+from repro.analysis.regions import kernel_walk
 from repro.errors import IRError
-from repro.ir.evalvec import IndexEvaluator
+from repro.ir.evalvec import IndexEvaluator, kernel_accesses
 from repro.ir.kernel import Kernel
 
 __all__ = ["AccessCheck", "check_kernel_bounds"]

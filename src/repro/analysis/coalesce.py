@@ -1,8 +1,9 @@
 """Coalescing lint: flag kernels with non-unit adjacent-thread strides.
 
 Reuses the Fermi transaction model of :mod:`repro.gpu.coalescing` and the
-2-point probe of :func:`repro.ir.metrics.probe_access_profile` (stride
-between adjacent threads along the fastest-varying grid dimension).  A
+strides of :func:`repro.ir.metrics.probe_access_profile` (each access's
+address delta between adjacent threads along the fastest-varying grid
+dimension, read off its index expressions; a no-value access has none).  A
 kernel whose accesses are not stride-0/1 moves more 128-byte lines than it
 uses; the lint reports the worst stride and the mean traffic inflation so
 the finding is actionable next to the cost model's numbers.

@@ -20,11 +20,11 @@ written as **strided interval boxes** —
 with a sound whole-buffer fallback tagged *imprecise* (``fallback=True``)
 when an index escapes the analysable fragment.
 
-One walk, :func:`kernel_accesses`, visits a kernel's accesses in program
-order; symbolically it evaluates each index component to an affine form
-over the launch and loop axes, or to an :class:`~repro.analysis.intervals.
-Interval` where the component is not affine (``TOP`` when nothing bounds
-it).  :func:`kernel_walk` memoises that walk per kernel and scalar
+One walk, :func:`repro.ir.evalvec.kernel_accesses`, visits a kernel's
+accesses in program order; here it evaluates each index component to an
+affine form over the launch and loop axes, or to an :class:`~repro.analysis.
+intervals.Interval` where the component is not affine (``TOP`` when nothing
+bounds it).  :func:`kernel_walk` memoises that walk per kernel and scalar
 arguments, and both the boxes here and the bounds checker
 (:mod:`repro.analysis.bounds`) read it.
 
@@ -58,7 +58,8 @@ import numpy as np
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.intervals import TOP, Interval
-from repro.ir.expr import BinOp, Const, LocalRef, ParamRef, Read, Select, ThreadIdx, UnOp, walk
+from repro.ir.evalvec import kernel_accesses
+from repro.ir.expr import BinOp, Const, LocalRef, ParamRef, Select, ThreadIdx, UnOp
 from repro.ir.fused import FusedKernel
 from repro.ir.kernel import Kernel
 from repro.ir.program import (
@@ -70,7 +71,7 @@ from repro.ir.program import (
     HostToDevice,
     LaunchKernel,
 )
-from repro.ir.stmt import Assign, For, Store, walk_stmts
+from repro.ir.stmt import Assign, For, walk_stmts
 
 __all__ = [
     "Seg",
@@ -81,7 +82,6 @@ __all__ = [
     "boxes_overlap",
     "box_contains",
     "must_cover",
-    "kernel_accesses",
     "kernel_walk",
     "kernel_access_boxes",
     "launch_access_boxes",
@@ -484,54 +484,7 @@ def _index_box(values, shape: tuple[int, ...], ctx: _Ctx) -> Box:
 
 
 # ---------------------------------------------------------------------------
-# the access walk, per-kernel and per-op access boxes
-
-
-def kernel_accesses(body, domain):
-    """Yield ``(site, kind, array, index)`` for every access of ``body`` in
-    program order, a store before the reads nested in it.
-
-    ``domain`` evaluates the body as the walk goes: ``domain.bind(name,
-    expr)`` binds each ``Assign`` after the reads in it, and each step of
-    ``domain.loop(s)`` is one pass over the body of ``For s``.  The
-    symbolic :class:`_Ctx` passes once, with the loop variable as an open
-    axis; :class:`~repro.ir.evalvec.IndexEvaluator` passes once per value.
-    Every pass numbers its accesses from where the loop starts, so a
-    ``site`` names one access of the program text in either domain.
-    """
-    return _accesses(body, domain, 0)
-
-
-def _accesses(body, domain, site: int):
-    """:func:`kernel_accesses` numbering from ``site``; returns the next
-    free number."""
-    for s in body:
-        if isinstance(s, For):
-            start = site
-            for _ in domain.loop(s):
-                site = yield from _accesses(s.body, domain, start)
-            continue
-        if isinstance(s, Assign):
-            accesses = _reads(s.value)
-        elif isinstance(s, Store):
-            accesses = [("store", s.array, s.index), *_reads(*s.index, s.value)]
-        else:
-            continue
-        for kind, array, index in accesses:
-            yield site, kind, array, index
-            site += 1
-        if isinstance(s, Assign):
-            domain.bind(s.name, s.value)
-    return site
-
-
-def _reads(*exprs) -> list:
-    return [
-        ("read", sub.array, sub.index)
-        for e in exprs
-        for sub in walk(e)
-        if isinstance(sub, Read)
-    ]
+# the symbolic walk, per-kernel and per-op access boxes
 
 
 @dataclass(frozen=True)

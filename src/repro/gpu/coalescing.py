@@ -5,9 +5,10 @@ transactions.  When the 32 threads of a warp access consecutive addresses
 (`stride 1` in elements), the access coalesces into a minimal number of
 transactions; larger strides spread the warp over more lines.
 
-The executor derives per-access strides by probing the kernel
-(:func:`repro.ir.metrics.probe_access_profile`) and uses these helpers to
-turn them into a traffic inflation factor for the cost model.
+The executor reads per-access strides off the kernel's index expressions
+at two adjacent work-items (:func:`repro.ir.metrics.probe_access_profile`,
+which runs no kernel) and uses these helpers to turn them into a traffic
+inflation factor for the cost model.
 """
 
 from __future__ import annotations

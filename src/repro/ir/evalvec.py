@@ -15,22 +15,20 @@ resolution as :func:`repro.tilers.ops.scatter` (row-major last writer wins —
 kernels emitted by the backends never have intra-launch write conflicts,
 which :mod:`repro.ir.validate` checks for the downscaler programs).
 
-A plain launch (no ``space=``, no ``observer=``) runs the kernel's
-:mod:`~repro.ir.plan`, compiled on its first launch: index values, their
-checks and their lowering to slices are worked out once, not per launch.
-The tree-walking interpreter here runs everything else — sub-space and
-observed evaluations, kernels the plan cannot lower — and is the
-reference the plan is tested against.
+A launch runs the kernel's :mod:`~repro.ir.plan`, compiled on its first
+launch: index values, their checks and their lowering to slices are worked
+out once, not per launch.  The tree-walking interpreter here runs the
+kernels the plan cannot lower, and is the reference the plan is tested
+against.
 
-An optional *observer* receives every evaluated memory access; the
-coalescing prober in :mod:`repro.ir.metrics` uses it to measure address
-strides without a second evaluator.  :class:`IndexEvaluator` is the same
-interpreter without memory, for the static index analyses.
+:class:`IndexEvaluator` is the same interpreter without memory, and
+:func:`kernel_accesses` walks a kernel's accesses in program order under
+it (or under the region oracle's symbolic domain): together they give
+the static index analyses and the cost model's access metrics
+(:mod:`repro.ir.metrics`) every index value without running a kernel.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -48,6 +46,7 @@ from repro.ir.expr import (
     c_div,
     c_int,
     c_mod,
+    walk,
 )
 from repro.ir.kernel import IndexSpace, Kernel
 from repro.ir.stmt import Assign, For, Store
@@ -56,14 +55,8 @@ __all__ = [
     "evaluate_kernel",
     "IndexEvaluator",
     "KernelEvaluationError",
-    "AccessObserver",
+    "kernel_accesses",
 ]
-
-#: signature: (kind, array_name, index_arrays) with kind in {"read", "store"};
-#: the index arrays broadcast to the launch's extent (they are open grids,
-#: or 0-d for a constant component)
-AccessObserver = Callable[[str, str, tuple[np.ndarray, ...]], None]
-
 
 _INT_MIN, _INT_MAX = -(2**31), 2**31 - 1
 
@@ -78,14 +71,12 @@ class _Evaluator:
         arrays: dict[str, np.ndarray],
         scalars: dict[str, int | float],
         space: IndexSpace,
-        observer: AccessObserver | None,
     ):
         self.arrays = arrays
         self.scalars = scalars
         self.idx_values = space.index_values()
         self.extent = space.extent
         self.env: dict = {}
-        self.observer = observer
 
     # -- expressions ---------------------------------------------------------
 
@@ -141,10 +132,7 @@ class _Evaluator:
             raise KernelEvaluationError(
                 f"read of unbound array {expr.array!r}"
             ) from None
-        idx = self._index_tuple(expr.index, buf.shape, expr.array, "read")
-        if self.observer is not None:
-            self.observer("read", expr.array, idx)
-        return buf[idx]
+        return buf[self._index_tuple(expr.index, buf.shape, expr.array, "read")]
 
     # -- statements ------------------------------------------------------------
 
@@ -164,8 +152,6 @@ class _Evaluator:
                         f"store to unbound array {s.array!r}"
                     ) from None
                 idx = self._index_tuple(s.index, buf.shape, s.array, "store")
-                if self.observer is not None:
-                    self.observer("store", s.array, idx)
                 val = stored(self.eval(s.value), buf)
                 buf[broadcast_index(idx, self.extent)] = val
             else:
@@ -177,7 +163,7 @@ class _Evaluator:
 class IndexEvaluator(_Evaluator):
     """The interpreter without memory, for static analyses of index
     expressions over a whole index space (the bounds checker's exact phase,
-    the SaC wrap splitter).
+    the SaC wrap splitter, the cost model's strides and unique bytes).
 
     An expression with no value raises :class:`~repro.errors.IRError`:
     a ``Read``, an unbound local or scalar, or a ``ThreadIdx`` past the
@@ -188,7 +174,7 @@ class IndexEvaluator(_Evaluator):
     """
 
     def __init__(self, space: IndexSpace, scalars: dict[str, int | float] | None = None):
-        super().__init__({}, dict(scalars or {}), space, None)
+        super().__init__({}, dict(scalars or {}), space)
 
     def eval(self, expr: Expr):
         if isinstance(expr, BinOp) and expr.op in ("/", "%"):
@@ -210,6 +196,54 @@ class IndexEvaluator(_Evaluator):
         for v in range(s.start, s.stop):
             self.env[s.var] = v
             yield
+
+
+def kernel_accesses(body, domain):
+    """Yield ``(site, kind, array, index)`` for every access of ``body`` in
+    program order, a store before the reads nested in it.
+
+    ``domain`` evaluates the body as the walk goes: ``domain.bind(name,
+    expr)`` binds each ``Assign`` after the reads in it, and each step of
+    ``domain.loop(s)`` is one pass over the body of ``For s``.  The region
+    oracle's symbolic domain (:mod:`repro.analysis.regions`) passes once,
+    with the loop variable as an open axis; :class:`IndexEvaluator` passes
+    once per value.  Every pass numbers its accesses from where the loop
+    starts, so a ``site`` names one access of the program text in either
+    domain.
+    """
+    return _accesses(body, domain, 0)
+
+
+def _accesses(body, domain, site: int):
+    """:func:`kernel_accesses` numbering from ``site``; returns the next
+    free number."""
+    for s in body:
+        if isinstance(s, For):
+            start = site
+            for _ in domain.loop(s):
+                site = yield from _accesses(s.body, domain, start)
+            continue
+        if isinstance(s, Assign):
+            accesses = _reads(s.value)
+        elif isinstance(s, Store):
+            accesses = [("store", s.array, s.index), *_reads(*s.index, s.value)]
+        else:
+            continue
+        for kind, array, index in accesses:
+            yield site, kind, array, index
+            site += 1
+        if isinstance(s, Assign):
+            domain.bind(s.name, s.value)
+    return site
+
+
+def _reads(*exprs) -> list:
+    return [
+        ("read", sub.array, sub.index)
+        for e in exprs
+        for sub in walk(e)
+        if isinstance(sub, Read)
+    ]
 
 
 def check_rank(index, shape, array: str, what: str) -> None:
@@ -330,18 +364,14 @@ def evaluate_kernel(
     kernel: Kernel,
     arrays: dict[str, np.ndarray],
     scalars: dict[str, int | float] | None = None,
-    space: IndexSpace | None = None,
-    observer: AccessObserver | None = None,
 ) -> None:
     """Execute ``kernel`` functionally against ``arrays`` (mutated in place).
 
     ``arrays`` maps array-parameter names to NumPy buffers whose shapes must
     match the declared parameter shapes; ``scalars`` binds scalar
-    parameters.  ``space`` overrides the kernel's index space (the metrics
-    prober evaluates over a 2-point sub-space); ``observer`` receives every
-    memory access as ``(kind, array, index_arrays)``.  Without either, the
-    launch runs the kernel's compiled plan when it has one
-    (:func:`repro.ir.plan.plan_of`); otherwise the interpreter runs.
+    parameters.  The launch runs the kernel's compiled plan when it has one
+    (:func:`repro.ir.plan.plan_of`); otherwise the interpreter runs over
+    ``kernel.space``.
     """
     scalars = dict(scalars or {})
     for p in kernel.arrays:
@@ -359,15 +389,12 @@ def evaluate_kernel(
             raise KernelEvaluationError(
                 f"kernel {kernel.name!r}: scalar parameter {p.name!r} not bound"
             )
-    plain = space is None and observer is None
-    space = space if space is not None else kernel.space
-    if space.is_empty():
+    if kernel.space.is_empty():
         return
-    if plain:
-        from repro.ir.plan import plan_of
+    from repro.ir.plan import plan_of
 
-        plan = plan_of(kernel)
-        if plan is not None:
-            plan.run(arrays, scalars)
-            return
-    _Evaluator(arrays, scalars, space, observer).exec(kernel.body)
+    plan = plan_of(kernel)
+    if plan is not None:
+        plan.run(arrays, scalars)
+    else:
+        _Evaluator(arrays, scalars, kernel.space).exec(kernel.body)

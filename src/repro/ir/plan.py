@@ -165,7 +165,7 @@ class _Compiler:
         self.kernel = kernel
         self.extent = kernel.space.extent
         # evaluates static expressions; its env holds the static locals
-        self.static = _Evaluator({}, {}, kernel.space, None)
+        self.static = _Evaluator({}, {}, kernel.space)
         self.tokens: dict[str, tuple] = {}  # static local -> its binding
         self.dynamic: dict[str, int] = {}  # data-dependent local -> register
         self.nregisters = 0

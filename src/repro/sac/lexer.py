@@ -1,4 +1,11 @@
-"""Tokenizer for the SaC subset."""
+"""Tokenizer for the SaC subset.
+
+An integer literal is a decimal digit string (leading zeros ignored) of
+value at most 2**63 - 1, C's largest ``long long``: a C ``int`` when it
+fits 32 bits and a wider integer otherwise, as C types a literal.  A larger
+literal fits no C integer type and is a located
+:class:`~repro.errors.SacSyntaxError`.
+"""
 
 from __future__ import annotations
 
@@ -101,6 +108,11 @@ def tokenize(source: str, filename: str = "<string>") -> list[Token]:
                     while j < n and source[j].isdigit():
                         j += 1
             text = source[i:j]
+            if not is_float:
+                text = text.lstrip("0") or "0"
+                if len(text) > 19 or int(text) >= 2**63:
+                    shown = text if len(text) <= 24 else f"{text[:20]}..."
+                    raise SacSyntaxError(f"integer literal {shown} is above 2**63 - 1", start)
             tokens.append(Token("float" if is_float else "int", text, start))
             advance(j - i)
             continue

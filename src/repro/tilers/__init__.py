@@ -7,8 +7,6 @@ WITH-loops (paper Section VI).
 """
 
 from repro.tilers.analysis import (
-    TilerAccessGeometry,
-    access_geometry,
     coverage_counts,
     covers_array,
     duplicate_element_count,
@@ -28,8 +26,6 @@ __all__ = [
     "scatter",
     "scatter_into_zeros",
     "flat_element_indices",
-    "access_geometry",
-    "TilerAccessGeometry",
     "coverage_counts",
     "is_injective",
     "covers_array",

@@ -1,19 +1,11 @@
-"""Static analysis of tilers.
+"""Static analysis of tilers: GILR validity.
 
-Two families of checks:
-
-* **GILR validity** — properties ArrayOL requires of tilers used in a model:
-  output tilers must write each array element at most once (injectivity) and,
-  for exact production, exactly once (coverage).
-* **Access geometry** — linearised strides of the tiling, consumed by the
-  GPU simulator's coalescing model: when consecutive work-items (repetition
-  points along the fastest-varying dimension) read addresses a fixed stride
-  apart, memory transactions coalesce in inverse proportion to the stride.
+ArrayOL requires of the tilers used in a model that output tilers write
+each array element at most once (injectivity) and, for exact production,
+exactly once (coverage).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +20,6 @@ __all__ = [
     "is_exact",
     "duplicate_element_count",
     "uncovered_element_count",
-    "TilerAccessGeometry",
-    "access_geometry",
 ]
 
 
@@ -73,57 +63,3 @@ def is_exact(tiler: Tiler) -> bool:
     array (every element written exactly once, honouring single assignment).
     """
     return coverage_counts(tiler) == (0, 0)
-
-
-@dataclass(frozen=True)
-class TilerAccessGeometry:
-    """Linearised address strides of a tiling.
-
-    Attributes
-    ----------
-    repetition_strides:
-        Address delta (in elements, row-major) when the repetition index
-        advances by one along each repetition dimension: ``P^T @ strides``.
-    pattern_strides:
-        Address delta when the pattern index advances by one along each
-        pattern dimension: ``F^T @ strides``.
-    innermost_repetition_stride:
-        Stride along the fastest-varying repetition dimension — the quantity
-        the coalescing model keys on (consecutive GPU threads enumerate the
-        repetition space along its last axis).
-    contiguous_pattern:
-        Whether one pattern occupies consecutive addresses (unit stride along
-        the fastest-varying pattern dimension and pattern rank 1).
-    """
-
-    repetition_strides: tuple[int, ...]
-    pattern_strides: tuple[int, ...]
-    innermost_repetition_stride: int
-    contiguous_pattern: bool
-
-
-def _row_major_strides(shape: tuple[int, ...]) -> np.ndarray:
-    strides = np.ones(len(shape), dtype=np.int64)
-    for d in range(len(shape) - 2, -1, -1):
-        strides[d] = strides[d + 1] * shape[d + 1]
-    return strides
-
-
-def access_geometry(tiler: Tiler) -> TilerAccessGeometry:
-    """Compute the linearised strides of a tiler (ignoring the modulo).
-
-    The modulo only affects wrap-around tiles; the bulk of the address
-    stream has the affine geometry computed here, which is what determines
-    DRAM transaction coalescing.
-    """
-    strides = _row_major_strides(tiler.array_shape)
-    rep = tiler.paving_mat.T @ strides
-    pat = tiler.fitting_mat.T @ strides
-    inner = int(rep[-1]) if rep.size else 0
-    contiguous = tiler.pattern_rank == 1 and pat.size == 1 and abs(int(pat[0])) == 1
-    return TilerAccessGeometry(
-        repetition_strides=tuple(int(x) for x in rep),
-        pattern_strides=tuple(int(x) for x in pat),
-        innermost_repetition_stride=inner,
-        contiguous_pattern=contiguous,
-    )

@@ -31,8 +31,11 @@ from repro.ir import (
     ThreadIdx,
     UnOp,
     evaluate_kernel,
+    probe_access_profile,
     unique_access_bytes,
 )
+from repro.ir.evalvec import _Evaluator
+from repro.ir.expr import walk
 from repro.ir.plan import plan_of
 
 N = 10  # 1-D buffer extent
@@ -348,8 +351,8 @@ def test_plan_interpreter_and_reference_agree(kernel, seed, alias_src):
         return {"src": copy(src), "dst": d, "alias": copy(other) if alias_src else d}
 
     planned, interpreted = buffers(np.copy), buffers(np.copy)
-    evaluate_kernel(kernel, planned)  # no space=, no observer=: the plan
-    evaluate_kernel(kernel, interpreted, space=kernel.space)  # the interpreter
+    evaluate_kernel(kernel, planned)  # a launch: the plan
+    _Evaluator(interpreted, {}, kernel.space).exec(kernel.body)
     ref = buffers(lambda a: a.astype(object))
     _ref_kernel(kernel, ref)
     for name in ("dst", "alias"):
@@ -383,11 +386,11 @@ def test_plan_path_raises_what_the_interpreter_raises(name):
     kernel = _error_kernels()[name]
     assert plan_of(kernel) is None
     errors, results = [], []
-    for kwargs in ({}, {"space": kernel.space}):
+    for run in (evaluate_kernel, lambda k, a: _Evaluator(a, {}, k.space).exec(k.body)):
         arrays = {"a": np.arange(24, dtype=np.int32).reshape(4, 6),
                   "b": np.zeros((4, 6), np.int32)}
         with pytest.raises(KernelEvaluationError) as exc:
-            evaluate_kernel(kernel, arrays, **kwargs)
+            run(kernel, arrays)
         errors.append((type(exc.value), str(exc.value)))
         results.append(arrays["b"])
     assert errors[0] == errors[1]
@@ -395,26 +398,85 @@ def test_plan_path_raises_what_the_interpreter_raises(name):
     np.testing.assert_array_equal(results[0], np.arange(24).reshape(4, 6))
 
 
-# -- footprint counting ------------------------------------------------------------
+# -- access metrics ------------------------------------------------------------------
+
+
+def _ref_accesses(kernel, points):
+    """Every access of ``kernel`` as ``(kind, array, [index at each of
+    points])``, in program order, each loop trip in turn and both branches
+    of a ``Select`` read.  Indices come from ``_ref_expr`` on zero buffers:
+    no index of the strategies reads memory."""
+    envs = [{} for _ in points]
+    zeros = {a.name: np.zeros(a.shape, dtype=object) for a in kernel.arrays}
+    out = []
+
+    def touch(kind, array, index):
+        out.append((kind, array, [
+            tuple(int(_ref_expr(c, iv, env, zeros)) for c in index)
+            for iv, env in zip(points, envs)
+        ]))
+
+    def reads(*exprs):
+        for e in exprs:
+            for sub in walk(e):
+                if isinstance(sub, Read):
+                    touch("read", sub.array, sub.index)
+
+    def run(stmts):
+        for s in stmts:
+            if isinstance(s, Assign):
+                reads(s.value)
+                for iv, env in zip(points, envs):
+                    env[s.name] = _ref_expr(s.value, iv, env, zeros)
+            elif isinstance(s, For):
+                for t in range(s.start, s.stop):
+                    for env in envs:
+                        env[s.var] = t
+                    run(s.body)
+            elif isinstance(s, Store):
+                touch("store", s.array, s.index)
+                reads(*s.index, s.value)
+
+    run(kernel.body)
+    return out
 
 
 def _address_set_bytes(kernel):
-    """Pure-Python reference: distinct (array, index) tuples per access kind."""
+    """Pure-Python reference: distinct (array, index) tuples per access
+    kind over every point of the space."""
     seen = {"read": set(), "store": set()}
-
-    def observer(kind, array, idx):
-        cols = [c.reshape(-1).tolist() for c in np.broadcast_arrays(*idx)]
-        seen[kind].update((array, *point) for point in zip(*cols))
-
-    bufs = {a.name: np.zeros(a.shape, dtype=a.dtype) for a in kernel.arrays}
-    evaluate_kernel(kernel, bufs, observer=observer)
+    for kind, array, indices in _ref_accesses(kernel, _points(kernel.space)):
+        seen[kind].update((array, index) for index in indices)
     itemsize = {a.name: np.dtype(a.dtype).itemsize for a in kernel.arrays}
     return tuple(
-        sum(itemsize[point[0]] for point in seen[kind]) for kind in ("read", "store")
+        sum(itemsize[array] for array, _ in seen[kind]) for kind in ("read", "store")
     )
 
 
-@given(rand_kernels())
-@settings(max_examples=80, deadline=None)
+def _two_point_strides(kernel):
+    """Pure-Python reference: each access's flat-address delta from the
+    space's first point to the next one along the last dimension (0 when
+    that dimension has one point)."""
+    first = tuple(kernel.space.lower)
+    points = [first]
+    if kernel.space.extent[-1] >= 2:
+        points.append(first[:-1] + (first[-1] + kernel.space.step[-1],))
+    shapes = {a.name: a.shape for a in kernel.arrays}
+    strides = {"read": [], "store": []}
+    for kind, array, indices in _ref_accesses(kernel, points):
+        flat = [int(np.ravel_multi_index(index, shapes[array])) for index in indices]
+        strides[kind].append(flat[-1] - flat[0])
+    return tuple(strides["read"]), tuple(strides["store"])
+
+
+@given(st.one_of(rand_kernels(), kernels_2d()))
+@settings(max_examples=150, deadline=None)
 def test_unique_access_bytes_equals_address_set(kernel):
     assert unique_access_bytes(kernel) == _address_set_bytes(kernel)
+
+
+@given(st.one_of(rand_kernels(), kernels_2d()))
+@settings(max_examples=150, deadline=None)
+def test_probe_strides_equal_the_two_point_reference(kernel):
+    profile = probe_access_profile(kernel)
+    assert (profile.read_strides, profile.write_strides) == _two_point_strides(kernel)

@@ -205,8 +205,8 @@ class TestUniqueBytes:
         assert unique_access_bytes(k) == (4, 8 * 4)
 
     def test_data_divisor_costed_on_placeholder_buffers(self):
-        # dst[i] = 100 / src[i]: the probes run on all-zero buffers, whose
-        # zero divisors must not stop the launch from being costed
+        # dst[i] = 100 / src[i]: the cost walk evaluates indices only, so a
+        # divisor read from memory never stops the launch from being costed
         from repro.gpu import UNCALIBRATED, CostModel, GPUExecutor
 
         k = make(
@@ -223,7 +223,8 @@ class TestUniqueBytes:
         assert inputs.profile.read_strides == (1,)
 
     def test_scalar_divisor_costed_with_placeholder_zero(self):
-        # dst[i] = src[i] / n: the probes bind every scalar parameter to 0
+        # dst[i] = src[i] / n: a scalar parameter outside the indices needs
+        # no value to be costed
         k = Kernel(
             name="k",
             space=IndexSpace((0,), (8,)),
@@ -235,6 +236,74 @@ class TestUniqueBytes:
         )
         assert unique_access_bytes(k) == (32, 32)
         assert probe_access_profile(k).read_strides == (1,)
+
+
+class TestNoValueAccess:
+    """An index with no value without memory or scalar arguments marks
+    its whole array and records no stride."""
+
+    def test_lookup_table_gather_counts_the_whole_array(self):
+        # dst[i] = src[lut[i]]: 8 of src's 16 elements may be read
+        k = make(
+            body=[Store("dst", (ThreadIdx(0),), Read("src", (Read("lut", (ThreadIdx(0),)),)))],
+            arrays=[
+                ArrayParam("lut", (8,), intent="in"),
+                ArrayParam("src", (16,), intent="in"),
+                ArrayParam("dst", (8,), intent="out"),
+            ],
+            space=IndexSpace((0,), (8,)),
+        )
+        assert unique_access_bytes(k) == (8 * 4 + 16 * 4, 8 * 4)
+        p = probe_access_profile(k)
+        assert p.read_strides == (1,)  # the lut read; the gather has none
+        assert p.write_strides == (1,)
+        assert p.reads_per_item == 2
+
+    def test_scalar_offset_index_counts_the_whole_array(self):
+        # dst[i] = src[i + n]: which 8 of src's 16 elements depends on n
+        k = Kernel(
+            name="k",
+            space=IndexSpace((0,), (8,)),
+            arrays=(ArrayParam("src", (16,), intent="in"),
+                    ArrayParam("dst", (8,), intent="out")),
+            scalars=(ScalarParam("n"),),
+            body=(Store("dst", (ThreadIdx(0),),
+                        Read("src", (BinOp("+", ThreadIdx(0), ParamRef("n")),))),),
+        )
+        assert unique_access_bytes(k) == (16 * 4, 8 * 4)
+        p = probe_access_profile(k)
+        assert p.read_strides == ()
+        assert p.write_strides == (1,)
+
+    def test_data_dependent_store_counts_the_whole_array(self):
+        # dst[src[i]] = 1, inside a loop: each trip marks all of dst
+        k = make(
+            body=[For("t", 0, 2, [Store("dst", (Read("src", (ThreadIdx(0),)),), Const(1))])],
+            arrays=[
+                ArrayParam("src", (4,), intent="in"),
+                ArrayParam("dst", (32,), intent="out"),
+            ],
+            space=IndexSpace((0,), (4,)),
+        )
+        assert unique_access_bytes(k) == (4 * 4, 32 * 4)
+        p = probe_access_profile(k)
+        assert p.read_strides == (1, 1)
+        assert p.write_strides == ()
+
+    def test_sac_gather_through_a_lookup_table(self):
+        from repro.runtime.cache import CompileCache
+        from repro.sac.backend import CompileOptions
+
+        source = """
+        int[8] main(int[8] a, int[8] lut) {
+          b = with { ([0] <= iv < [8]) : a[[lut[iv]]]; } : genarray([8], 0);
+          return b;
+        }
+        """
+        program = CompileCache().compile_sac(source, "main", CompileOptions()).program
+        (kernel,) = program.kernels
+        assert unique_access_bytes(kernel) == (64, 32)
+        assert probe_access_profile(kernel).read_strides == (1,)
 
 
 #: per-kernel (unique read bytes, unique write bytes) of both downscaler

@@ -36,6 +36,7 @@ from repro.ir import (
     ThreadIdx,
     evaluate_kernel,
 )
+from repro.ir.evalvec import _Evaluator
 from repro.ir.plan import plan_of
 from repro.opt import OptOptions
 from repro.runtime import FramePipeline
@@ -113,13 +114,12 @@ def test_data_dependent_index_runs_in_the_interpreter():
     rng = np.random.default_rng(3)
     lut = rng.permutation(8).astype(np.int32)
     src = rng.integers(-9, 9, size=8).astype(np.int32)
-    outs = []
-    for kwargs in ({}, {"space": kernel.space}):
-        arrays = {"lut": lut, "src": src, "dst": np.zeros(8, np.int32)}
-        evaluate_kernel(kernel, arrays, **kwargs)
-        outs.append(arrays["dst"])
-    np.testing.assert_array_equal(outs[0], outs[1])
-    np.testing.assert_array_equal(outs[0], src[lut])
+    launched = {"lut": lut, "src": src, "dst": np.zeros(8, np.int32)}
+    interpreted = dict(launched, dst=np.zeros(8, np.int32))
+    evaluate_kernel(kernel, launched)
+    _Evaluator(interpreted, {}, kernel.space).exec(kernel.body)
+    np.testing.assert_array_equal(launched["dst"], interpreted["dst"])
+    np.testing.assert_array_equal(launched["dst"], src[lut])
 
 
 @pytest.mark.parametrize(

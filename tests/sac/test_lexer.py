@@ -81,3 +81,33 @@ class TestDotDisambiguation:
 
     def test_float_after_paren(self):
         assert kinds("(.5)") == [("op", "("), ("float", ".5"), ("op", ")")]
+
+
+#: a 64-bit overflow: an addend past 2**63 - 1 in a WITH-loop body
+_BIG_SOURCE = """int[8] main(int[8] a) {
+  b = with { ([0] <= iv < [8]) : a[iv] + %s; } : genarray([8], 0);
+  return b;
+}"""
+
+
+class TestIntegerLiteralRange:
+    """An integer literal above 2**63 - 1 fits no C integer type: a
+    located syntax error, not a bare ``OverflowError`` at launch."""
+
+    def test_largest_literal_and_leading_zeros(self):
+        assert kinds("9223372036854775807 007 000") == [
+            ("int", "9223372036854775807"), ("int", "7"), ("int", "0"),
+        ]
+        assert kinds("0" * 5000 + "1") == [("int", "1")]
+
+    @pytest.mark.parametrize(
+        "literal", [str(2**63), "12345678901234567890123", "9" * 5000],
+        ids=["2**63", "23-digit", "5000-digit"],
+    )
+    def test_literal_past_64_bits_is_a_located_error(self, literal):
+        from repro.sac.backend import CompileOptions, compile_function
+        from repro.sac.parser import parse
+
+        with pytest.raises(SacSyntaxError, match="above 2\\*\\*63 - 1") as exc:
+            compile_function(parse(_BIG_SOURCE % literal), "main", CompileOptions())
+        assert (exc.value.location.line, exc.value.location.column) == (2, 42)

@@ -54,6 +54,20 @@ def test_missing_entry_is_a_repro_error(tmp_path, capsys, command, source, defin
     assert f"no function named 'main' (defined: {defined})" in err
 
 
+@pytest.mark.parametrize(
+    "literal", [str(2**63), "12345678901234567890123"], ids=["2**63", "23-digit"]
+)
+def test_int_literal_past_64_bits_exits_3(tmp_path, capsys, literal):
+    """A located syntax error, not a kernel that overflows at launch."""
+    src = tmp_path / "big.sac"
+    src.write_text(
+        "int[8] main(int[8] a) { b = with { ([0] <= iv < [8]) : a[iv] + "
+        f"{literal}; }} : genarray([8], 0); return b; }}"
+    )
+    assert main(["compile-sac", str(src), "--entry", "main"]) == 3
+    err = capsys.readouterr().err
+    assert f"big.sac:1:64: integer literal {literal} is above 2**63 - 1" in err
+
 def test_experiment_claims_small(capsys):
     assert main(["experiment", "claims", "--frames", "2", "--size", "cif"]) == 0
     out = capsys.readouterr().out

@@ -1,10 +1,9 @@
-"""Unit tests for tiler static analysis (validity + access geometry)."""
+"""Unit tests for tiler static analysis (GILR validity)."""
 
 import pytest
 
 from repro.tilers import (
     Tiler,
-    access_geometry,
     covers_array,
     duplicate_element_count,
     is_exact,
@@ -70,47 +69,6 @@ class TestValidity:
         assert not covers_array(t)
         assert not is_exact(t)
         assert uncovered_element_count(t) == 4 * 8
-
-
-class TestAccessGeometry:
-    def test_row_packet_geometry(self):
-        # paper Figure 10 geometry at small scale: pattern along columns,
-        # repetition (rows, packets)
-        t = overlapping_tiler()
-        g = access_geometry(t)
-        assert g.repetition_strides == (16, 8)
-        assert g.pattern_strides == (1,)
-        assert g.innermost_repetition_stride == 8
-        assert g.contiguous_pattern
-
-    def test_column_packet_geometry(self):
-        # vertical filter: pattern along rows, repetition (packets, cols)
-        t = Tiler(
-            origin=(0, 0),
-            fitting=((1,), (0,)),
-            paving=((9, 0), (0, 1)),
-            array_shape=(18, 8),
-            pattern_shape=(14,),
-            repetition_shape=(2, 8),
-        )
-        g = access_geometry(t)
-        assert g.repetition_strides == (9 * 8, 1)
-        assert g.pattern_strides == (8,)
-        assert g.innermost_repetition_stride == 1
-        assert not g.contiguous_pattern  # pattern strides along rows
-
-    def test_2d_pattern_not_contiguous(self):
-        t = Tiler(
-            origin=(0, 0),
-            fitting=((1, 0), (0, 1)),
-            paving=((2, 0), (0, 2)),
-            array_shape=(4, 4),
-            pattern_shape=(2, 2),
-            repetition_shape=(2, 2),
-        )
-        g = access_geometry(t)
-        assert g.pattern_strides == (4, 1)
-        assert not g.contiguous_pattern
 
 
 @pytest.mark.parametrize(
