@@ -16,8 +16,6 @@ report reads in the same microseconds as the paper's tables:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.analysis.diagnostics import Diagnostic
 from repro.gpu.calibration import GTX480_CALIBRATED
 from repro.gpu.cost import CostModel
@@ -29,7 +27,7 @@ from repro.ir.program import (
     HostCompute,
     HostToDevice,
     LaunchKernel,
-    region_count,
+    transfer_nbytes,
 )
 
 __all__ = ["find_transfer_waste"]
@@ -55,7 +53,7 @@ def find_transfer_waste(
     def dead_download(host: str, at: int) -> None:
         op = program.ops[at]
         assert isinstance(op, DeviceToHost)
-        nbytes = allocs[op.device].nbytes if op.device in allocs else 0
+        nbytes = transfer_nbytes(op, allocs[op.device]) if op.device in allocs else 0
         out.append(
             Diagnostic(
                 code="XFER002",
@@ -82,16 +80,10 @@ def find_transfer_waste(
                 pending_d2h.pop(op.host)
             gen = host_gen.setdefault(op.host, 0)
             if resident.get(op.device) == (op.host, gen):
-                if op.device in allocs:
-                    alloc = allocs[op.device]
-                    if op.region is None:
-                        nbytes = alloc.nbytes
-                    else:
-                        nbytes = region_count(op.region) * np.dtype(
-                            alloc.dtype
-                        ).itemsize
-                else:
-                    nbytes = 0
+                nbytes = (
+                    transfer_nbytes(op, allocs[op.device])
+                    if op.device in allocs else 0
+                )
                 out.append(
                     Diagnostic(
                         code="XFER001",
@@ -152,9 +144,9 @@ def find_transfer_waste(
         wasted = 0.0
         for op in program.ops:
             if isinstance(op, HostToDevice) and op.device == buf:
-                wasted += cost.h2d_time_us(alloc.nbytes)
+                wasted += cost.h2d_time_us(transfer_nbytes(op, alloc))
             elif isinstance(op, DeviceToHost) and op.device == buf:
-                wasted += cost.d2h_time_us(alloc.nbytes)
+                wasted += cost.d2h_time_us(transfer_nbytes(op, alloc))
         out.append(
             Diagnostic(
                 code="XFER003",

@@ -39,8 +39,8 @@ from repro.ir.program import (
     HostCompute,
     HostToDevice,
     LaunchKernel,
-    region_count,
     region_slices,
+    transfer_nbytes,
 )
 from repro.obs.span import current_tracer
 
@@ -148,12 +148,8 @@ class GPUExecutor:
                         f"buffer {op.device!r} of {program.name!r} (known "
                         f"buffers: {sorted(allocs) or 'none'})"
                     )
-                nbytes = (
-                    alloc.nbytes if op.region is None
-                    else region_count(op.region) * np.dtype(alloc.dtype).itemsize
-                )
                 time_us = self.cost.h2d_time_us if upload else self.cost.d2h_time_us
-                prices.append(time_us(nbytes))
+                prices.append(time_us(transfer_nbytes(op, alloc)))
             elif isinstance(op, LaunchKernel):
                 prices.append(self.kernel_breakdown(op.kernel).total_us)
             elif isinstance(op, HostCompute):

@@ -102,10 +102,6 @@ class FusedKernel:
         return tuple(a for a in self.arrays if a.intent in ("out", "inout"))
 
     @property
-    def stage_kernels(self) -> tuple:
-        return tuple(st.kernel for st in self.stages)
-
-    @property
     def scratch_nbytes(self) -> int:
         """Transient bytes the fused launch keeps live for its scratch."""
         return sum(p.nbytes for p in self.internal)

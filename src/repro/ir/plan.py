@@ -31,9 +31,10 @@ kernel's first launch, and keeps the result on the kernel object:
 
 What is left per launch is the data-dependent arithmetic, through the
 interpreter's operator table.  A kernel with an index that depends on data
-or on a scalar parameter, or whose plan cannot be built for any other
-reason (a failed check included), gets no plan: ``evaluate_kernel`` then
-runs the interpreter, which raises its own error at its own point.
+or on a scalar parameter, a construct the plan does not lower, or a failed
+static check gets no plan: ``evaluate_kernel`` then runs the interpreter,
+which raises its own error at its own point.  Any other exception while
+building a plan is a bug in this module and propagates.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.errors import IRError
 from repro.ir.evalvec import (
     _Evaluator,
     binary_function,
@@ -113,7 +115,7 @@ def plan_of(kernel: Kernel) -> KernelPlan | None:
     if plan is _UNBUILT:
         try:
             plan = _Compiler(kernel).compile()
-        except Exception:  # the interpreter reports whatever went wrong here
+        except (IRError, _NoPlan):  # the interpreter reports a failed check
             plan = None
         memo[_PLAN] = plan
     return plan

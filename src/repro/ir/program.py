@@ -32,6 +32,7 @@ __all__ = [
     "DeviceProgram",
     "region_count",
     "region_slices",
+    "transfer_nbytes",
 ]
 
 
@@ -70,6 +71,15 @@ def region_count(region) -> int:
     for start, stop, step in region:
         n *= (stop - start + step - 1) // step
     return n
+
+
+def transfer_nbytes(op: HostToDevice | DeviceToHost, alloc: AllocDevice) -> int:
+    """Bytes ``op`` moves: its region's when partial, the whole buffer
+    ``alloc`` otherwise.  Pricing, the transfer lint, the optimiser's
+    byte counts and fleet migrations all read transfer sizes from here."""
+    if op.region is None:
+        return alloc.nbytes
+    return region_count(op.region) * np.dtype(alloc.dtype).itemsize
 
 
 class Op:

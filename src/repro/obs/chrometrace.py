@@ -65,9 +65,9 @@ _ENGINE_TIDS = {"h2d": 1, "compute": 2, "d2h": 3, "host": 4}
 def _engine_track(engine: str) -> tuple[int, int]:
     """(pid, tid) of one engine's track.
 
-    Legacy engine names (``h2d``/``compute``/``d2h``/``host``) stay on
-    :data:`DEVICE_PID`; fleet names (``d2:compute``, ``hl1:host``) spread
-    over one pid per device plus a shared host-lane process.
+    A lone device's engine names (``h2d``/``compute``/``d2h``/``host``)
+    stay on :data:`DEVICE_PID`; fleet names (``d2:compute``, ``hl1:host``)
+    spread over one pid per device plus a shared host-lane process.
     """
     if ":" in engine:
         prefix, _, kind = engine.partition(":")
@@ -108,11 +108,9 @@ def schedule_events(
     """
     if frame_batch <= 0:
         raise ValueError("frame_batch must be positive")
-    fleet = getattr(schedule, "devices", 1) > 1 or any(
-        ":" in e for e in schedule.engines
-    )
+    fleet = schedule.devices > 1
 
-    # track resolution: legacy engines collapse onto the caller's pid;
+    # track resolution: a lone device's engines collapse onto the caller's pid;
     # fleet engines get one process (track-group) per device plus a
     # shared host-lane process
     def track(engine: str) -> tuple[int, int]:

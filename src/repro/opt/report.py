@@ -18,6 +18,7 @@ from repro.ir.program import (
     FreeDevice,
     HostToDevice,
     LaunchKernel,
+    transfer_nbytes,
 )
 
 __all__ = ["ProgramStats", "OptReport"]
@@ -41,20 +42,20 @@ class ProgramStats:
 
     @classmethod
     def of(cls, program: DeviceProgram, executor=None) -> "ProgramStats":
-        sizes: dict[str, int] = {}
+        allocs: dict[str, AllocDevice] = {}
         transferred = 0
         live = 0
         peak = 0
         scratch = 0
         for op in program.ops:
             if isinstance(op, AllocDevice):
-                sizes[op.buffer] = op.nbytes
+                allocs[op.buffer] = op
                 live += op.nbytes
                 peak = max(peak, live)
             elif isinstance(op, FreeDevice):
-                live -= sizes.get(op.buffer, 0)
-            elif isinstance(op, (HostToDevice, DeviceToHost)):
-                transferred += sizes.get(op.device, 0)
+                live -= allocs[op.buffer].nbytes if op.buffer in allocs else 0
+            elif isinstance(op, (HostToDevice, DeviceToHost)) and op.device in allocs:
+                transferred += transfer_nbytes(op, allocs[op.device])
             elif isinstance(op, LaunchKernel) and isinstance(op.kernel, FusedKernel):
                 scratch = max(scratch, op.kernel.scratch_nbytes)
         serial_us = None

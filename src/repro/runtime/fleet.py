@@ -1,8 +1,8 @@
-"""Device-fleet topology and frame-placement policies.
+"""Device topology and frame-placement policies.
 
 The paper's cost model prices one GTX480; the ROADMAP's "millions of
-users" target needs many.  This module generalises the runtime to a
-*fleet* of K modelled devices without abandoning the cost model:
+users" target needs many.  Every schedule runs on a
+:class:`DeviceTopology`, and the paper's single GPU is a topology of one:
 
 * :class:`DeviceTopology` — K devices, each with its own three engines
   (H2D / compute / D2H), its own :class:`~repro.gpu.memory.MemoryManager`
@@ -10,14 +10,16 @@ users" target needs many.  This module generalises the runtime to a
   per-context, as in CUDA module loading).  The devices share the host:
   host driver work runs on at most ``host.cores`` lanes, and every PCIe
   transfer crosses a bounded pool of host staging channels — the
-  saturation point the fleet benchmark sweeps for.
-* **placement policies** — who serves the next frame.  Round-robin is
-  the baseline; least-loaded balances an EWMA-smoothed estimate of each
-  device's queued modelled microseconds; cache-affinity keeps a frame on
-  a device that has already compiled its configuration (warm compile
-  cache, resident working set), spreading to cold devices only under
-  load imbalance and never paying more compile misses than round-robin
-  would (the *miss budget* invariant, property-tested).
+  saturation point the fleet benchmark sweeps for.  A fleet namespaces
+  each device's names (``d1:h2d``, ``d1/d_x@s0``, lanes ``hl0:host``);
+  a topology of one keeps the single GPU's (``h2d``, ``d_x@s0``, ``host``).
+* **placement policies** — who serves the next frame of a fleet.
+  Round-robin is the baseline; least-loaded balances an EWMA-smoothed
+  estimate of each device's queued modelled microseconds; cache-affinity
+  keeps a frame on a device that has already compiled its configuration
+  (warm compile cache, resident working set), spreading to cold devices
+  only under load imbalance and never paying more compile misses than
+  round-robin would (the *miss budget* invariant, property-tested).
 * **host-staged migration pricing** — moving a frame's working set
   between devices has no peer-to-peer path in the paper's PCIe model, so
   it is priced as a D2H on the source plus an H2D on the target through
@@ -25,23 +27,20 @@ users" target needs many.  This module generalises the runtime to a
   nodes in the schedule.
 
 Everything here is pure placement state; the timing consequences are
-computed by :func:`repro.runtime.schedule.build_schedule` when given a
-topology.
+computed by :func:`repro.runtime.schedule.build_schedule`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable, Iterator
-
-import numpy as np
 
 from repro.errors import ReproError
 from repro.gpu.calibration import GTX480_CALIBRATED
 from repro.gpu.cost import CostModel, CostParams
 from repro.gpu.device import GTX480, I7_930, DeviceSpec, HostSpec
 from repro.gpu.executor import GPUExecutor
-from repro.ir.program import AllocDevice, DeviceProgram, HostToDevice, region_count
+from repro.ir.program import AllocDevice, DeviceProgram, HostToDevice, transfer_nbytes
 from repro.runtime.cache import CompileCache
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "LeastLoadedPlacement",
     "CacheAffinityPlacement",
     "make_placement",
-    "split_engine",
     "upload_nbytes",
 ]
 
@@ -72,14 +70,6 @@ HOST_CHANNELS = 6
 EWMA_ALPHA = 0.3
 
 
-def split_engine(engine: str) -> tuple[int | None, str]:
-    """``"d2:h2d"`` -> ``(2, "h2d")``; un-namespaced ``"h2d"`` -> ``(None, "h2d")``."""
-    if ":" in engine:
-        dev, kind = engine.split(":", 1)
-        return int(dev[1:]), kind
-    return None, engine
-
-
 def upload_nbytes(program: DeviceProgram) -> int:
     """Bytes one run of ``program`` uploads host-to-device.
 
@@ -87,23 +77,18 @@ def upload_nbytes(program: DeviceProgram) -> int:
     (the inputs; device-resident intermediates are recomputed there), so
     it is what the host-staged D2H+H2D migration path prices.
     """
-    sizes: dict[str, int] = {}
-    items: dict[str, int] = {}
+    allocs: dict[str, AllocDevice] = {}
     total = 0
     for op in program.ops:
         if isinstance(op, AllocDevice):
-            sizes[op.buffer] = op.nbytes
-            items[op.buffer] = np.dtype(op.dtype).itemsize
+            allocs[op.buffer] = op
         elif isinstance(op, HostToDevice):
-            if op.device not in sizes:
+            if op.device not in allocs:
                 raise ReproError(
                     f"fleet upload accounting of {program.name!r}: H2D into "
                     f"unallocated buffer {op.device!r}"
                 )
-            if op.region is None:
-                total += sizes[op.device]
-            else:
-                total += region_count(op.region) * items[op.device]
+            total += transfer_nbytes(op, allocs[op.device])
     return total
 
 
@@ -114,6 +99,8 @@ class FleetDevice:
     index: int
     executor: GPUExecutor
     cache: CompileCache
+    #: prefix of its engine and slot names: its name in a fleet, else empty
+    namespace: str = field(default="", repr=False)
 
     @property
     def name(self) -> str:
@@ -126,7 +113,11 @@ class FleetDevice:
     def engine(self, kind: str) -> str:
         if kind not in ENGINE_KINDS:
             raise ReproError(f"unknown engine kind {kind!r}")
-        return f"{self.name}:{kind}"
+        return f"{self.namespace}:{kind}" if self.namespace else kind
+
+    def slot(self, buffer: str, slot: int) -> str:
+        """The resource name of physical ``slot`` of device ``buffer``."""
+        return f"{self.namespace}/{buffer}@s{slot}" if self.namespace else f"{buffer}@s{slot}"
 
 
 class DeviceTopology:
@@ -145,6 +136,11 @@ class DeviceTopology:
         self.devices = list(devices)
         self.host = host
         self.host_channels = host_channels
+        # a lone device keeps the single GPU's names (bare engine kinds,
+        # un-prefixed slots, one "host" lane); a fleet namespaces each one
+        self.namespaced = len(self.devices) > 1
+        for d in self.devices:
+            d.namespace = d.name if self.namespaced else ""
 
     @classmethod
     def build(
@@ -168,6 +164,11 @@ class DeviceTopology:
         ]
         return cls(devices, host=host, host_channels=host_channels)
 
+    @classmethod
+    def around(cls, executor: GPUExecutor) -> "DeviceTopology":
+        """One device around ``executor``, with a fresh compile cache."""
+        return cls([FleetDevice(index=0, executor=executor, cache=CompileCache())])
+
     def __len__(self) -> int:
         return len(self.devices)
 
@@ -185,15 +186,12 @@ class DeviceTopology:
     def host_lane(self, k: int) -> str:
         """The host engine serving device ``k``'s stream (lanes wrap when
         K exceeds the host's core count)."""
-        return f"hl{k % self.host_lanes}:host"
+        return f"hl{k % self.host_lanes}:host" if self.namespaced else "host"
 
     def engines(self) -> tuple[str, ...]:
-        """Every engine of the fleet in track order (device-major)."""
-        names = []
-        for d in self.devices:
-            names.extend(d.engine(kind) for kind in ("h2d", "compute", "d2h"))
-        names.extend(f"hl{lane}:host" for lane in range(self.host_lanes))
-        return tuple(names)
+        """Every engine of the topology in track order (device-major)."""
+        names = [d.engine(k) for d in self.devices for k in ("h2d", "compute", "d2h")]
+        return (*names, *(self.host_lane(lane) for lane in range(self.host_lanes)))
 
     def migration_us(self, nbytes: int) -> tuple[float, float]:
         """Host-staged cross-device move: (D2H on source, H2D on target)."""

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.gpu.calibration import GTX480_CALIBRATED
-from repro.gpu.cost import CostModel, CostParams
+from repro.gpu.cost import CostParams
 from repro.gpu.executor import GPUExecutor
 from repro.ir.program import DeviceProgram
 from repro.obs.span import Tracer, current_tracer, use_tracer
@@ -95,7 +95,7 @@ class PipelineReport:
     cache: CacheStats
     validated_instances: int
     schedule: PipelineSchedule = field(compare=False, default=None)
-    #: fleet shape (defaults describe the single-device pipeline)
+    #: fleet shape (defaults describe a one-device pipeline)
     devices: int = 1
     placement: str = ""
     per_device: dict = field(default_factory=dict)
@@ -142,7 +142,17 @@ class PipelineReport:
 
 
 class FramePipeline:
-    """Serves a frame job over the stream-overlapped execution engine."""
+    """Serves a frame job over the stream-overlapped execution engine.
+
+    The pipeline always runs on a
+    :class:`~repro.runtime.fleet.DeviceTopology`: ``topology`` when
+    given, else ``devices`` copies of the paper's GPU priced by
+    ``params``.  The paper's single GPU is a topology of one, and an
+    external ``cache`` becomes its compile cache (a fleet compiles
+    through one cache per device, so it takes none).  A fleet places
+    each frame on a device by the ``placement`` policy before compiling
+    it; a lone device places nothing.
+    """
 
     def __init__(
         self,
@@ -160,28 +170,21 @@ class FramePipeline:
             raise ValueError(f"validate must be first/all/none, not {validate!r}")
         if devices < 1:
             raise ValueError("devices must be >= 1")
-        if topology is not None:
-            self.topology = topology
-        elif devices > 1:
-            self.topology = DeviceTopology.build(devices, params)
-        else:
-            self.topology = None
-        if self.topology is not None:
-            if cache is not None:
+        self.topology = topology or DeviceTopology.build(devices, params)
+        fleet = len(self.topology) > 1
+        if cache is not None:
+            if fleet:
                 raise ValueError(
                     "a fleet pipeline compiles through per-device caches; "
                     "an external cache cannot be shared across devices"
                 )
-            # device 0 fronts the fleet for single-executor consumers
-            self.executor = self.topology.device(0).executor
-            self.cache = self.topology.device(0).cache
-            self.placement_policy = make_placement(
-                placement, len(self.topology)
-            )
-        else:
-            self.executor = GPUExecutor(CostModel(params))
-            self.cache = cache if cache is not None else CompileCache()
-            self.placement_policy = None
+            self.topology.device(0).cache = cache
+        # device 0 fronts the topology for single-executor consumers
+        self.executor = self.topology.device(0).executor
+        self.cache = self.topology.device(0).cache
+        self.placement_policy = (
+            make_placement(placement, len(self.topology)) if fleet else None
+        )
         self.depth = depth
         self.serialize = serialize
         self.validate = validate
@@ -191,15 +194,14 @@ class FramePipeline:
 
     @property
     def devices(self) -> int:
-        return 1 if self.topology is None else len(self.topology)
+        return len(self.topology)
 
     def _validate(self, job: PipelineJob, program: DeviceProgram, frame: int,
-                  instance: int, executor: GPUExecutor | None = None) -> bool:
+                  instance: int, executor: GPUExecutor) -> bool:
         expected = job.golden(frame, instance, program)
         if expected is None:
             return False
-        runner = executor if executor is not None else self.executor
-        result = runner.run(program, job.env(frame, instance))
+        result = executor.run(program, job.env(frame, instance))
         for name, want in expected.items():
             got = result.outputs.get(name)
             if got is None or not np.array_equal(got, want):
@@ -239,119 +241,44 @@ class FramePipeline:
                 transfer_share_serial=0.0, cache=CacheStats(),
                 validated_instances=0, devices=self.devices,
             )
-        if self.topology is not None:
-            return self._run_fleet(job, frames, tracer)
-        # re-base the allocator counters, as a fleet batch does, so the
-        # executor's peak-bytes/alloc numbers never bleed across runs
-        self.executor.memory.reset_stats()
-        before = self.cache.stats.snapshot()
-
-        with tracer.span(
-            f"pipeline:{job.name}", category="pipeline", frames=frames
-        ) as pipe_span:
-            # compile stage: once per frame through the cache (a real server
-            # compiles on frame arrival; the cache makes every frame after
-            # the first a hit)
-            with tracer.span("compile-stage", category="pipeline-stage") as sp:
-                program = None
-                for f in range(frames):
-                    program = job.compile(self.cache)
-                cache_delta = self.cache.stats.since(before)
-                sp.set(hits=cache_delta.hits, misses=cache_delta.misses)
-
-            # functional stage: bit-exact validation against the job's golden
-            with tracer.span("validate-stage", category="pipeline-stage") as sp:
-                validated = 0
-                if self.validate == "first":
-                    validated += int(self._validate(job, program, 0, 0))
-                elif self.validate == "all":
-                    for f in range(frames):
-                        for i in range(job.instances_per_frame):
-                            validated += int(self._validate(job, program, f, i))
-                sp.set(validated=validated)
-
-            # temporal stage: schedule every run across the three engines
-            with tracer.span("schedule-stage", category="pipeline-stage"):
-                runs = frames * job.instances_per_frame
-                schedule = build_schedule(
-                    program, self.executor, runs=runs, depth=self.depth,
-                    serialize=self.serialize,
-                )
-            pipe_span.set(program=program.name, runs=runs)
-        latencies = schedule.latencies_us(batch=job.instances_per_frame)
-        makespan = schedule.makespan_us
-        busy = {e: schedule.engine_busy_us(e) for e in schedule.engines}
-        transfer_serial = busy.get("h2d", 0.0) + busy.get("d2h", 0.0)
-
-        return PipelineReport(
-            job=job.name,
-            program=program.name,
-            frames=frames,
-            instances=runs,
-            depth=schedule.depth,
-            serialize=self.serialize,
-            serial_us=schedule.serial_us,
-            overlapped_us=makespan,
-            frames_per_second=frames / (makespan / 1e6) if makespan else 0.0,
-            latency_p50_us=float(np.percentile(latencies, 50)) if latencies else 0.0,
-            latency_p95_us=float(np.percentile(latencies, 95)) if latencies else 0.0,
-            engine_busy_us=busy,
-            engine_occupancy=schedule.engine_occupancy(),
-            transfer_share_serial=(
-                transfer_serial / schedule.serial_us if schedule.serial_us else 0.0
-            ),
-            cache=cache_delta,
-            validated_instances=validated,
-            schedule=schedule,
-        )
-
-    @staticmethod
-    def _ticket_key(job: PipelineJob):
-        """Compile-cache identity of a job's frames for placement."""
-        size = getattr(getattr(job, "size", None), "name", "")
-        return (job.name, size)
-
-    def _run_fleet(
-        self, job: PipelineJob, frames: int, tracer: Tracer
-    ) -> PipelineReport:
-        """Shard the frame stream over the device topology.
-
-        Stage order matters: frames are *placed* before they are
-        compiled, because the placed device's compile cache is what the
-        frame compiles through — the per-device miss pattern is exactly
-        what the cache-affinity policy optimises.
-        """
-        topo = self.topology
-        policy = self.placement_policy
-        policy.new_batch()
-        # a batch boundary also re-bases every device's memory counters,
-        # so fleet peak-bytes/occupancy numbers never bleed across runs
+        topo, policy = self.topology, self.placement_policy
+        # a batch boundary re-bases every device's memory counters, so
+        # peak-bytes/occupancy numbers never bleed across runs
         topo.reset_stats()
         before = [d.cache.stats.snapshot() for d in topo]
         ipf = job.instances_per_frame
 
         with tracer.span(
-            f"pipeline:{job.name}", category="pipeline", frames=frames,
-            devices=len(topo),
+            f"pipeline:{job.name}", category="pipeline", frames=frames
         ) as pipe_span:
-            with tracer.span("placement-stage", category="pipeline-stage") as sp:
-                ticket_key = self._ticket_key(job)
-                decisions = [
-                    policy.place(FrameTicket(frame=f, cache_key=ticket_key))
-                    for f in range(frames)
-                ]
-                sp.set(policy=policy.name, devices=len(topo))
+            # placement stage, on a fleet only: frames are placed before
+            # they are compiled, because the placed device's compile cache
+            # is what the frame compiles through — the per-device miss
+            # pattern is exactly what the cache-affinity policy optimises
+            decisions = None
+            placed = [0] * frames
+            if policy is not None:
+                pipe_span.set(devices=len(topo))
+                with tracer.span("placement-stage", category="pipeline-stage") as sp:
+                    policy.new_batch()
+                    # the compile-cache identity of the job's frames
+                    ticket_key = (job.name, getattr(getattr(job, "size", None), "name", ""))
+                    decisions = [
+                        policy.place(FrameTicket(frame=f, cache_key=ticket_key))
+                        for f in range(frames)
+                    ]
+                    placed = [dec.device for dec in decisions]
+                    sp.set(policy=policy.name, devices=len(topo))
 
-            # compile stage: once per frame through its placed device's
-            # cache (device code is per-context: a fleet of K cold
-            # devices pays up to K misses where one device pays one)
+            # compile stage: once per frame through its device's cache (a
+            # real server compiles on frame arrival; device code is
+            # per-context, so a fleet of K cold devices pays up to K misses
+            # where one device pays one)
             with tracer.span("compile-stage", category="pipeline-stage") as sp:
                 program = None
-                for dec in decisions:
-                    program = job.compile(topo.device(dec.device).cache)
-                deltas = [
-                    d.cache.stats.since(b) for d, b in zip(topo, before)
-                ]
+                for k in placed:
+                    program = job.compile(topo.device(k).cache)
+                deltas = [d.cache.stats.since(b) for d, b in zip(topo, before)]
                 cache_delta = CacheStats(
                     hits=sum(d.hits for d in deltas),
                     misses=sum(d.misses for d in deltas),
@@ -359,25 +286,24 @@ class FramePipeline:
                 )
                 sp.set(hits=cache_delta.hits, misses=cache_delta.misses)
 
-            # functional stage: validate on the executor of the device
-            # the frame was placed on — bit-exactness must hold wherever
-            # the placement sent the frame
+            # functional stage: bit-exact validation against the job's
+            # golden, on the executor of the device each frame was placed on
             with tracer.span("validate-stage", category="pipeline-stage") as sp:
                 validated = 0
                 if self.validate == "first":
                     validated += int(self._validate(
-                        job, program, 0, 0,
-                        executor=topo.device(decisions[0].device).executor,
+                        job, program, 0, 0, topo.device(placed[0]).executor
                     ))
                 elif self.validate == "all":
-                    for f, dec in enumerate(decisions):
-                        executor = topo.device(dec.device).executor
+                    for f, k in enumerate(placed):
+                        executor = topo.device(k).executor
                         for i in range(ipf):
-                            validated += int(self._validate(
-                                job, program, f, i, executor=executor,
-                            ))
+                            validated += int(
+                                self._validate(job, program, f, i, executor)
+                            )
                 sp.set(validated=validated)
 
+            # temporal stage: schedule every run across the engines
             with tracer.span("schedule-stage", category="pipeline-stage"):
                 runs = frames * ipf
                 schedule = build_schedule(
@@ -387,37 +313,36 @@ class FramePipeline:
                 )
             pipe_span.set(program=program.name, runs=runs)
 
-        # feedback: refine the policy's service-time estimate so later
-        # batches balance on observed per-frame cost, not the prior
-        serial_per_frame = schedule.serial_us / frames
-        for dec in decisions:
-            policy.observe(dec.device, serial_per_frame)
-
         latencies = schedule.latencies_us(batch=ipf)
         makespan = schedule.makespan_us
-        engines = topo.engines()
+        # the report lists a lone device's engines in order of first use
+        # and every engine of a fleet, which it also describes per device
+        engines = schedule.engines if policy is None else topo.engines()
         busy = {e: schedule.engine_busy_us(e) for e in engines}
         occupancy = schedule.engine_occupancy(engines=engines)
         # migration nodes ride the copy engines but, like serial_us, the
         # program's transfer time leaves them out
         transfer_serial = sum(
-            busy[d.engine(kind)] for d in topo for kind in ("h2d", "d2h")
+            busy.get(d.engine(kind), 0.0) for d in topo for kind in ("h2d", "d2h")
         ) - schedule.migration_us
         per_device: dict[str, dict] = {}
-        for k, d in enumerate(topo):
-            kinds = {
-                kind: busy[d.engine(kind)] for kind in ("h2d", "compute", "d2h")
-            }
-            per_device[d.name] = {
-                "frames": sum(1 for dec in decisions if dec.device == k),
-                "busy_us": {k2: round(v, 3) for k2, v in kinds.items()},
-                "occupancy": {
-                    kind: round(occupancy[d.engine(kind)], 4)
-                    for kind in ("h2d", "compute", "d2h")
-                },
-                "peak_bytes": d.memory.peak_bytes,
-                "cache": deltas[k].as_dict(),
-            }
+        if policy is not None:
+            # feedback: refine the policy's service-time estimate so later
+            # batches balance on observed per-frame cost, not the prior
+            serial_per_frame = schedule.serial_us / frames
+            for k in placed:
+                policy.observe(k, serial_per_frame)
+            for k, d in enumerate(topo):
+                kinds = ("h2d", "compute", "d2h")
+                per_device[d.name] = {
+                    "frames": placed.count(k),
+                    "busy_us": {kind: round(busy[d.engine(kind)], 3) for kind in kinds},
+                    "occupancy": {
+                        kind: round(occupancy[d.engine(kind)], 4) for kind in kinds
+                    },
+                    "peak_bytes": d.memory.peak_bytes,
+                    "cache": deltas[k].as_dict(),
+                }
 
         return PipelineReport(
             job=job.name,
@@ -440,7 +365,7 @@ class FramePipeline:
             validated_instances=validated,
             schedule=schedule,
             devices=len(topo),
-            placement=policy.name,
+            placement=policy.name if policy is not None else "",
             per_device=per_device,
             migrations=schedule.migrations,
             migration_us=schedule.migration_us,

@@ -21,6 +21,9 @@ overlapped numbers from it.  It models:
   the previous one, reproducing the paper's measured behaviour (the
   ablation baseline the overlapped numbers are reported against).
 
+The runs execute on a :class:`~repro.runtime.fleet.DeviceTopology`: the
+paper's one GPU is a topology of one, and a fleet shards them over K.
+
 ``depth=None`` gives every run private slots, so no slot is ever
 recycled: the unbounded-buffering what-if that ``repro experiment
 overlap`` charts.
@@ -54,6 +57,12 @@ from repro.ir.program import (
     LaunchKernel,
 )
 from repro.obs.span import current_tracer
+from repro.runtime.fleet import (
+    DeviceTopology,
+    FrameTicket,
+    make_placement,
+    upload_nbytes,
+)
 
 __all__ = [
     "ScheduledNode",
@@ -78,11 +87,12 @@ class ScheduledNode:
     op_index: int  # index into ``program.ops``; -1 for synthetic fleet
     # migration transfers (no backing program op)
     name: str
-    engine: str  # "h2d" | "compute" | "d2h" | "host", "d{k}:"-prefixed
-    # (host lanes "hl{l}:host") when built against a DeviceTopology
+    #: "h2d" | "compute" | "d2h" | "host" on one device; a fleet prefixes
+    #: the device's ("d{k}:h2d") and names host lanes "hl{l}:host"
+    engine: str
     start_us: float
     end_us: float
-    #: device stream the op belongs to (0 on single-device schedules)
+    #: device stream the op belongs to (0 on a one-device schedule)
     device: int = 0
     #: node ids this operation waited on (data, WAR/WAW and host deps;
     #: engine-FIFO predecessors are implicit in the per-engine order)
@@ -170,7 +180,7 @@ class PipelineSchedule:
     serial_us: float
     nodes: tuple[ScheduledNode, ...] = field(compare=False)
     #: fleet shape: device count, per-frame placements (device index per
-    #: frame, empty on single-device schedules) and host-staged migration
+    #: frame, empty on a one-device schedule) and host-staged migration
     #: accounting — migration time is *extra* work the placement chose to
     #: pay, so it is kept out of ``serial_us`` (the what-if baseline)
     devices: int = 1
@@ -248,9 +258,6 @@ class PipelineSchedule:
         frame's staging transfers counted with its first run."""
         return self._totals.run_spans_us
 
-    def device_nodes(self, device: int) -> tuple[ScheduledNode, ...]:
-        return tuple(n for n in self.nodes if n.device == device)
-
     def run_nodes(self, run: int) -> tuple[ScheduledNode, ...]:
         return tuple(n for n in self.nodes if n.run == run)
 
@@ -294,28 +301,28 @@ def build_schedule(
     of one tile overlaps a kernel writing another.  An access the oracle
     cannot box counts as touching the whole resource.
 
-    With a :class:`~repro.runtime.fleet.DeviceTopology` the runs shard
-    across the fleet: every device owns a namespaced engine triple
-    (``d{k}:h2d`` / ``d{k}:compute`` / ``d{k}:d2h``) with its own buffer
-    slots and its own host-step barrier stream; host steps run on at most
-    ``host.cores`` shared lanes and every PCIe transfer additionally
-    queues on the topology's shared host staging channels (the saturation
-    model).  ``frame_batch`` consecutive runs form one frame — the unit
-    of placement.  ``placements`` gives one
+    The runs execute on ``topology`` (by default, one device around
+    ``executor``): every device owns an engine triple with its own buffer
+    slots and host-step barrier stream; host steps run on at most
+    ``host.cores`` shared lanes and every PCIe transfer also queues on the
+    topology's shared host staging channels (the saturation model; one
+    device's two FIFO copy engines never fill them).  On a fleet,
+    ``frame_batch`` consecutive runs form one frame — the unit of
+    placement.  ``placements`` gives one
     :class:`~repro.runtime.fleet.PlacementDecision` per frame (e.g. from
     :class:`~repro.runtime.pipeline.FramePipeline`'s placement stage);
     without it, frames are placed by the named ``placement`` policy.  A
     decision carrying ``migrate_from`` materialises the host-staged move
     as real D2H + H2D nodes priced by the PCIe model, which the frame's
-    runs then wait on.
+    runs then wait on.  A lone device places nothing.
 
     The work is recorded as one ``schedule`` span on the ambient tracer.
     """
+    topology = topology or DeviceTopology.around(executor)
     with current_tracer().span(
         f"build_schedule:{program.name}", category="schedule",
         runs=runs, depth=depth if depth is not None else runs,
-        serialize=serialize,
-        devices=1 if topology is None else len(topology),
+        serialize=serialize, devices=len(topology),
     ) as span:
         schedule = _build_schedule(
             program, executor, runs, depth, serialize,
@@ -334,7 +341,7 @@ class _Step:
     name: str
     kind: str  # "h2d" | "compute" | "d2h" | "host"
     dur: float
-    #: a PCIe transfer: on a fleet it also queues on the staging channels
+    #: a PCIe transfer: it also queues on the host's staging channels
     channel: bool
     #: resources as ``(DEV, buffer)`` / ``(HOST, array)``, before the
     #: timing pass names them by slot and run; every access waits on the
@@ -480,7 +487,7 @@ def _build_schedule(
     runs: int,
     depth: int | None,
     serialize: bool,
-    topology=None,
+    topology: DeviceTopology,
     placements=None,
     placement="round-robin",
     frame_batch: int = 1,
@@ -495,9 +502,7 @@ def _build_schedule(
 
     frames = (runs + frame_batch - 1) // frame_batch
     decisions = None
-    if topology is not None:
-        from repro.runtime.fleet import FrameTicket, make_placement
-
+    if len(topology) > 1:
         if placements is None:
             policy = make_placement(placement, len(topology))
             decisions = [
@@ -525,7 +530,7 @@ def _build_schedule(
                     f"{d.migrate_from}"
                 )
     elif placements is not None:
-        raise ValueError("placements require a device topology")
+        raise ValueError("placements require a multi-device topology")
     prices = executor.price(program)
 
     from repro.analysis.regions import RegionOracle
@@ -537,14 +542,10 @@ def _build_schedule(
     template = _DependenceTemplate(_steps(program, prices, op_access), disjoint)
     steps = template.steps
 
-    if topology is None:
-        engine_ready: dict[str, float] = {"h2d": 0.0, "compute": 0.0, "d2h": 0.0}
-        chan_ready = None
-    else:
-        # every namespaced engine (host lanes included) runs FIFO; PCIe
-        # transfers additionally queue on the shared staging channels
-        engine_ready = {e: 0.0 for e in topology.engines()}
-        chan_ready = [0.0] * topology.host_channels
+    # every engine (host lanes included) runs FIFO; PCIe transfers
+    # additionally queue on the shared staging channels
+    engine_ready = {e: 0.0 for e in topology.engines()}
+    chan_ready = [0.0] * topology.host_channels
     #: host-step barriers are per device stream: a host step of one
     #: device's frame must not stall another device's issue
     host_sync: dict[int, float] = {}
@@ -592,27 +593,21 @@ def _build_schedule(
         if serialize and prev_node is not None:
             deps.add(prev_node[0])
             after = max(after, prev_node[1])
-        start = max(engine_ready.get(engine, 0.0), after)
-        if channel and chan_ready is not None:
+        start = max(engine_ready[engine], after)
+        if channel:
             # the PCIe wire: this transfer occupies one of the shared
             # host staging channels for exactly its duration.  Best fit:
             # take the latest-freed channel already free when the
             # transfer is otherwise ready (keeping earlier-freed wires
             # open); only when every wire is still busy does the
             # transfer wait — the fleet's saturation point.
-            free = [
-                i for i in range(len(chan_ready))
-                if chan_ready[i] <= start + _EPS
-            ]
-            if free:
-                ci = max(free, key=chan_ready.__getitem__)
-            else:
-                ci = min(range(len(chan_ready)), key=chan_ready.__getitem__)
-                start = chan_ready[ci]
-            chan_ready[ci] = start + dur
+            limit = start + _EPS
+            freed = max([t for t in chan_ready if t <= limit], default=None)
+            if freed is None:
+                freed = start = min(chan_ready)
+            chan_ready[chan_ready.index(freed)] = start + dur
         end = start + dur
-        if engine in engine_ready:
-            engine_ready[engine] = end
+        engine_ready[engine] = end
         node = _node(
             len(nodes), run, op_index, name, engine, start, end, stream,
             tuple(sorted(deps)), reads, writes, read_boxes, write_boxes,
@@ -623,7 +618,7 @@ def _build_schedule(
         return node
 
     for run in range(runs):
-        if topology is not None:
+        if decisions is not None:
             frame = run // frame_batch
             dcsn = decisions[frame]
             cur_dev = dcsn.device
@@ -637,8 +632,6 @@ def _build_schedule(
                 # the source, H2D it on the target, both through the
                 # shared staging channels — the frame's runs wait on it
                 if mig_nbytes is None:
-                    from repro.runtime.fleet import upload_nbytes
-
                     mig_nbytes = upload_nbytes(program)
                 d2h_us, h2d_us = topology.migration_us(mig_nbytes)
                 src, dst = dcsn.migrate_from, cur_dev
@@ -669,19 +662,18 @@ def _build_schedule(
         else:
             waits, prev_base = template.fresh, base
         slot = count % depth
+        device = topology.device(cur_dev)
         engines = engines_of.get(cur_dev)
         if engines is None:
             engines = engines_of[cur_dev] = [
-                s.kind if topology is None
-                else topology.host_lane(cur_dev) if s.kind == "host"
-                else f"d{cur_dev}:{s.kind}"
+                topology.host_lane(cur_dev) if s.kind == "host"
+                else device.engine(s.kind)
                 for s in steps
             ]
         named = named_in.get((cur_dev, slot))
         if named is None:
-            prefix = "" if topology is None else f"d{cur_dev}/"
             dev_names = {
-                r: (DEV, f"{prefix}{r[1]}@s{slot}")
+                r: (DEV, device.slot(r[1], slot))
                 for s in steps for r in s.reads + s.writes if r[0] == DEV
             }
             named = named_in[(cur_dev, slot)] = (dev_names, [
@@ -720,7 +712,7 @@ def _build_schedule(
         serialize=serialize,
         serial_us=serial,
         nodes=tuple(nodes),
-        devices=1 if topology is None else len(topology),
+        devices=len(topology),
         placements=(
             tuple(d.device for d in decisions) if decisions is not None else ()
         ),
@@ -758,9 +750,7 @@ def schedule_violations(schedule: PipelineSchedule) -> list[str]:
     for n in schedule.nodes:
         by_engine.setdefault(n.engine, []).append(n)
     for engine, ns in by_engine.items():
-        # host engines/lanes are FIFO too: the builder's host_sync (one
-        # stream) or lane FIFO (fleet) serialises steps on one lane, so
-        # the same no-overlap check applies to every engine
+        # host lanes are FIFO engines too, so the check covers them
         for a, b in zip(ns, ns[1:]):
             if b.start_us < a.end_us - _EPS:
                 out.append(
@@ -823,12 +813,9 @@ def schedule_violations(schedule: PipelineSchedule) -> list[str]:
 
     # host steps serialise against each other and block all later issue
     # *of their own device stream* (a fleet device's host step must not
-    # stall another device's issue; single-device schedules have exactly
-    # one stream, so this is the old global check).  One ordered pass per
-    # stream tracking the latest-ending host step issued so far — a node
-    # violates the barrier iff it starts before that maximum, so the
-    # check is O(nodes) instead of the old O(hosts x nodes) sweep (which
-    # went quadratic on 300-frame schedules with per-frame host steps).
+    # stall another device's issue).  One ordered pass tracks, per stream,
+    # the latest-ending host step issued so far: a node violates the
+    # barrier iff it starts before it.
     last_host: dict[int, ScheduledNode] = {}
     for n in sorted(schedule.nodes, key=lambda n: n.id):
         prior = last_host.get(n.device)

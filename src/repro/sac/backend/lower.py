@@ -8,7 +8,7 @@ the unit the CUDA backend outlines as a kernel, following the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -229,8 +229,3 @@ def _width_offsets(width: tuple[int, ...]):
     from itertools import product
 
     return product(*(range(w) for w in width))
-
-
-def retarget_generator(gen: LoweredGenerator, space: IndexSpace) -> LoweredGenerator:
-    """A copy of ``gen`` restricted to a sub-space (used by wrap splitting)."""
-    return dc_replace(gen, space=space)

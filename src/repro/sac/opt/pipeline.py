@@ -9,7 +9,7 @@ the ablation benchmarks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import OptimisationError
 from repro.sac import ast
@@ -42,14 +42,6 @@ class OptimisationFlags:
     def no_wlf() -> "OptimisationFlags":
         """Everything except WITH-loop folding (the paper's key ablation)."""
         return OptimisationFlags(wlf=False)
-
-
-@dataclass
-class _Trace:
-    steps: list[str] = field(default_factory=list)
-
-    def note(self, msg: str) -> None:
-        self.steps.append(msg)
 
 
 def optimize_function(

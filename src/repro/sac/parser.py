@@ -8,11 +8,21 @@ destructured generator variables, ``step``/``width`` filters.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 from repro.errors import SacSyntaxError, SourceLocation
 from repro.sac import ast
 from repro.sac.lexer import Token, tokenize
 
-__all__ = ["parse", "parse_expression"]
+__all__ = ["MAX_DEPTH", "parse", "parse_expression"]
+
+#: The deepest nesting the parser accepts, so that parsing and every later
+#: pass over the syntax tree stay within Python's default recursion limit.
+#: A literal or variable is one level deep; every parenthesis, bracket,
+#: call, unary operator, WITH-loop and block around it adds one, and so does
+#: each operand of a binary or subscript chain: ``1 + 1 + 1``, ``((1))`` and
+#: ``a[i][j]`` are all three deep.  Deeper input is a located syntax error.
+MAX_DEPTH = 48
 
 
 def parse(source: str, filename: str = "<string>") -> ast.Program:
@@ -40,12 +50,17 @@ _BIN_LEVELS = [
     ("+", "-"),
     ("*", "/", "%"),
 ]
+_LEVEL_OF = {op: level for level, ops in enumerate(_BIN_LEVELS) for op in ops}
 
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        #: levels open around the current token
+        self.depth = 0
+        #: the deepest level a leaf reached since the last chain began
+        self.reach = 0
 
     # -- token helpers -------------------------------------------------------
 
@@ -94,6 +109,20 @@ class _Parser:
                 self.loc(),
             )
         return self.advance()
+
+    @contextmanager
+    def nested(self):
+        """One nesting level opened at the current token (:data:`MAX_DEPTH`)."""
+        self.depth += 1
+        self.reached(self.depth, self.loc())
+        yield
+        self.depth -= 1
+
+    def reached(self, level: int, loc: SourceLocation) -> None:
+        """Record that the construct at ``loc`` reaches nesting ``level``."""
+        if level > MAX_DEPTH:
+            raise SacSyntaxError(f"nesting deeper than {MAX_DEPTH} levels", loc)
+        self.reach = max(self.reach, level)
 
     def expect_eof(self) -> None:
         if self.cur.kind != "eof":
@@ -168,11 +197,12 @@ class _Parser:
     # -- statements ----------------------------------------------------------------
 
     def block(self) -> tuple[ast.Stmt, ...]:
-        self.expect("op", "{")
         stmts = []
-        while not self.at_op("}"):
-            stmts.append(self.statement())
-        self.expect("op", "}")
+        with self.nested():
+            self.expect("op", "{")
+            while not self.at_op("}"):
+                stmts.append(self.statement())
+            self.expect("op", "}")
         return tuple(stmts)
 
     def statement(self) -> ast.Stmt:
@@ -255,33 +285,41 @@ class _Parser:
     def expression(self) -> ast.Expr:
         return self._binary(0)
 
-    def _binary(self, level: int) -> ast.Expr:
-        if level >= len(_BIN_LEVELS):
-            return self._unary()
-        ops = _BIN_LEVELS[level]
-        lhs = self._binary(level + 1)
-        while self.cur.kind == "op" and self.cur.text in ops:
+    def _binary(self, min_level: int) -> ast.Expr:
+        """A left-associative chain of operators of ``_BIN_LEVELS[min_level]``
+        or tighter, by precedence climbing.  Each operator is one level above
+        the deeper of its operands."""
+        outer, self.reach = self.reach, 0
+        lhs = self._unary()
+        while self.cur.kind == "op" and _LEVEL_OF.get(self.cur.text, -1) >= min_level:
             loc = self.loc()
             op = self.advance().text
-            rhs = self._binary(level + 1)
+            left, self.reach = self.reach, 0
+            rhs = self._binary(_LEVEL_OF[op] + 1)
+            self.reached(max(left, self.reach) + 1, loc)
             lhs = ast.BinExpr(op=op, lhs=lhs, rhs=rhs, loc=loc)
+        self.reach = max(outer, self.reach)
         return lhs
 
     def _unary(self) -> ast.Expr:
         loc = self.loc()
-        if self.accept_op("-"):
-            return ast.UnExpr(op="-", operand=self._unary(), loc=loc)
-        if self.accept_op("!"):
-            return ast.UnExpr(op="!", operand=self._unary(), loc=loc)
+        if self.at_op("-") or self.at_op("!"):
+            op = self.advance().text
+            with self.nested():
+                return ast.UnExpr(op=op, operand=self._unary(), loc=loc)
         return self._postfix()
 
     def _postfix(self) -> ast.Expr:
         e = self._primary()
         while self.at_op("["):
             loc = self.loc()
-            self.advance()
-            index = self.index_argument()
-            self.expect("op", "]")
+            # the subscript is nested; the array it indexes is one level down
+            base, self.reach = self.reach, 0
+            with self.nested():
+                self.advance()
+                index = self.index_argument()
+                self.expect("op", "]")
+            self.reached(max(base + 1, self.reach), loc)
             e = ast.IndexExpr(array=e, index=index, loc=loc)
         return e
 
@@ -292,59 +330,57 @@ class _Parser:
 
     def _primary(self) -> ast.Expr:
         loc = self.loc()
+        self.reached(self.depth + 1, loc)  # every primary is one level deep
         if self.at("int"):
             return ast.IntLit(value=int(self.advance().text), loc=loc)
         if self.at("float"):
             return ast.FloatLit(value=float(self.advance().text), loc=loc)
-        if self.at_kw("true"):
-            self.advance()
-            return ast.BoolLit(value=True, loc=loc)
-        if self.at_kw("false"):
-            self.advance()
-            return ast.BoolLit(value=False, loc=loc)
+        if self.at_kw("true") or self.at_kw("false"):
+            return ast.BoolLit(value=self.advance().text == "true", loc=loc)
         if self.at_kw("with"):
-            return self.with_loop()
+            with self.nested():
+                return self.with_loop()
         if self.at_kw("genarray") and self.peek().text == "(":
             # array-constructor call form (paper Figure 5:
             # ``tile = genarray(out_pattern, 0);``)
             self.advance()
-            self.expect("op", "(")
-            args = [self.expression()]
-            while self.accept_op(","):
-                args.append(self.expression())
-            self.expect("op", ")")
+            with self.nested():
+                self.expect("op", "(")
+                args = [self.expression()]
+                while self.accept_op(","):
+                    args.append(self.expression())
+                self.expect("op", ")")
             return ast.Call(name="genarray", args=tuple(args), loc=loc)
         if self.at_op("("):
-            self.advance()
-            e = self.expression()
-            self.expect("op", ")")
+            with self.nested():
+                self.advance()
+                e = self.expression()
+                self.expect("op", ")")
             return e
         if self.at_op("["):
-            self.advance()
-            elements = []
-            if not self.at_op("]"):
-                while True:
-                    elements.append(self.expression())
-                    if not self.accept_op(","):
-                        break
-            self.expect("op", "]")
-            return ast.ArrayLit(elements=tuple(elements), loc=loc)
+            return ast.ArrayLit(elements=self.arguments("]"), loc=loc)
         if self.at("id"):
-            name = self.advance().text
-            if self.accept_op("("):
-                args = []
-                if not self.at_op(")"):
-                    while True:
-                        args.append(self.expression())
-                        if not self.accept_op(","):
-                            break
-                self.expect("op", ")")
-                return ast.Call(name=name, args=tuple(args), loc=loc)
-            return ast.Var(name=name, loc=loc)
+            if self.peek().text == "(":
+                name = self.advance().text
+                return ast.Call(name=name, args=self.arguments(")"), loc=loc)
+            return ast.Var(name=self.advance().text, loc=loc)
         raise SacSyntaxError(
             f"expected an expression, found {self.cur.text or self.cur.kind!r}",
             loc,
         )
+
+    def arguments(self, close: str) -> tuple[ast.Expr, ...]:
+        """A bracketed, comma-separated expression list ending in ``close``
+        (call arguments, array elements): one level deeper."""
+        items = []
+        with self.nested():
+            self.advance()
+            if not self.at_op(close):
+                items.append(self.expression())
+                while self.accept_op(","):
+                    items.append(self.expression())
+            self.expect("op", close)
+        return tuple(items)
 
     # -- WITH-loops ------------------------------------------------------------------
 
@@ -365,6 +401,7 @@ class _Parser:
     def _gen_bound(self) -> ast.Expr:
         loc = self.loc()
         if self.accept_op("."):
+            self.reached(self.depth + 1, loc)
             return ast.Dot(loc=loc)
         # bounds must stop before the generator's own '<='/'<' — parse below
         # the comparison precedence level (starting at '++')

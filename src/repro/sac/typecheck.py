@@ -31,19 +31,10 @@ class AType:
     base: str  # "int" | "float" | "double" | "bool" | "unknown"
     rank: int | None  # None = unknown
 
-    @property
-    def is_scalar_known(self) -> bool:
-        return self.rank == 0
-
-    def with_rank(self, rank: int | None) -> "AType":
-        return AType(self.base, rank)
-
 
 _UNKNOWN = AType("unknown", None)
 _INT = AType("int", 0)
 _BOOL = AType("bool", 0)
-
-_NUMERIC = {"int", "float", "double", "unknown"}
 
 
 def _of_typespec(t: ast.TypeSpec) -> AType:

@@ -52,12 +52,6 @@ class Request:
     #: absolute virtual deadline; ``None`` — best effort
     deadline_us: float | None = None
 
-    def slack_us(self, now_us: float) -> float:
-        """Remaining time before the deadline (``inf`` without one)."""
-        if self.deadline_us is None:
-            return float("inf")
-        return self.deadline_us - now_us
-
 
 @dataclass
 class Response:

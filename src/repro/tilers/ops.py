@@ -25,13 +25,22 @@ __all__ = ["gather", "scatter", "scatter_into_zeros", "flat_element_indices"]
 def flat_element_indices(tiler: Tiler) -> np.ndarray:
     """Row-major flat array index for every (rep, pat) point.
 
-    Shape ``repetition_shape + pattern_shape``.
+    Shape ``repetition_shape + pattern_shape``.  The index is summed one
+    array dimension at a time, ``stride_d * ((ref_d + off_d) mod n_d)``,
+    over the tiler's cached references and pattern offsets, so the
+    rep x pat x rank coordinates of :meth:`Tiler.all_elements` are never
+    built.
     """
-    coords = tiler.all_elements()
-    strides = np.ones(tiler.array_rank, dtype=np.int64)
-    for d in range(tiler.array_rank - 2, -1, -1):
-        strides[d] = strides[d + 1] * tiler.array_shape[d + 1]
-    return coords @ strides
+    refs, offs = tiler.broadcast_parts()
+    flat = np.zeros(tiler.repetition_shape + tiler.pattern_shape, dtype=np.int64)
+    stride = 1
+    for d in range(tiler.array_rank - 1, -1, -1):
+        term = refs[..., d] + offs[..., d]
+        np.remainder(term, tiler.array_shape[d], out=term)
+        term *= stride
+        flat += term
+        stride *= tiler.array_shape[d]
+    return flat
 
 
 def gather(tiler: Tiler, array: np.ndarray) -> np.ndarray:

@@ -199,19 +199,27 @@ class Tiler:
         pats = np.moveaxis(pats, 0, -1)
         return pats @ self.fitting_mat.T
 
+    def broadcast_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """:attr:`all_references` and :attr:`pattern_offsets` reshaped to
+        broadcast against each other over ``repetition_shape +
+        pattern_shape`` (the coordinate axis last)."""
+        rank = (self.array_rank,)
+        return (
+            self.all_references.reshape(
+                self.repetition_shape + (1,) * self.pattern_rank + rank
+            ),
+            self.pattern_offsets.reshape(
+                (1,) * self.repetition_rank + self.pattern_shape + rank
+            ),
+        )
+
     def all_elements(self) -> np.ndarray:
         """Array coordinates for every (rep, pat) point.
 
-        Shape ``repetition_shape + pattern_shape + (array_rank,)``.  This is
-        the dense enumeration used by :mod:`repro.tilers.ops` for the
-        vectorised gather/scatter and by the validators.
+        Shape ``repetition_shape + pattern_shape + (array_rank,)``: the
+        dense enumeration the validators and visualisations read.
         """
-        refs = self.all_references.reshape(
-            self.repetition_shape + (1,) * self.pattern_rank + (self.array_rank,)
-        )
-        offs = self.pattern_offsets.reshape(
-            (1,) * self.repetition_rank + self.pattern_shape + (self.array_rank,)
-        )
+        refs, offs = self.broadcast_parts()
         return (refs + offs) % self.array_shape_vec
 
     # -- wrap analysis -------------------------------------------------------
@@ -223,12 +231,7 @@ class Tiler:
         bounds before the modulo is applied, i.e. the modular addressing is
         actually exercised.  Shape ``repetition_shape``.
         """
-        refs = self.all_references.reshape(
-            self.repetition_shape + (1,) * self.pattern_rank + (self.array_rank,)
-        )
-        offs = self.pattern_offsets.reshape(
-            (1,) * self.repetition_rank + self.pattern_shape + (self.array_rank,)
-        )
+        refs, offs = self.broadcast_parts()
         raw = refs + offs
         out_of_bounds = (raw < 0) | (raw >= self.array_shape_vec)
         axes = tuple(

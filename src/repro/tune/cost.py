@@ -29,9 +29,6 @@ class CandidateCost:
     #: kernel launches per program run
     launches: int
 
-    def better_than(self, other: "CandidateCost") -> bool:
-        return self < other
-
     def as_dict(self) -> dict:
         # the makespan stays un-rounded: records digest their canonical
         # serialisation, so a lossy dict round-trip would change content

@@ -39,6 +39,8 @@ import numpy as np
 from repro.errors import OptError, ReproError
 from repro.opt.report import ProgramStats
 from repro.runtime.cache import CompileCache, tune_eval_key, tune_record_key
+from repro.runtime.fleet import DeviceTopology
+from repro.runtime.schedule import build_schedule
 from repro.tune.cost import CandidateCost
 from repro.tune.records import TuningRecord
 from repro.tune.space import DEFAULT_CONFIG, TuneConfig, enumerate_pass_configs, neighbours
@@ -110,11 +112,7 @@ class _Evaluator:
         self.executor = executor
         self.frames = frames
         self.devices = devices
-        self.topology = None
-        if devices > 1:
-            from repro.runtime.fleet import DeviceTopology
-
-            self.topology = DeviceTopology.build(devices)
+        self.topology = DeviceTopology.build(devices)
         self.candidates = 0
         self.evaluations = 0
         self.rejected = 0
@@ -131,8 +129,6 @@ class _Evaluator:
         self.evaluations += 1
 
         def build():
-            from repro.runtime.schedule import build_schedule
-
             try:
                 program = self.subject.compile(self.cache, config)
             except OptError:

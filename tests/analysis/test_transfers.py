@@ -1,6 +1,7 @@
 """Unit tests for the transfer-waste lint (XFER001/002/003)."""
 
 from repro.analysis import find_transfer_waste
+from repro.gpu import GTX480_CALIBRATED, CostModel, GPUExecutor
 from repro.ir import (
     AllocDevice,
     ArrayParam,
@@ -18,6 +19,8 @@ from repro.ir import (
     Store,
     ThreadIdx,
 )
+from repro.opt import ProgramStats
+from repro.runtime.fleet import upload_nbytes
 
 
 def add_one_kernel(shape=(4, 8)):
@@ -153,3 +156,44 @@ def test_never_launched_allocation_flagged():
     assert "d_idle" in d.message
     # the round-trip transfer cost is attributed to the useless buffer
     assert d.wasted_us is not None and d.wasted_us > 0
+
+
+def test_partial_transfers_move_their_region_everywhere():
+    """A partial transfer moves its region's bytes, not the buffer's: the
+    executor's prices, XFER001/002/003, the optimiser's byte count and
+    fleet migrations all read one rule."""
+    cost = CostModel(GTX480_CALIBRATED)
+    region = ((0, 2, 1), (0, 8, 2))  # 2 x 4 of the 4 x 8 int32 elements
+    part = 2 * 4 * 4
+    idle = program(
+        [
+            AllocDevice("d_idle", (4, 8)),
+            HostToDevice("h_in", "d_idle", region=region),
+            DeviceToHost("d_idle", "h_out", region=region),
+        ]
+    )
+    h2d_us, d2h_us = cost.h2d_time_us(part), cost.d2h_time_us(part)
+    assert GPUExecutor(cost).price(idle) == (0.0, h2d_us, d2h_us)
+    assert ProgramStats.of(idle).transferred_bytes == 2 * part
+    assert upload_nbytes(idle) == part
+    (unlaunched,) = by_code(find_transfer_waste(idle, cost), "XFER003")
+    assert unlaunched.wasted_us == h2d_us + d2h_us
+
+    k = add_one_kernel()
+    p = program(
+        [
+            AllocDevice("d_in", (4, 8)),
+            AllocDevice("d_out", (4, 8)),
+            HostToDevice("h_in", "d_in"),
+            HostToDevice("h_in", "d_in", region=region),  # already resident
+            LaunchKernel(k, (("src", "d_in"), ("dst", "d_out"))),
+            DeviceToHost("d_out", "h_scratch", region=region),  # never read
+            DeviceToHost("d_out", "h_out"),
+        ]
+    )
+    diags = find_transfer_waste(p, cost)
+    (reupload,) = by_code(diags, "XFER001")
+    assert reupload.wasted_us == h2d_us
+    (dead,) = by_code(diags, "XFER002")
+    assert dead.wasted_us == d2h_us
+    assert ProgramStats.of(p).transferred_bytes == 2 * 4 * 8 * 4 + 2 * part

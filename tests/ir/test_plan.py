@@ -122,6 +122,26 @@ def test_data_dependent_index_runs_in_the_interpreter():
     np.testing.assert_array_equal(launched["dst"], src[lut])
 
 
+def test_a_bug_in_the_plan_builder_propagates(monkeypatch):
+    """Only a failed static check sends a kernel to the interpreter: any
+    other error while building a plan is a bug and must surface, not
+    slow every launch down silently."""
+
+    def broken(self, body):
+        raise TypeError("plan builder bug")
+
+    monkeypatch.setattr(plan_module._Compiler, "stmts", broken)
+    kernel = Kernel(
+        "double",
+        IndexSpace((0,), (8,)),
+        (ArrayParam("a", (8,), intent="in"), ArrayParam("b", (8,), intent="out")),
+        body=(Store("b", (ThreadIdx(0),), BinOp("*", Read("a", (ThreadIdx(0),)), Const(2))),),
+    )
+    arrays = {"a": np.arange(8, dtype=np.int32), "b": np.zeros(8, np.int32)}
+    with pytest.raises(TypeError, match="plan builder bug"):
+        evaluate_kernel(kernel, arrays)
+
+
 @pytest.mark.parametrize(
     "route,variant",
     [("sac", NONGENERIC), ("sac", GENERIC), ("gaspard", NONGENERIC)],

@@ -15,7 +15,8 @@ from repro.runtime import (
     make_placement,
     schedule_violations,
 )
-from repro.runtime.fleet import split_engine, upload_nbytes
+from repro.runtime.fleet import upload_nbytes
+from tests.runtime.test_schedule_pins import schedule_record
 
 
 @pytest.fixture
@@ -64,11 +65,6 @@ def test_migration_is_priced_as_d2h_plus_h2d(topo2):
     d2h, h2d = topo2.migration_us(1 << 20)
     assert d2h == cost.d2h_time_us(1 << 20)
     assert h2d == cost.h2d_time_us(1 << 20)
-
-
-def test_split_engine():
-    assert split_engine("d2:h2d") == (2, "h2d")
-    assert split_engine("compute") == (None, "compute")
 
 
 # -- placement policies ------------------------------------------------------
@@ -189,13 +185,30 @@ def test_fleet_schedule_is_valid_and_faster(sac_programs, executor):
     assert {n.device for n in fleet.nodes} == {0, 1}
 
 
-def test_single_device_topology_matches_legacy_makespan(sac_programs, executor):
-    program = sac_programs[NONGENERIC]
-    base = build_schedule(program, executor, runs=6, depth=2)
+def test_topology_of_one_names_engines_and_slots_like_one_device():
     topo = DeviceTopology.build(1)
-    fleet = build_schedule(program, executor, runs=6, depth=2, topology=topo)
-    assert fleet.makespan_us == pytest.approx(base.makespan_us)
-    assert schedule_violations(fleet) == []
+    assert topo.engines() == ("h2d", "compute", "d2h", "host")
+    assert topo.host_lane(0) == "host"
+    assert topo.device(0).slot("d_x", 1) == "d_x@s1"
+    assert DeviceTopology.build(2).device(1).slot("d_x", 1) == "d1/d_x@s1"
+
+
+def test_one_device_topology_matches_the_default_build(
+    sac_programs, gaspard_program, executor
+):
+    """An explicit one-device topology is the default build, node for
+    node: same engines, slots, times and edges, and nothing placed."""
+    for program in (*sac_programs.values(), gaspard_program):
+        for depth in (1, 2, None):
+            for serialize in (False, True):
+                shape = dict(runs=6, depth=depth, serialize=serialize)
+                base = build_schedule(program, executor, **shape)
+                one = build_schedule(
+                    program, executor, topology=DeviceTopology.build(1), **shape
+                )
+                assert schedule_record(one) == schedule_record(base)
+                assert one.placements == ()
+                assert schedule_violations(one) == []
 
 
 def test_fleet_schedule_records_placements(gaspard_program, executor):

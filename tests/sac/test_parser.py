@@ -1,10 +1,11 @@
 """Unit tests for the SaC parser."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SacSyntaxError
 from repro.sac import ast
-from repro.sac.parser import parse, parse_expression
+from repro.sac.parser import MAX_DEPTH, parse, parse_expression
 
 
 class TestTypes:
@@ -250,3 +251,75 @@ class TestErrors:
     def test_trailing_garbage_in_expression(self):
         with pytest.raises(SacSyntaxError):
             parse_expression("1 + 2 )")
+
+
+#: ``%s`` sits two levels deep: the function body and the WITH-loop
+_DEEP_SOURCE = """int[8] main(int[8] a) {
+  b = with { ([0] <= iv < [8]) : %s; } : genarray([8], 0);
+  return b;
+}"""
+
+
+def _parens(count: int) -> str:
+    """``a[iv]`` (two deep) inside ``count`` parentheses."""
+    return "(" * count + "a[iv]" + ")" * count
+
+
+def _sum(terms: int) -> str:
+    """``terms`` operands of ``+``: ``terms + 1`` deep."""
+    return " + ".join(["a[iv]"] * terms)
+
+
+class TestNestingLimit:
+    """Every level of nesting counts against one limit, so deep input is
+    a located syntax error, not a bare ``RecursionError``, and every
+    program at the limit compiles and runs."""
+
+    @pytest.mark.parametrize(
+        "expr, times",
+        [(_parens(MAX_DEPTH - 4), 1), (_sum(MAX_DEPTH - 3), MAX_DEPTH - 3)],
+        ids=["parens", "sum"],
+    )
+    def test_program_at_the_limit_compiles_and_runs(self, expr, times):
+        from repro.gpu import GTX480_CALIBRATED, CostModel, GPUExecutor
+        from repro.sac.backend import CompileOptions, compile_function
+        from repro.sac.interp import Interpreter
+
+        program = parse(_DEEP_SOURCE % expr)
+        a = np.arange(8, dtype=np.int32)
+        cf = compile_function(program, "main", CompileOptions())
+        result = GPUExecutor(CostModel(GTX480_CALIBRATED)).run(cf.program, {"a": a})
+        np.testing.assert_array_equal(
+            result.outputs[cf.program.host_outputs[0]], a * times
+        )
+        np.testing.assert_array_equal(Interpreter(program).call("main", [a]), a * times)
+
+    @pytest.mark.parametrize(
+        "expr, crossing",
+        [(_parens(MAX_DEPTH - 3), "iv"), (_sum(MAX_DEPTH - 2), "+")],
+        ids=["parens", "sum"],
+    )
+    def test_one_level_past_the_limit_is_a_located_error(self, expr, crossing):
+        """Located at the innermost leaf of the parentheses, or at the
+        operator that takes the sum past the limit."""
+        from repro.sac.backend import CompileOptions, compile_function
+
+        with pytest.raises(SacSyntaxError, match=f"deeper than {MAX_DEPTH}") as exc:
+            compile_function(parse(_DEEP_SOURCE % expr), "main", CompileOptions())
+        line = _DEEP_SOURCE.splitlines()[1]
+        column = line.index("%s") + expr.rindex(crossing) + 1
+        assert (exc.value.location.line, exc.value.location.column) == (2, column)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "int f() { return " + "(" * 5000 + "1" + ")" * 5000 + "; }",
+            "int f() { return " + "-" * 5000 + "1; }",
+            "int f(int[8] a) { return " + "a[" * 5000 + "0" + "]" * 5000 + "; }",
+            "int f() { " + "{" * 5000 + "}" * 5000 + " return 1; }",
+        ],
+        ids=["parens", "unary", "subscripts", "blocks"],
+    )
+    def test_hostile_nesting_is_a_syntax_error(self, source):
+        with pytest.raises(SacSyntaxError, match="deeper than"):
+            parse(source)

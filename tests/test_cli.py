@@ -68,6 +68,36 @@ def test_int_literal_past_64_bits_exits_3(tmp_path, capsys, literal):
     err = capsys.readouterr().err
     assert f"big.sac:1:64: integer literal {literal} is above 2**63 - 1" in err
 
+@pytest.mark.parametrize("shape", ["parens", "sum"])
+@pytest.mark.parametrize("past", [0, 1], ids=["at-limit", "past-limit"])
+def test_compile_sac_nesting_limit(tmp_path, capsys, shape, past):
+    """At the nesting limit a program compiles; one level past it is a
+    located syntax error, exit 3, with no ``RecursionError`` traceback."""
+    from repro.sac.parser import MAX_DEPTH
+
+    # the function body and the WITH-loop are two levels, a[iv] two more
+    if shape == "parens":
+        count = MAX_DEPTH - 4 + past
+        expr = "(" * count + "a[iv]" + ")" * count
+    else:
+        expr = " + ".join(["a[iv]"] * (MAX_DEPTH - 3 + past))
+    src = tmp_path / "deep.sac"
+    src.write_text(
+        f"int[8] main(int[8] a) {{ b = with {{ ([0] <= iv < [8]) : {expr}; }} "
+        ": genarray([8], 0); return b; }"
+    )
+    code = main(["compile-sac", str(src), "--entry", "main"])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if past:
+        assert code == 3
+        assert "deep.sac:1:" in captured.err
+        assert f"nesting deeper than {MAX_DEPTH} levels" in captured.err
+    else:
+        assert code == 0
+        assert "kernels: 1" in captured.out
+
+
 def test_experiment_claims_small(capsys):
     assert main(["experiment", "claims", "--frames", "2", "--size", "cif"]) == 0
     out = capsys.readouterr().out
