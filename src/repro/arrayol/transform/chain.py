@@ -9,7 +9,7 @@ MDE equivalent of compiler pass logging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 from repro.errors import TransformError
@@ -18,7 +18,7 @@ from repro.arrayol.model import ApplicationModel
 from repro.ir.kernel import Kernel
 from repro.ir.program import DeviceProgram, Op
 
-__all__ = ["GaspardContext", "ModelPass", "TransformationChain"]
+__all__ = ["GaspardContext", "ModelPass", "TransformationChain", "apply_pass", "emitted"]
 
 
 @dataclass
@@ -41,6 +41,15 @@ class GaspardContext:
     #: repro.opt.OptReport (populated by the optional ``optimize`` pass)
     opt_report: object = None
 
+    def copy(self) -> "GaspardContext":
+        """A copy whose lists and dicts a pass can change without touching
+        this context (the values in them are shared)."""
+        return replace(self, **{
+            f.name: type(value)(value)
+            for f in fields(self)
+            if isinstance(value := getattr(self, f.name), (list, dict))
+        })
+
 
 @dataclass(frozen=True)
 class ModelPass:
@@ -49,6 +58,30 @@ class ModelPass:
     name: str
     apply: Callable[[GaspardContext], None]
     description: str = ""
+    #: what ``apply`` reads besides the context (a compile cache keys the
+    #: pass's result on them)
+    inputs: tuple = ()
+
+
+def apply_pass(p: ModelPass, ctx: GaspardContext) -> str:
+    """Apply ``p`` to ``ctx`` in place; returns the pass's trace line."""
+    try:
+        p.apply(ctx)
+    except TransformError:
+        raise
+    except Exception as err:  # noqa: BLE001 - annotate pass name
+        raise TransformError(f"pass failed: {err}", p.name) from err
+    return (
+        f"{p.name}: schedule={len(ctx.schedule)} buffers={len(ctx.buffer_shapes)} "
+        f"kernels={len(ctx.kernels)} ops={len(ctx.ops)}"
+    )
+
+
+def emitted(ctx: GaspardContext) -> GaspardContext:
+    """``ctx``, once a chain has emitted its program."""
+    if ctx.program is None:
+        raise TransformError("chain finished without emitting a program")
+    return ctx
 
 
 class TransformationChain:
@@ -59,22 +92,8 @@ class TransformationChain:
         self.trace: list[str] = []
 
     def run(self, ctx: GaspardContext) -> GaspardContext:
+        """Apply every pass to ``ctx`` in place, once."""
         self.trace.clear()
         for p in self.passes:
-            try:
-                p.apply(ctx)
-            except TransformError:
-                raise
-            except Exception as err:  # noqa: BLE001 - annotate pass name
-                raise TransformError(f"pass failed: {err}", p.name) from err
-            self.trace.append(self._summarise(p, ctx))
-        if ctx.program is None:
-            raise TransformError("chain finished without emitting a program")
-        return ctx
-
-    @staticmethod
-    def _summarise(p: ModelPass, ctx: GaspardContext) -> str:
-        return (
-            f"{p.name}: schedule={len(ctx.schedule)} buffers={len(ctx.buffer_shapes)} "
-            f"kernels={len(ctx.kernels)} ops={len(ctx.ops)}"
-        )
+            self.trace.append(apply_pass(p, ctx))
+        return emitted(ctx)

@@ -7,6 +7,8 @@ generate kernels, then emit the executable program and the OpenCL sources.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.errors import TransformError
@@ -21,7 +23,13 @@ from repro.arrayol.model import (
     TaskInstance,
 )
 from repro.arrayol.schedule import buffer_bindings, schedule_instances
-from repro.arrayol.transform.chain import GaspardContext, ModelPass, TransformationChain
+from repro.arrayol.transform.chain import (
+    GaspardContext,
+    ModelPass,
+    TransformationChain,
+    apply_pass,
+    emitted,
+)
 from repro.arrayol.validate import validate_model
 from repro.ir.program import (
     AllocDevice,
@@ -33,8 +41,10 @@ from repro.ir.program import (
     HostWork,
     LaunchKernel,
 )
+from repro.ir.validate import validate_program
+from repro.stages import Stage
 
-__all__ = ["standard_chain", "opencl_chain_passes"]
+__all__ = ["standard_chain", "opencl_chain_passes", "chain_pass_names", "chain_stages"]
 
 
 # -- pass 1: validation --------------------------------------------------------
@@ -372,6 +382,21 @@ def _optimize(ctx: GaspardContext, options) -> None:
     from repro.opt import optimize_program
 
     ctx.program, ctx.opt_report = optimize_program(ctx.program, options)
+    if not options.certify:  # certification validates the program it certifies
+        validate_program(ctx.program)
+
+
+#: the passes of every chain, up to the emitted program and its sources
+_EMISSION_PASSES = (
+    "validate", "flatten_hierarchy", "schedule", "bind_buffers",
+    "map_ndranges", "generate_kernels", "emit_program", "emit_sources",
+)
+
+
+def chain_pass_names(lint: bool = False, optimised: bool = False) -> tuple[str, ...]:
+    """The pass names of ``standard_chain(lint, opt, ...)``, where
+    ``optimised`` says whether ``opt`` is set; builds no chain."""
+    return _EMISSION_PASSES + ("optimize",) * optimised + ("analyze",) * lint
 
 
 def opencl_chain_passes(
@@ -388,8 +413,9 @@ def opencl_chain_passes(
         ModelPass("generate_kernels", _generate_kernels, "one kernel per task"),
         ModelPass(
             "emit_program",
-            lambda ctx: _emit_program(ctx, transfers=transfers),
+            partial(_emit_program, transfers=transfers),
             "transfers + launches + IPs",
+            inputs=(transfers,),
         ),
         ModelPass("emit_sources", _emit_sources, "OpenCL model-to-text"),
     )
@@ -397,8 +423,9 @@ def opencl_chain_passes(
         passes += (
             ModelPass(
                 "optimize",
-                lambda ctx: _optimize(ctx, opt),
+                partial(_optimize, options=opt),
                 "shared device-program optimisation (repro.opt)",
+                inputs=(opt,),
             ),
         )
     if lint:
@@ -406,6 +433,34 @@ def opencl_chain_passes(
             ModelPass("analyze", _analyze, "static-analysis diagnostics"),
         )
     return passes
+
+
+def chain_stages(chain: TransformationChain) -> tuple[Stage, ...]:
+    """``chain``'s passes as compile stages, for a compile cache.
+
+    A stage maps a ``(context, trace lines)`` pair to the next: it applies
+    its pass (span ``arrayol.transform.<pass>``) to a copy of the
+    context, so a memoised upstream context never changes.  The emitted
+    program is validated once, as ``ir.validate`` after ``emit_sources``,
+    before any pass that rewrites it.
+    """
+    stages = []
+    for p in chain.passes:
+        stages.append(Stage(f"arrayol.transform.{p.name}", p.inputs, partial(_on_copy, p)))
+        if p.name == _EMISSION_PASSES[-1]:
+            stages.append(Stage("ir.validate", (), _validated))
+    return tuple(stages)
+
+
+def _on_copy(p: ModelPass, state: tuple) -> tuple:
+    ctx, trace = state
+    ctx = ctx.copy()
+    return ctx, trace + (apply_pass(p, ctx),)
+
+
+def _validated(state: tuple) -> tuple:
+    validate_program(emitted(state[0]).program)
+    return state
 
 
 def standard_chain(

@@ -17,13 +17,25 @@ Keys are content digests, so two textually identical sources share an
 entry regardless of identity.  A frame loop asks for the same key every
 frame, so :func:`canonical` memoises the serialisation of a frozen
 dataclass that is immutable all the way down (a model, an options
-record) on the value itself: a job that holds its compile inputs pays
-one dictionary read and one digest per warm lookup.  An ndarray, list,
-dict, set, non-frozen dataclass or ``repr`` fallback anywhere inside the
-value turns the memo off, so mutable content is re-read on every call
-and a key can never go stale.  Hit/miss/invalidation counts are kept in
-:class:`CacheStats` — the ``repro pipeline`` report shows them, and the
-acceptance gate requires >= frames-1 hits per route over a video run.
+record) on the value itself, with its digest beside it: a job that holds
+its compile inputs pays a few dictionary reads and one digest per warm
+lookup.  An ndarray, list, dict, set, non-frozen dataclass or ``repr``
+fallback anywhere inside the value turns the memo off, so mutable
+content is re-read on every call and a key can never go stale.
+Hit/miss/invalidation counts are kept in :class:`CacheStats` — the
+``repro pipeline`` report shows them, and the acceptance gate requires
+>= frames-1 hits per route over a video run.
+
+A miss compiles its route as a list of :class:`~repro.stages.Stage`
+objects (:func:`~repro.sac.backend.compile_stages` after ``sac.parse``;
+:func:`~repro.arrayol.transform.chain_stages` for Gaspard2).  Each
+stage's artefact is memoised on the cache instance under its upstream
+stage's key plus the inputs the stage declares, and a stage that runs
+records a ``compile-pass`` span named after it.  So every configuration
+differing only in ``repro.opt`` options or transfer placement shares
+parsing, checking and ``sac.opt``; a fresh cache compiles cold.  The
+stage memo is not an entry: :class:`CacheStats`, ``len`` and ``in``
+count top-level entries only, and a warm lookup touches no stage.
 """
 
 from __future__ import annotations
@@ -56,8 +68,10 @@ def _digest(*parts: str) -> str:
     return h.hexdigest()
 
 
-#: the instance-dict key under which :func:`canonical` keeps a value's text
+#: the instance-dict keys under which :func:`canonical` keeps a value's
+#: text and :func:`_content_digest` its digest
 _MEMO = "_canonical_text"
+_MEMO_DIGEST = "_canonical_digest"
 
 
 def canonical(value) -> str:
@@ -90,6 +104,18 @@ def canonical(value) -> str:
     if memo is not None and not mutable:
         memo[_MEMO] = text
     return text
+
+
+def _content_digest(value) -> str:
+    """The SHA-256 of ``canonical(value)``, kept beside a memoised text."""
+    memo = _memo_of(value)
+    if memo is not None and _MEMO_DIGEST in memo:
+        return memo[_MEMO_DIGEST]
+    text = canonical(value)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    if memo is not None and _MEMO in memo:
+        memo[_MEMO_DIGEST] = digest
+    return digest
 
 
 def _memo_of(value) -> dict | None:
@@ -170,14 +196,16 @@ def gaspard_key(
     they are part of the content key — toggling the optimiser can never
     serve a stale unoptimised program (the SaC route gets the same
     guarantee through ``canonical(CompileOptions)`` in :func:`sac_key`).
+    ``chain_passes`` are pass names, whose tuple's ``repr`` is its
+    content; a held model and allocation contribute their kept digests.
     """
     return (
         "gaspard",
         _digest(
-            canonical(model),
-            canonical(allocation),
-            canonical(tuple(chain_passes)),
-            canonical(bool(lint)),
+            _content_digest(model),
+            _content_digest(allocation),
+            repr(tuple(chain_passes)),
+            repr(bool(lint)),
             canonical(opt),
             canonical(transfers),
         ),
@@ -242,6 +270,8 @@ class CompileCache:
 
     def __init__(self) -> None:
         self._entries: dict[tuple, Any] = {}
+        #: stage artefacts by stage key (see :meth:`_run_stages`)
+        self._stages: dict[str, Any] = {}
         self.stats = CacheStats()
 
     def __len__(self) -> int:
@@ -297,31 +327,54 @@ class CompileCache:
         return False
 
     def clear(self) -> int:
-        """Drop every entry; returns how many were invalidated."""
+        """Drop every entry and stage artefact; returns how many entries
+        were invalidated."""
         n = len(self._entries)
         self._entries.clear()
+        self._stages.clear()
         self.stats.invalidations += n
         return n
+
+    def _run_stages(self, stages, value, key: str) -> tuple[Any, str]:
+        """Run ``stages`` from ``value``, whose key is ``key``.
+
+        Each stage's key digests its upstream's key, its name and its
+        declared inputs; a stage already run under that key hands back
+        its artefact, any other runs under a ``compile-pass`` span.
+        Returns the last artefact and its key.
+        """
+        tracer = current_tracer()
+        for stage in stages:
+            key = _digest(key, stage.name, canonical(stage.inputs))
+            try:
+                value = self._stages[key]
+            except KeyError:
+                with tracer.span(stage.name, category="compile-pass"):
+                    value = self._stages[key] = stage.run(value)
+        return value, key
 
     # -- route-specific conveniences ----------------------------------------
 
     def compile_sac(self, source: str, entry: str, options=None):
         """Parse + compile a SaC source through the cache.
 
-        Returns the :class:`~repro.sac.backend.CompiledFunction`; CUDA
-        programs are validated once on miss.
+        Returns the :class:`~repro.sac.backend.CompiledFunction` that
+        ``compile_function(parse(source), entry, options)`` returns; a
+        miss runs ``sac.parse`` and then
+        :func:`~repro.sac.backend.compile_stages` through the stage memo.
         """
-        from repro.sac.backend import CompileOptions, compile_function
-        from repro.sac.parser import parse
+        from repro.sac.backend import CompileOptions
 
         options = CompileOptions() if options is None else options
 
         def build():
-            cf = compile_function(parse(source), entry, options)
-            if options.target == "cuda":
-                from repro.ir.validate import validate_program
+            from repro.sac.backend import compile_stages
+            from repro.sac.parser import parse
+            from repro.stages import Stage
 
-                validate_program(cf.program)
+            parsed = Stage("sac.parse", (source,), lambda _: parse(source))
+            program, key = self._run_stages((parsed,), None, "sac")
+            cf, _ = self._run_stages(compile_stages(program, entry, options), program, key)
             return cf
 
         return self.get_or_compile(sac_key(source, entry, options), build)
@@ -334,21 +387,25 @@ class CompileCache:
 
         Returns ``(ctx, chain)`` — the transformed
         :class:`~repro.arrayol.transform.GaspardContext` and the chain that
-        produced it (for its trace).
+        produced it (for its trace).  A hit builds no chain; a miss runs
+        :func:`~repro.arrayol.transform.chain_stages` through the stage
+        memo.
         """
-        from repro.arrayol.transform import GaspardContext, standard_chain
-        from repro.ir.validate import validate_program
+        from repro.arrayol.transform import chain_pass_names
 
-        chain_probe = standard_chain(lint=lint, opt=opt, transfers=transfers)
         key = gaspard_key(
-            model, allocation, (p.name for p in chain_probe.passes), lint,
+            model, allocation, chain_pass_names(lint, opt is not None), lint,
             opt=opt, transfers=transfers,
         )
 
         def build():
-            ctx = GaspardContext(model=model, allocation=allocation)
-            ctx = chain_probe.run(ctx)
-            validate_program(ctx.program)
-            return (ctx, chain_probe)
+            from repro.arrayol.transform import GaspardContext, chain_stages, standard_chain
+
+            chain = standard_chain(lint=lint, opt=opt, transfers=transfers)
+            start = (GaspardContext(model=model, allocation=allocation), ())
+            root = _digest("gaspard", _content_digest(model), _content_digest(allocation))
+            (ctx, trace), _ = self._run_stages(chain_stages(chain), start, root)
+            chain.trace = list(trace)
+            return ctx, chain
 
         return self.get_or_compile(key, build)

@@ -24,6 +24,7 @@ cost — the SAC-Seq bars of Figure 9.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from repro.ir.program import (
     LaunchKernel,
     Op,
 )
+from repro.ir.validate import validate_program
 from repro.sac import ast
 from repro.sac.backend.lower import LoweredLoop, lower_withloop
 from repro.sac.backend.lowerexpr import LoweringError
@@ -48,8 +50,9 @@ from repro.sac.interp import Interpreter
 from repro.sac.opt import OptimisationFlags, optimize_program
 from repro.sac.backend.estimates import estimate_ops, static_value_shape
 from repro.sac.opt.rewrite import used_names_stmts
+from repro.stages import Stage
 
-__all__ = ["CompileOptions", "CompiledFunction", "compile_function"]
+__all__ = ["CompileOptions", "CompiledFunction", "compile_function", "compile_stages"]
 
 #: SaC base types -> simulated buffer dtypes
 _BUFFER_DTYPES = {"int": "int32", "float": "float32", "double": "float64"}
@@ -124,34 +127,88 @@ def compile_function(
     entry: str,
     options: CompileOptions = CompileOptions(),
 ) -> CompiledFunction:
-    """Compile ``entry`` of ``program`` to a device (or host) program."""
-    if options.check:
-        from repro.sac.semantics import check_program
-        from repro.sac.typecheck import typecheck_program
+    """Compile ``entry`` of ``program`` to a device (or host) program.
 
-        check_program(program)
-        typecheck_program(program)
-    source_program = program
-    if options.optimize:
-        program = optimize_program(program, entry=entry, flags=options.opt_flags)
-    fun = program.function(entry)
-    builder = _Builder(program, fun, options)
-    compiled = builder.build()
-    if options.opt is not None and options.target == "cuda":
-        from repro.opt import optimize_program as optimize_device_program
-
-        opt_program, opt_report = optimize_device_program(
-            compiled.program, options.opt
-        )
-        compiled = replace(compiled, program=opt_program, opt_report=opt_report)
-    if options.lint:
-        from repro.analysis import analyze_program, analyze_sac_program
-
-        diagnostics = tuple(
-            analyze_sac_program(source_program) + analyze_program(compiled.program)
-        )
-        compiled = replace(compiled, diagnostics=diagnostics)
+    Runs :func:`compile_stages` once, without a memo.
+    """
+    compiled = program
+    for stage in compile_stages(program, entry, options):
+        compiled = stage.run(compiled)
     return compiled
+
+
+def compile_stages(
+    program: ast.Program, entry: str, options: CompileOptions
+) -> tuple[Stage, ...]:
+    """The stages compiling the parsed ``program``, in order.
+
+    ``sac.check`` passes ``program`` on once the semantic and rank checks
+    accept it; ``sac.opt`` optimises it; ``sac.backend`` lowers the
+    optimised tree to a :class:`CompiledFunction`; ``ir.validate`` checks
+    an emitted CUDA program; ``repro.opt`` optimises and certifies it
+    (``options.opt``); ``analysis.lint`` attaches the analysers' findings
+    over ``program`` and the final device program.  Each stage declares
+    the options it reads, so :class:`~repro.runtime.cache.CompileCache`
+    shares ``sac.opt`` between targets, transfer placements and
+    ``repro.opt`` configurations.  A stage an option turns off is not in
+    the list.
+    """
+    stages = []
+    if options.check:
+        stages.append(Stage("sac.check", (), _checked))
+    if options.optimize:
+        flags = options.opt_flags
+        optimised = partial(optimize_program, entry=entry, flags=flags)
+        stages.append(Stage("sac.opt", (entry, flags), optimised))
+    # the backend reads these three options and no other
+    backend = CompileOptions(
+        target=options.target, wrap_split=options.wrap_split, transfers=options.transfers
+    )
+    lowered = partial(_lowered, entry=entry, options=backend)
+    stages.append(Stage("sac.backend", (entry, backend), lowered))
+    if options.target == "cuda":
+        stages.append(Stage("ir.validate", (), _validated))
+        if options.opt is not None:
+            stages.append(
+                Stage("repro.opt", (options.opt,), partial(_device_optimised, opt=options.opt))
+            )
+    if options.lint:
+        stages.append(Stage("analysis.lint", (), partial(_linted, source=program)))
+    return tuple(stages)
+
+
+def _checked(program: ast.Program) -> ast.Program:
+    from repro.sac.semantics import check_program
+    from repro.sac.typecheck import typecheck_program
+
+    check_program(program)
+    typecheck_program(program)
+    return program
+
+
+def _lowered(program: ast.Program, entry: str, options: CompileOptions) -> CompiledFunction:
+    return _Builder(program, program.function(entry), options).build()
+
+
+def _validated(compiled: CompiledFunction) -> CompiledFunction:
+    validate_program(compiled.program)
+    return compiled
+
+
+def _device_optimised(compiled: CompiledFunction, opt) -> CompiledFunction:
+    from repro.opt import optimize_program as optimize_device_program
+
+    program, report = optimize_device_program(compiled.program, opt)
+    if not opt.certify:  # certification validates the program it certifies
+        validate_program(program)
+    return replace(compiled, program=program, opt_report=report)
+
+
+def _linted(compiled: CompiledFunction, source: ast.Program) -> CompiledFunction:
+    from repro.analysis import analyze_program, analyze_sac_program
+
+    diagnostics = analyze_sac_program(source) + analyze_program(compiled.program)
+    return replace(compiled, diagnostics=tuple(diagnostics))
 
 
 class _Builder:

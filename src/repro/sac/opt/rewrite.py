@@ -21,6 +21,7 @@ __all__ = [
     "free_vars_expr",
     "used_names_stmts",
     "assigned_names_stmts",
+    "nests_within",
     "FreshNames",
 ]
 
@@ -319,3 +320,76 @@ def assigned_names_stmts(stmts) -> set[str]:
             out |= assigned_names_stmts(s.then)
             out |= assigned_names_stmts(s.orelse)
     return out
+
+
+def nests_within(s: ast.Stmt, levels: int) -> bool:
+    """Whether statement ``s`` nests at most ``levels`` levels deep.
+
+    Levels count as :data:`repro.sac.parser.MAX_DEPTH` counts them, with
+    the parentheses the tree no longer holds left out: a literal or a
+    variable is one level, and every operation, subscript, call, array
+    literal, WITH-loop and nested block adds one around its operands.  The
+    walk stops at ``levels + 1``, so it stays shallow on any tree.
+    """
+    if isinstance(s, (ast.Assign, ast.Return)):
+        return s.value is None or _expr_within(s.value, levels)
+    if isinstance(s, ast.IndexedAssign):
+        return _expr_within(s.index, levels) and _expr_within(s.value, levels)
+    return levels > 1 and all(
+        nests_within(x, levels - 1) if isinstance(x, ast.Stmt) else _expr_within(x, levels - 1)
+        for x in _stmt_parts(s)
+    )
+
+
+def _stmt_parts(s: ast.Stmt):
+    """The statements and expressions directly inside a compound statement."""
+    if isinstance(s, ast.Block):
+        yield from s.stmts
+    elif isinstance(s, ast.ForLoop):
+        yield s.init
+        yield s.cond
+        yield s.update
+        yield from s.body
+    elif isinstance(s, ast.IfElse):
+        yield s.cond
+        yield from s.then
+        yield from s.orelse
+    else:
+        raise TypeError(f"unknown statement node {type(s).__name__}")
+
+
+_LEAVES = (ast.Var, ast.IntLit, ast.FloatLit, ast.BoolLit, ast.Dot)
+
+
+def _expr_within(e: ast.Expr, levels: int) -> bool:
+    if levels < 1:
+        return False
+    t = type(e)
+    if t in _LEAVES:
+        return True
+    inner = levels - 1
+    if t is ast.BinExpr:
+        return _expr_within(e.lhs, inner) and _expr_within(e.rhs, inner)
+    if t is ast.IndexExpr:
+        return _expr_within(e.array, inner) and _expr_within(e.index, inner)
+    if t is ast.ArrayLit:
+        return all(_expr_within(x, inner) for x in e.elements)
+    if t is ast.UnExpr:
+        return _expr_within(e.operand, inner)
+    if t is ast.Call:
+        return all(_expr_within(x, inner) for x in e.args)
+    if t is ast.WithLoop:
+        parts = []
+        for g in e.generators:
+            parts += [g.lower.expr, g.upper.expr, g.step, g.width, g.expr]
+            if not all(nests_within(x, inner) for x in g.body):
+                return False
+        op = e.operation
+        if isinstance(op, ast.GenArray):
+            parts += [op.shape, op.default]
+        elif isinstance(op, ast.ModArray):
+            parts.append(op.array)
+        elif isinstance(op, ast.Fold):
+            parts.append(op.neutral)
+        return all(x is None or _expr_within(x, inner) for x in parts)
+    raise TypeError(f"unknown expression node {t.__name__}")

@@ -28,6 +28,12 @@ Partial selections deeper than the frame rank select into the cell value;
 when the cell is itself computed by a nested WITH-loop the selection is
 left as ``tmp[rest]`` over a fresh binding, which the next
 fold-WLF-DCE pipeline round reduces.  Run the pipeline to fixpoint.
+
+Folding composes the producer's cell into its consumer, so chained folds
+add up nesting depth.  A statement whose folded form would nest deeper
+than the parser admits (:data:`~repro.sac.parser.MAX_DEPTH`) is kept
+unfolded, and the producers it reads stay in place: every tree the later
+passes walk is one the parser could have built.
 """
 
 from __future__ import annotations
@@ -38,11 +44,13 @@ from repro.sac import ast
 from repro.sac.opt.rewrite import (
     FreshNames,
     assigned_names_stmts,
+    nests_within,
     rename_locals,
     substitute_vars,
     used_names_stmts,
 )
 from repro.sac.opt.withinfo import is_full_coverage_single_generator
+from repro.sac.parser import MAX_DEPTH
 
 __all__ = ["wlf_function", "wlf_program", "count_withloops"]
 
@@ -170,19 +178,28 @@ def _scalarised_index(e: ast.Expr) -> tuple[ast.Expr, ...] | None:
 # ---------------------------------------------------------------------------
 
 
-def _fold_stmt_list(stmts, fresh: FreshNames) -> tuple[ast.Stmt, ...]:
+def _fold_stmt_list(stmts, fresh: FreshNames, levels: int = MAX_DEPTH) -> tuple[ast.Stmt, ...]:
+    """Fold the statements of one list, each within ``levels`` of nesting."""
     producers: dict[str, _Producer] = {}
     out: list[ast.Stmt] = []
 
     def invalidate(name: str) -> None:
         producers.pop(name, None)
 
+    def emit(s: ast.Stmt, pre: list[ast.Stmt], folded: ast.Stmt) -> ast.Stmt:
+        """Append the folded statement, or ``s`` when it nests too deep."""
+        if all(nests_within(x, levels) for x in (*pre, folded)):
+            out.extend(pre)
+            out.append(folded)
+            return folded
+        out.append(s)
+        return s
+
     for s in stmts:
         if isinstance(s, ast.Assign):
             pre: list[ast.Stmt] = []
             value = _fold_expr(s.value, producers, pre, fresh)
-            out.extend(pre)
-            out.append(replace(s, value=value))
+            value = emit(s, pre, replace(s, value=value)).value
             invalidate(s.name)
             if _is_foldable_producer(value):
                 producers[s.name] = _Producer(s.name, value)
@@ -191,8 +208,7 @@ def _fold_stmt_list(stmts, fresh: FreshNames) -> tuple[ast.Stmt, ...]:
             pre = []
             index = _fold_expr(s.index, producers, pre, fresh)
             value = _fold_expr(s.value, producers, pre, fresh)
-            out.extend(pre)
-            out.append(replace(s, index=index, value=value))
+            emit(s, pre, replace(s, index=index, value=value))
             invalidate(s.name)
         elif isinstance(s, ast.Return):
             pre = []
@@ -201,10 +217,9 @@ def _fold_stmt_list(stmts, fresh: FreshNames) -> tuple[ast.Stmt, ...]:
                 if s.value is None
                 else _fold_expr(s.value, producers, pre, fresh)
             )
-            out.extend(pre)
-            out.append(replace(s, value=value))
+            emit(s, pre, replace(s, value=value))
         elif isinstance(s, ast.Block):
-            out.append(replace(s, stmts=_fold_stmt_list(s.stmts, fresh)))
+            out.append(replace(s, stmts=_fold_stmt_list(s.stmts, fresh, levels - 1)))
         elif isinstance(s, ast.ForLoop):
             # the paper: WLF "does not attempt to fuse program constructs
             # other than WITH-loops" — for-loop internals are left alone,
@@ -213,15 +228,15 @@ def _fold_stmt_list(stmts, fresh: FreshNames) -> tuple[ast.Stmt, ...]:
                 s.body
             ):
                 invalidate(name)
-            out.append(replace(s, body=_fold_stmt_list(s.body, fresh)))
+            out.append(replace(s, body=_fold_stmt_list(s.body, fresh, levels - 1)))
         elif isinstance(s, ast.IfElse):
             for name in assigned_names_stmts(s.then) | assigned_names_stmts(s.orelse):
                 invalidate(name)
             out.append(
                 replace(
                     s,
-                    then=_fold_stmt_list(s.then, fresh),
-                    orelse=_fold_stmt_list(s.orelse, fresh),
+                    then=_fold_stmt_list(s.then, fresh, levels - 1),
+                    orelse=_fold_stmt_list(s.orelse, fresh, levels - 1),
                 )
             )
         else:

@@ -6,6 +6,8 @@ Catches what the paper's language rules make illegal before anything runs:
 * calls with wrong arity, or to undefined functions/builtins,
 * ``fold`` with an unknown reduction function,
 * generator index variables shadowing each other,
+* generator bounds of different ranks, and a constant step that is not
+  positive (the interpreter's run-time errors, with the same text),
 * functions whose non-void control flow can fall off the end,
 * duplicate parameter names.
 
@@ -206,6 +208,57 @@ class _Checker:
                 self.check_expr(g.step, defined)
             if g.width is not None:
                 self.check_expr(g.width, defined)
+            self.check_generator_shape(e, g)
             inner = set(defined) | set(g.vars)
             self.check_stmts(g.body, inner)
             self.check_expr(g.expr, inner)
+
+    def check_generator_shape(self, e: ast.WithLoop, g: ast.Generator) -> None:
+        """Bound ranks and step signs that are known before the loop runs."""
+        op = e.operation
+        frame = None
+        if isinstance(op, ast.GenArray) and isinstance(op.shape, ast.ArrayLit):
+            frame = len(op.shape.elements)
+        lower, upper = (_bound_rank(b.expr, frame) for b in (g.lower, g.upper))
+        if lower is not None and upper is not None and lower != upper:
+            raise SacSemanticError(
+                f"generator bound ranks differ: {lower} vs {upper}", e.loc
+            )
+        rank = lower if lower is not None else upper
+        step = _constant_step(g.step, rank)
+        # the interpreter reports a destructuring mismatch before the step
+        if g.destructured and len(g.vars) != rank:
+            return
+        if step is not None and any(v <= 0 for v in step):
+            raise SacSemanticError(f"generator step must be positive: {step}", g.loc)
+
+
+def _bound_rank(e: ast.Expr, frame: int | None) -> int | None:
+    """The rank a generator bound has at run time, when known statically:
+    a vector literal's length, else the frame's rank for ``.`` or a scalar."""
+    if isinstance(e, ast.ArrayLit):
+        return len(e.elements)
+    if isinstance(e, (ast.Dot, ast.IntLit)):
+        return frame
+    return None
+
+
+def _constant_step(e: ast.Expr | None, rank: int | None) -> list[int] | None:
+    """A constant step of a rank-``rank`` generator as the interpreter
+    expands it, else ``None``."""
+    if e is None or rank is None:
+        return None
+    if isinstance(e, ast.ArrayLit):
+        values = [_constant_int(x) for x in e.elements]
+        return None if None in values or len(values) != rank else values
+    value = _constant_int(e)
+    return None if value is None else [value] * rank
+
+
+def _constant_int(e: ast.Expr) -> int | None:
+    if isinstance(e, ast.IntLit):
+        return e.value
+    if isinstance(e, ast.UnExpr) and e.op == "-":
+        value = _constant_int(e.operand)
+        return None if value is None else -value
+    return None

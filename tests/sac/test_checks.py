@@ -101,6 +101,57 @@ class TestSemantics:
         with pytest.raises(SacSemanticError, match="duplicate"):
             check("int main(int a, int a) { return a; }")
 
+    # regressions: both compiled to one op and failed only when run, with
+    # the interpreter's SacRuntimeError; the checker now reports the same
+    # text at the same place
+
+    def test_zero_generator_step(self):
+        src = (
+            "int[8] main(int[8] a) {\n"
+            "  b = with { ([0] <= iv < [8] step [0]) : a[iv]; } : genarray([8]);\n"
+            "  return b; }"
+        )
+        with pytest.raises(SacSemanticError) as err:
+            check(src)
+        assert str(err.value) == "<string>:2:14: generator step must be positive: [0]"
+
+    def test_scalar_step_expands_to_the_generator_rank(self):
+        src = (
+            "int[8,8] main() { b = with { ([0,0] <= iv < [8,8] step -2) : 1; } "
+            ": genarray([8,8]); return b; }"
+        )
+        with pytest.raises(SacSemanticError, match=r"step must be positive: \[-2, -2\]"):
+            check(src)
+
+    def test_generator_bound_ranks_differ(self):
+        src = (
+            "int[8] main(int[8] a) {\n"
+            "  b = with { ([0,0] <= iv < [8]) : a[iv]; } : genarray([8]);\n"
+            "  return b; }"
+        )
+        with pytest.raises(SacSemanticError) as err:
+            check(src)
+        assert str(err.value) == "<string>:2:7: generator bound ranks differ: 2 vs 1"
+
+    def test_dot_bound_takes_the_frame_rank(self):
+        src = (
+            "int[8] main(int[8] a) { b = with { ([0,0] <= iv <= .) : 1; } "
+            ": genarray([8]); return b; }"
+        )
+        with pytest.raises(SacSemanticError, match="bound ranks differ: 2 vs 1"):
+            check(src)
+
+    def test_steps_and_bounds_known_only_at_run_time_pass(self):
+        check(
+            "int[8] main(int[8] a, int s, int[1] lo) { b = with { (lo <= iv < [8] "
+            "step s) : a[iv]; } : genarray([8]); return b; }"
+        )
+        # the interpreter reports the step's rank first: left to run time
+        check(
+            "int[8,8] main() { b = with { ([0,0] <= iv < [8,8] step [0]) : 1; } "
+            ": genarray([8,8]); return b; }"
+        )
+
 
 class TestTypecheck:
     def test_boolean_condition_enforced(self):

@@ -205,3 +205,53 @@ class TestDownscalerShape:
                 assert any(name == "frame" or name == "h" for name in reads) or (
                     free_vars_expr(g.expr)
                 )
+
+
+class TestDepthBound:
+    """Folding composes bodies, so a chain of folds nests as deep as the
+    bodies added up; past :data:`MAX_DEPTH` the producer stays in place."""
+
+    @staticmethod
+    def chain(loops: int, terms: int) -> str:
+        lines = ["int[8] main(int[8] a) {", "  b0 = a;"]
+        for j in range(1, loops + 1):
+            cell = " + ".join([f"b{j - 1}[iv]"] * 2 + ["1"] * (terms - 2))
+            lines.append(f"  b{j} = with {{ (. <= iv <= .) : {cell}; }} : genarray([8]);")
+        return "\n".join(lines + [f"  return b{loops};", "}"])
+
+    def test_chained_deep_bodies_compile_and_match_the_interpreter(self):
+        """Regression: eight chained WITH-loops with 44-deep bodies ended in a
+        bare RecursionError inside compile_function."""
+        from repro.gpu import GTX480_CALIBRATED, CostModel, GPUExecutor
+        from repro.sac.backend import CompileOptions, compile_function
+
+        prog = parse(self.chain(8, 44))
+        opt = optimize_program(prog, entry="main")
+        # no fold fits, so every WITH-loop stays a producer of its own
+        assert count_withloops(opt.function("main")) == 8
+        a = np.arange(8, dtype=np.int32)
+        equal_semantics(prog, opt, args=[a])
+        cf = compile_function(prog, "main", CompileOptions(target="cuda"))
+        assert cf.kernel_count == 8
+        out = GPUExecutor(CostModel(GTX480_CALIBRATED)).run(cf.program, {"a": a})
+        want = Interpreter(prog).call("main", [a])
+        np.testing.assert_array_equal(out.outputs[cf.program.host_outputs[0]], want)
+
+    def test_folds_within_the_bound_still_happen(self):
+        prog, opt = optimized(self.chain(3, 10))
+        assert count_withloops(opt.function("main")) == 1
+        equal_semantics(prog, opt, args=[np.arange(8, dtype=np.int32)])
+
+    def test_shipped_programs_nest_far_below_the_bound(self):
+        from repro.apps.convolution import convolution_program_source, gaussian3
+        from repro.apps.downscaler import CIF, GENERIC, NONGENERIC, downscaler_program_source
+        from repro.sac.opt.rewrite import nests_within
+
+        for src, entry in (
+            (downscaler_program_source(CIF, NONGENERIC), "downscale"),
+            (downscaler_program_source(CIF, GENERIC), "downscale"),
+            (convolution_program_source(gaussian3(96, 128)), "blur"),
+        ):
+            fun = optimize_program(parse(src), entry=entry).function(entry)
+            assert all(nests_within(s, 9) for s in fun.body)
+            assert not all(nests_within(s, 7) for s in fun.body)

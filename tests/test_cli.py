@@ -68,6 +68,27 @@ def test_int_literal_past_64_bits_exits_3(tmp_path, capsys, literal):
     err = capsys.readouterr().err
     assert f"big.sac:1:64: integer literal {literal} is above 2**63 - 1" in err
 
+@pytest.mark.parametrize(
+    "generator, message",
+    [
+        ("[0] <= iv < [8] step [0]", "generator step must be positive: [0]"),
+        ("[0,0] <= iv < [8]", "generator bound ranks differ: 2 vs 1"),
+    ],
+    ids=["zero-step", "bound-ranks"],
+)
+def test_compile_sac_rejects_static_generator_errors(tmp_path, capsys, generator, message):
+    """Both compiled to one op and failed only when run; now exit 3."""
+    src = tmp_path / "gen.sac"
+    src.write_text(
+        f"int[8] main(int[8] a) {{ b = with {{ ({generator}) : a[iv]; }} "
+        ": genarray([8]); return b; }"
+    )
+    assert main(["compile-sac", str(src), "--entry", "main"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "gen.sac:1:" in err and message in err
+
+
 @pytest.mark.parametrize("shape", ["parens", "sum"])
 @pytest.mark.parametrize("past", [0, 1], ids=["at-limit", "past-limit"])
 def test_compile_sac_nesting_limit(tmp_path, capsys, shape, past):
