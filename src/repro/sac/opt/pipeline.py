@@ -32,7 +32,6 @@ class OptimisationFlags:
     fold: bool = True
     wlf: bool = True
     dce: bool = True
-    trace: bool = False
 
     @staticmethod
     def none() -> "OptimisationFlags":

@@ -1,5 +1,7 @@
 """Focused unit tests for WITH-loop folding."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,9 @@ from repro.sac.opt import (
     count_withloops,
     optimize_program,
 )
+from repro.sac.opt.constant_fold import fold_function
+from repro.sac.opt.normalize import normalize_function
+from repro.sac.opt.wlf import wlf_function
 from repro.sac.parser import parse
 
 
@@ -177,6 +182,73 @@ class TestFoldingBlockers:
         equal_semantics(prog, opt, args=[np.arange(9, dtype=np.int32)])
 
 
+class TestProducerScope:
+    """A producer folds only where every name its cell reads still means
+    what it meant at the producer: each program below was miscompiled (or,
+    for the self-reading producer, never reached a fixpoint) while WLF
+    tracked producers by their own name only."""
+
+    A8 = np.arange(8, dtype=np.int32)
+
+    @pytest.mark.parametrize(
+        "src, args",
+        [
+            pytest.param(
+                """
+                int[8] main(int[8] a) {
+                  b = with { (. <= iv <= .) : a[iv] * 2; } : genarray([8]);
+                  a = with { (. <= iv <= .) : a[iv] + 1; } : genarray([8]);
+                  c = with { (. <= iv <= .) : b[iv] + a[iv]; } : genarray([8]);
+                  return c;
+                }
+                """,
+                [A8],
+                id="read-name-rebound",
+            ),
+            pytest.param(
+                """
+                int[8] main(int[8] a) {
+                  c = with { (. <= iv <= .) {
+                      t = with { (. <= jv <= .) : a[jv] * 2; } : genarray([8]);
+                      for (k = 0; k < 1; k++) {
+                        t = with { (. <= jv <= .) : a[jv] * 3; } : genarray([8]);
+                      }
+                      x = t[iv];
+                    } : x; } : genarray([8]);
+                  return c;
+                }
+                """,
+                [A8],
+                id="rebound-in-loop-in-generator-body",
+            ),
+            pytest.param(
+                """
+                int[8] main(int[8] a, int i) {
+                  b = with { (. <= iv <= .) : a[iv] + i; } : genarray([8]);
+                  c = with { (. <= [i] <= .) : b[[i]]; } : genarray([8]);
+                  return c;
+                }
+                """,
+                [A8, np.int32(100)],
+                id="read-name-is-consumer-index",
+            ),
+            pytest.param(
+                """
+                int[8] main(int[8] a, int k) {
+                  b = with { (. <= iv <= .) : a[iv] + k; } : genarray([8]);
+                  c = with { (. <= iv <= .) { k = 1; x = b[iv]; } : x + k; } : genarray([8]);
+                  return c;
+                }
+                """,
+                [A8, np.int32(100)],
+                id="read-name-assigned-in-consumer-body",
+            ),
+        ],
+    )
+    def test_rebound_read_name_blocks_the_fold(self, src, args):
+        equal_semantics(*optimized(src), args=args)
+
+
 class TestDownscalerShape:
     def test_downscaler_fuses_to_figure8_shape(self):
         from repro.apps.downscaler import NONGENERIC, downscaler_program_source
@@ -255,3 +327,189 @@ class TestDepthBound:
             fun = optimize_program(parse(src), entry=entry).function(entry)
             assert all(nests_within(s, 9) for s in fun.body)
             assert not all(nests_within(s, 7) for s in fun.body)
+
+
+def tree_size(x) -> int:
+    """AST nodes of a tree, each counted with its source location."""
+    return 2 * sum(1 for _ in nodes(x))
+
+
+def wlf_round(src: str, entry: str = "main") -> ast.FunDef:
+    """One WLF pass over ``entry`` as the pipeline's first round sees it."""
+    fun = parse(src).function(entry)
+    return wlf_function(fold_function(normalize_function(fun)))
+
+
+def splices(fun: ast.FunDef, producer: str) -> int:
+    """How many cells of ``producer`` WLF bound to a local of their own."""
+    return sum(
+        1 for n in nodes(fun)
+        if isinstance(n, ast.Assign) and n.name.startswith(f"_wlf_{producer}_")
+    )
+
+
+def nodes(x):
+    """Every AST node below ``x``, ``x`` included, depth first."""
+    if isinstance(x, ast.Node):
+        yield x
+        for f in dataclasses.fields(x):
+            yield from nodes(getattr(x, f.name))
+    elif isinstance(x, tuple):
+        for y in x:
+            yield from nodes(y)
+
+
+class TestSharedSplices:
+    """A selection reuses the splice an earlier selection of the same
+    producer made at a structurally equal frame index in its scope:
+    array-valued cells across the enclosing generator body, scalar cells
+    within one statement."""
+
+    A8 = [np.arange(8, dtype=np.int32)]
+
+    @staticmethod
+    def doubling_chain(links: int) -> str:
+        lines = ["int[8] main(int[8] a) {", "  b0 = a;"]
+        for j in range(1, links + 1):
+            lines.append(
+                f"  b{j} = with {{ (. <= iv <= .) : b{j - 1}[iv] + b{j - 1}[iv]; }}"
+                " : genarray([8]);"
+            )
+        return "\n".join(lines + [f"  return b{links};", "}"])
+
+    def test_doubling_chain_folds_in_linear_size(self):
+        """Regression: each link read its predecessor's cell twice and WLF
+        spliced it twice, so the folded chain doubled per link (16,418
+        nodes at 10 links, about 11 s to optimise at 12)."""
+        from repro.gpu import GTX480_CALIBRATED, CostModel, GPUExecutor
+        from repro.sac.backend import CompileOptions, compile_function
+
+        prog, opt = optimized(self.doubling_chain(12))
+        assert count_withloops(opt.function("main")) == 1
+        assert tree_size(opt.function("main")) <= 400
+        equal_semantics(prog, opt, args=self.A8)
+        a = self.A8[0]
+        cf = compile_function(prog, "main", CompileOptions(target="cuda"))
+        out = GPUExecutor(CostModel(GTX480_CALIBRATED)).run(cf.program, {"a": a})
+        want = Interpreter(prog).call("main", [a])
+        np.testing.assert_array_equal(out.outputs[cf.program.host_outputs[0]], want)
+
+    def test_no_pass_builds_a_large_intermediate(self, monkeypatch):
+        """Every pass of ``optimize_function`` on the CIF downscaler stays
+        small; splicing each tile once per filter body keeps round 0's WLF
+        output at 7,530 nodes (66,276 when every selection copied it)."""
+        from repro.apps.downscaler import CIF, NONGENERIC, downscaler_program_source
+        from repro.sac.opt import pipeline
+
+        sizes = {}
+        for name in ("inline_function", "normalize_function", "fold_function",
+                     "wlf_function", "dce_function"):
+            def recorded(*args, _run=getattr(pipeline, name), _name=name):
+                out = _run(*args)
+                sizes.setdefault(_name, []).append(tree_size(out))
+                return out
+
+            monkeypatch.setattr(pipeline, name, recorded)
+        prog = parse(downscaler_program_source(CIF, NONGENERIC))
+        fun = pipeline.optimize_function(prog, "downscale")
+        assert set(sizes) == {"inline_function", "normalize_function",
+                              "fold_function", "wlf_function", "dce_function"}
+        assert max(max(v) for v in sizes.values()) <= 16_000
+        assert tree_size(fun) == 1822
+
+    def test_reassigned_index_name_splices_again(self):
+        src = """
+        int[8] main(int[8] a) {
+          b = with { (. <= iv <= .) : [a[iv], a[iv] * 2]; } : genarray([8]);
+          c = with { (. <= jv <= .) {
+              i = jv[0];
+              x = b[[i, 0]];
+              i = (i + 1) % 8;
+              y = b[[i, 1]];
+            } : x + y; } : genarray([8]);
+          return c;
+        }
+        """
+        assert splices(wlf_round(src), "b") == 2
+        equal_semantics(*optimized(src), args=self.A8)
+
+    def test_same_index_shares_one_splice_across_the_body(self):
+        src = """
+        int[8] main(int[8] a) {
+          b = with { (. <= iv <= .) : [a[iv], a[iv] * 2]; } : genarray([8]);
+          c = with { (. <= jv <= .) {
+              x = b[[jv[0], 0]];
+              y = b[[jv[0], 1]];
+            } : x + y + b[[jv[0], 0]]; } : genarray([8]);
+          return c;
+        }
+        """
+        assert splices(wlf_round(src), "b") == 1
+        equal_semantics(*optimized(src), args=self.A8)
+
+    def test_refused_fold_leaves_nothing_to_reuse(self):
+        """The first selection's fold nests past MAX_DEPTH and is refused;
+        the second must not point at the splice that refusal discarded."""
+        deep_cell = " + ".join(["a[iv]"] * 30)
+        deep_take = " + ".join(["n"] * 30)
+        src = f"""
+        int main(int[8] a, int n) {{
+          b = with {{ (. <= iv <= .) : [{deep_cell}, 0]; }} : genarray([8]);
+          x = b[[({deep_take}) % 8, 0]];
+          y = b[[({deep_take}) % 8, 1]];
+          return x + y;
+        }}
+        """
+        fun = wlf_round(src)
+        assert splices(fun, "b") == 0
+        assert count_withloops(fun) == 1
+        equal_semantics(*optimized(src), args=[self.A8[0], np.int32(3)])
+
+    @pytest.mark.parametrize(
+        "outer, inner",
+        [("b[iv]", "b[iv]"), ("b[[iv[0], 0]]", "b[[iv[0], 1]]")],
+        ids=["scalar", "array"],
+    )
+    def test_inner_generator_shadowing_the_index_splices_its_own(self, outer, inner):
+        cell = "a[iv] * 2" if outer == "b[iv]" else "[a[iv], a[iv] * 2]"
+        src = f"""
+        int[8] main(int[8] a) {{
+          b = with {{ (. <= iv <= .) : {cell}; }} : genarray([8]);
+          c = with {{ (. <= iv <= .) {{
+              x = {outer} + with {{ ([0] <= iv < [8]) : {inner}; }} : fold(add, 0);
+            }} : x; }} : genarray([8]);
+          return c;
+        }}
+        """
+        assert splices(wlf_round(src), "b") == 2
+        equal_semantics(*optimized(src), args=self.A8)
+
+    def test_scalar_cells_are_not_shared_across_statements(self):
+        """Sharing them would merge reads the program makes separately
+        (the generic downscaler's overlapping taps), moving modelled time."""
+        src = """
+        int[8] main(int[8] a) {
+          b = with { (. <= iv <= .) : a[iv] * 2; } : genarray([8]);
+          c = with { (. <= iv <= .) { x = b[iv] + 1; y = b[iv] + 2; } : x * y; } : genarray([8]);
+          return c;
+        }
+        """
+        assert splices(wlf_round(src), "b") == 2
+        prog, opt = optimized(src)
+        reads = [
+            n for n in nodes(opt.function("main"))
+            if isinstance(n, ast.IndexExpr) and n.array == ast.Var(name="a")
+        ]
+        assert len(reads) == 2
+        equal_semantics(prog, opt, args=self.A8)
+
+    def test_scalar_cell_read_twice_in_a_statement_is_spliced_once(self):
+        src = """
+        int[8] main(int[8] a) {
+          b = with { (. <= iv <= .) : a[iv] * 2; } : genarray([8]);
+          c = with { (. <= iv <= .) : b[iv] * b[iv] + b[iv]; } : genarray([8]);
+          return c;
+        }
+        """
+        assert splices(wlf_round(src), "b") == 1
+        equal_semantics(*optimized(src), args=self.A8)
