@@ -22,9 +22,12 @@ to the device that vacates first:
    re-evaluates at every flush; in DEGRADED state batches are served
    through the degraded job (CIF-size frames) until load recedes.
 
-All waiting happens on the :class:`~repro.serve.clock.VirtualClock`, so
-a run is deterministic and takes wall time proportional to the work, not
-to the simulated timeline.  Request lifecycle stages land on the ambient
+All waiting happens on the :class:`~repro.serve.clock.VirtualClock`:
+the flush timer, device occupancy and each request's completion are
+virtual sleeps, and virtual time moves only when the event loop has
+nothing left to run.  A run is therefore deterministic and takes wall
+time proportional to the work (batching, scheduling, execution), not to
+the simulated timeline.  Request lifecycle stages land on the ambient
 tracer; counters/gauges/histograms land in a
 :class:`~repro.obs.metrics.MetricsRegistry`.
 """
@@ -261,21 +264,6 @@ class ServeBroker:
                 await asyncio.gather(*list(self._completions))
         self._stopped = True
         return self.report()
-
-    async def drain(self) -> None:
-        """Wait until every admitted request has completed."""
-        while len(self.batcher) or self._completions or (
-            max(self._device_free_us) > self.clock.now_us
-        ):
-            pending = list(self._completions)
-            if pending:
-                await asyncio.gather(*pending)
-            elif max(self._device_free_us) > self.clock.now_us:
-                await self.clock.sleep_until(max(self._device_free_us))
-            else:
-                # queued requests are waiting out the batcher's flush
-                # timer; check back after one wait bound
-                await self.clock.sleep(self.config.batch_wait_us)
 
     # -- client API ------------------------------------------------------------
 

@@ -5,22 +5,21 @@ GTX 480 time), so the serving broker must not sleep on the wall clock:
 a load sweep that really waited out its inter-arrival gaps would take
 minutes and produce timings polluted by host jitter.  :class:`VirtualClock`
 gives the broker asyncio-compatible ``sleep``/``sleep_until`` primitives
-on a simulated microsecond axis:
+on a simulated microsecond axis.  Sleepers wait in a heap ordered by
+``(wake_us, seq)``, so equal wake times resolve FIFO (asyncio's own timer
+heap does not promise that).
 
-* tasks suspend on :meth:`sleep`; the waiter lands in a time-ordered heap
-  (FIFO-stable via a sequence tie-break, so equal wake times resolve
-  deterministically);
-* :meth:`drive` runs a scenario coroutine to completion — it lets the
-  event loop quiesce (all ready callbacks run), then pops the earliest
-  waiter, advances ``now_us`` to its wake time and releases it;
-* time therefore jumps instantly between events: a 300-request sweep at
-  50 rps finishes in milliseconds of wall time but six seconds of
-  virtual time, and two runs of the same scenario interleave identically.
-
-Cancelled sleepers (the batcher races its flush timer against new
-arrivals) are discarded without advancing time.  A scenario that is
-still pending with no timers left is reported as a stall instead of
-hanging the test suite.
+:meth:`run` drives a scenario on a ``SelectorEventLoop`` whose selector
+is the idle hook.  The loop asks its selector to block only when no
+callback is ready, i.e. once every runnable task has run, and only then
+does virtual time advance: the hook polls real events first (a thread's
+``call_soon_threadsafe`` wake-up is never lost), then moves ``now_us`` to
+the earliest live sleeper's wake time and resolves it.  Wake-up chains of
+any depth finish within their instant, time jumps between events, and two
+runs of one scenario interleave identically.  Cancelled sleepers (the
+batcher races its flush timer against arrivals) are dropped without
+advancing time.  An idle loop with no sleeper and no asyncio timer left
+is a stall, reported as a :class:`ReproError` instead of a hang.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from __future__ import annotations
 import asyncio
 import heapq
 import itertools
+import selectors
 from typing import Awaitable, TypeVar
 
 from repro.errors import ReproError
@@ -39,12 +39,6 @@ T = TypeVar("T")
 
 class VirtualClock:
     """Simulated-microsecond time source driving an asyncio event loop."""
-
-    #: event-loop iterations granted between time advances; bounds the
-    #: depth of wake-up chains (future resolved -> client resumes ->
-    #: submits -> broker admits -> batcher wakes) that may run "within"
-    #: one virtual instant
-    QUIESCE_ROUNDS = 24
 
     def __init__(self, start_us: float = 0.0):
         self._now_us = float(start_us)
@@ -70,42 +64,52 @@ class VirtualClock:
         heapq.heappush(self._waiters, (at_us, next(self._seq), fut))
         await fut
 
-    async def _quiesce(self) -> None:
-        for _ in range(self.QUIESCE_ROUNDS):
-            await asyncio.sleep(0)
-
-    async def drive(self, scenario: Awaitable[T]) -> T:
-        """Run ``scenario`` to completion, advancing virtual time as needed."""
-        task = asyncio.ensure_future(scenario)
-        try:
-            while True:
-                await self._quiesce()
-                if task.done():
-                    break
-                # drop sleepers whose future was cancelled (lost races)
-                while self._waiters and self._waiters[0][2].done():
-                    heapq.heappop(self._waiters)
-                if not self._waiters:
-                    await self._quiesce()
-                    if task.done():
-                        break
-                    if not self._waiters:
-                        task.cancel()
-                        raise ReproError(
-                            "virtual clock stalled: the scenario is still "
-                            "pending but no task is sleeping on the clock "
-                            "(a coroutine awaits something that will never "
-                            "resolve)"
-                        )
-                    continue
-                at_us, _, fut = heapq.heappop(self._waiters)
+    def _wake_next(self) -> bool:
+        """Advance to the earliest live sleeper and resolve it, if any."""
+        while self._waiters:
+            at_us, _, fut = heapq.heappop(self._waiters)
+            if not fut.done():  # cancelled sleepers lost their race
                 self._now_us = max(self._now_us, at_us)
                 fut.set_result(None)
-        finally:
-            if not task.done():
-                task.cancel()
-        return task.result()
+                return True
+        return False
 
     def run(self, scenario: Awaitable[T]) -> T:
-        """``asyncio.run`` the scenario under this clock."""
-        return asyncio.run(self.drive(scenario))
+        """Run ``scenario`` to completion on a fresh loop under this clock."""
+        loop = asyncio.SelectorEventLoop(_IdleSelector(self))
+        try:
+            return loop.run_until_complete(scenario)
+        finally:  # asyncio.run's teardown; its loop_factory needs 3.11
+            try:
+                leftover = asyncio.all_tasks(loop)
+                for task in leftover:
+                    task.cancel()
+                if leftover:
+                    loop.run_until_complete(
+                        asyncio.gather(*leftover, return_exceptions=True)
+                    )
+                loop.run_until_complete(loop.shutdown_asyncgens())
+            finally:
+                loop.close()
+
+
+class _IdleSelector(selectors.DefaultSelector):
+    """The loop's selector: where an idle loop advances virtual time."""
+
+    def __init__(self, clock: VirtualClock):
+        super().__init__()
+        self._clock = clock
+
+    def select(self, timeout: float | None = None):
+        # any timeout but 0 means no callback is ready: the loop is idle
+        events = super().select(0)
+        if events or timeout == 0 or self._clock._wake_next():
+            return events
+        if timeout is None:
+            raise ReproError(
+                "virtual clock stalled: the scenario is still pending but "
+                "no task is sleeping on the clock (a coroutine awaits "
+                "something that will never resolve)"
+            )
+        # a real asyncio timer and no virtual sleeper: wait as asyncio would
+        return super().select(timeout)

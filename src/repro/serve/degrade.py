@@ -26,12 +26,20 @@ from __future__ import annotations
 
 from collections import deque
 
-import numpy as np
-
 __all__ = ["DegradeController", "NORMAL", "DEGRADED"]
 
 NORMAL = "normal"
 DEGRADED = "degraded"
+
+
+def _p99(sample: list[float]) -> float:
+    """``np.percentile(sample, 99)`` to the bit (its linear method's lerp)."""
+    s = sorted(sample)
+    v = (len(s) - 1) * 0.99
+    lo = int(v)
+    g = v - lo
+    a, b = s[lo], s[min(lo + 1, len(s) - 1)]
+    return a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
 
 
 class DegradeController:
@@ -76,9 +84,7 @@ class DegradeController:
         est = est_service_us or 0.0
         sample = list(self._latencies)
         sample.extend(now_us - a + est for a in queued_arrivals_us)
-        if not sample:
-            return 0.0
-        return float(np.percentile(sample, 99))
+        return _p99(sample) if sample else 0.0
 
     def evaluate(
         self,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
@@ -104,3 +105,63 @@ def test_run_returns_scenario_result():
 
     assert clock.run(scenario()) == "done"
     assert clock.now_us == 123.0
+
+
+def test_wakeup_chain_of_any_depth_finishes_within_its_instant():
+    clock = VirtualClock()
+    hits: list[float] = []
+
+    async def chain():
+        await clock.sleep(10)
+        for _ in range(100):
+            await asyncio.sleep(0)
+        hits.append(clock.now_us)
+
+    async def scenario():
+        await asyncio.gather(chain(), clock.sleep_until(20))
+
+    clock.run(scenario())
+    assert hits == [10.0]
+    assert clock.now_us == 20.0
+
+
+def test_same_instant_waiters_resolve_in_registration_order():
+    clock = VirtualClock()
+    order: list[str] = []
+
+    async def sleeper(name: str, register_at_us: float):
+        await clock.sleep_until(register_at_us)
+        await clock.sleep(100 - register_at_us)  # every one wakes at 100
+        order.append(name)
+
+    async def scenario():
+        await asyncio.gather(
+            sleeper("late", 50), sleeper("early", 10), sleeper("mid", 30)
+        )
+
+    clock.run(scenario())
+    assert order == ["early", "mid", "late"]
+    assert clock.now_us == 100.0
+
+
+def test_stall_with_a_started_broker_raises_promptly(broker_factory):
+    broker = broker_factory()
+    errors: list[Exception] = []
+
+    async def scenario():
+        await broker.start()
+        await asyncio.get_running_loop().create_future()  # never resolves
+
+    def target():
+        try:
+            broker.clock.run(scenario())
+        except Exception as err:  # reported on the test's own thread
+            errors.append(err)
+
+    # a thread, so a hang fails the test instead of stalling the suite
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(timeout=5.0)
+    assert not worker.is_alive(), "a stalled scenario hung"
+    assert len(errors) == 1 and isinstance(errors[0], ReproError), errors
+    assert "virtual clock stalled" in str(errors[0])

@@ -2,9 +2,31 @@
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve import DEGRADED, NORMAL, DegradeController
+
+magnitudes = st.one_of(
+    st.floats(min_value=1e-9, max_value=1e6),
+    # log-uniform: full-mantissa values, where the two lerp forms round apart
+    st.floats(min_value=-9.0, max_value=6.0).map(lambda e: 10.0**e),
+)
+# sizes drawn uniformly (hypothesis favours short lists), so that both of
+# the interpolation's branches come up: g >= 0.5 below 52 values
+samples = st.integers(min_value=1, max_value=200).flatmap(
+    lambda n: st.one_of(
+        st.lists(magnitudes, min_size=n, max_size=n),
+        # a few distinct values drawn many times: ties at the order statistics
+        st.lists(magnitudes, min_size=1, max_size=5).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+        ),
+    )
+)
 
 
 def _ctl(**kw):
@@ -77,3 +99,33 @@ def test_empty_system_projects_zero():
 def test_invalid_recover_ratio_rejected():
     with pytest.raises(ValueError):
         DegradeController(slo_us=1.0, recover_ratio=0.0)
+
+
+@given(
+    sample=samples,
+    split=st.integers(min_value=0, max_value=200),
+    est=st.one_of(st.none(), magnitudes),
+)
+@settings(deadline=None)
+def test_projected_p99_is_numpys_percentile(sample, split, est):
+    # the first ``split`` values complete; the rest are still queued
+    now = 2e6
+    ctl = DegradeController(slo_us=1.0, window=200)
+    done, queued = sample[:split], sample[split:]
+    for latency in done:
+        ctl.record_latency(latency)
+    arrivals = [now - x for x in queued]
+    projected = done + [now - a + (est or 0.0) for a in arrivals]
+    assert ctl.projected_p99_us(now, arrivals, est) == np.percentile(projected, 99)
+
+
+def test_projected_p99_is_numpys_percentile_on_random_draws():
+    # hypothesis favours simple floats, whose two interpolation forms seldom
+    # round apart; these full-mantissa draws tell the branches apart
+    rng = random.Random(0)
+    for _ in range(2000):
+        sample = [10.0 ** rng.uniform(-9, 6) for _ in range(rng.randint(1, 200))]
+        ctl = DegradeController(slo_us=1.0, window=200)
+        for latency in sample:
+            ctl.record_latency(latency)
+        assert ctl.projected_p99_us(0.0, [], None) == np.percentile(sample, 99)
