@@ -247,7 +247,7 @@ def collect_schedule(reg: MetricsRegistry, schedule, **labels) -> None:
     """Absorb a :class:`~repro.runtime.schedule.PipelineSchedule`."""
     reg.gauge("repro_schedule_makespan_us", **labels).set(schedule.makespan_us)
     reg.gauge("repro_schedule_serial_us", **labels).set(schedule.serial_us)
-    reg.gauge("repro_schedule_nodes", **labels).set(len(schedule.nodes))
+    reg.gauge("repro_schedule_nodes", **labels).set(schedule.node_count)
     occupancy = schedule.engine_occupancy()
     for engine in schedule.engines:
         reg.gauge(

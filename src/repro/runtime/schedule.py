@@ -36,16 +36,19 @@ returns must pass it.
 A build has two pieces.  Every run issues the same ops with the same
 access boxes on the same engines, and host arrays are per run, so which
 ops of its own run and of its slot's previous occupant an op waits on is
-fixed by the program: :class:`_DependenceTemplate` finds those edges once.
-The timing pass then walks the runs, maps the template to node ids
-through each device stream's run history, and adds the edges that depend
-on the timeline: the host-step barrier, the serialise chain, a migrated
-frame's fence and the PCIe staging channels.
+fixed by the program: :class:`_DependenceTemplate` finds those edges once,
+and a node's edges are the template's positions plus its run's offset.
+The timing pass walks runs x steps, adds the edges that depend on the
+timeline (the host-step barrier, the serialise chain, a migrated frame's
+fence, the PCIe staging channels) and writes flat columns
+(:class:`_Timeline`), which the report totals are read from.  Nodes are
+made from them on first read of ``schedule.nodes``: by the Chrome trace,
+the Gantt chart, :func:`schedule_violations` and the pins.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from repro.errors import DeviceError
@@ -113,25 +116,9 @@ class ScheduledNode:
         return self.end_us - self.start_us
 
 
-_NODE_FIELDS = tuple(f.name for f in fields(ScheduledNode))
-
-
-def _node(*values) -> ScheduledNode:
-    """The :class:`ScheduledNode` of ``values``, in field order.
-
-    The frozen ``__init__`` sets each field through
-    ``object.__setattr__``; filling the instance dict builds the same
-    node in about half the time, on the builder's hottest line (one node
-    per op per run).
-    """
-    node = object.__new__(ScheduledNode)
-    node.__dict__.update(zip(_NODE_FIELDS, values))
-    return node
-
-
 @dataclass(frozen=True)
 class _Totals:
-    """What the reports read off a schedule, from one pass over its nodes."""
+    """What the reports read off a schedule, from one pass over its columns."""
 
     #: engines in order of first appearance
     engines: tuple[str, ...]
@@ -169,6 +156,100 @@ class _Disjoint:
         return entry[0]
 
 
+@dataclass(frozen=True, eq=False)
+class _Columns:
+    """A schedule's timeline, one entry per node in id order."""
+
+    #: engine names, indexed by the ``engine`` column
+    engine_names: tuple[str, ...]
+    engine: list[int]
+    start: list[float]
+    end: list[float]
+    #: per run, in issue order: (run, first node id, one past its last)
+    runs: list[tuple[int, int, int]]
+
+    @classmethod
+    def of_nodes(cls, nodes) -> _Columns:
+        """The columns of given (hand-built or forged) nodes."""
+        index = {e: i for i, e in enumerate(dict.fromkeys(n.engine for n in nodes))}
+        firsts = [i for i, n in enumerate(nodes) if not i or n.run != nodes[i - 1].run]
+        return cls(
+            tuple(index), [index[n.engine] for n in nodes],
+            [n.start_us for n in nodes], [n.end_us for n in nodes],
+            [(nodes[a].run, a, b) for a, b in zip(firsts, firsts[1:] + [len(nodes)])],
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class _Timeline(_Columns):
+    """A built schedule's columns, and what its nodes are made from."""
+
+    topology: DeviceTopology
+    template: _DependenceTemplate
+    serialize: bool
+    #: per run: (its first step's node id, the slot's previous occupant's
+    #: or ``None`` on a fresh slot, device, slot, the migration node its
+    #: first step waits on or ``None``)
+    records: list[tuple]
+    #: per migration node id: (name, device stream, the node it waits on)
+    migrations: dict[int, tuple[str, int, int | None]]
+
+    def nodes(self) -> tuple[ScheduledNode, ...]:
+        """Every node, each field as the timing pass placed it; the
+        host-step barrier edges are replayed in id order."""
+        template, out = self.template, []
+        barrier: dict[int, int] = {}  # per device stream, its latest host step
+
+        def node(i, run, op_index, name, device, deps, *access):
+            if device in barrier:
+                deps.add(barrier[device])
+            if self.serialize and i:
+                deps.add(i - 1)
+            out.append(ScheduledNode(
+                i, run, op_index, name, self.engine_names[self.engine[i]],
+                self.start[i], self.end[i], device, tuple(sorted(deps)), *access,
+            ))
+
+        for (run, first, _), (base, prev_base, dev, slot, floor) in zip(self.runs, self.records):
+            for i in range(first, base):  # the frame's host-staged move
+                name, stream, dep = self.migrations[i]
+                node(i, run, -1, name, stream, set() if dep is None else {dep})
+            device = self.topology.device(dev)
+            named = {
+                r: (HOST, f"{r[1]}@r{run}") if r[0] == HOST else (DEV, device.slot(r[1], slot))
+                for s in template.steps for r in s.reads + s.writes
+            }
+            waits = template.fresh if prev_base is None else template.recycled
+            for pos, (step, (same, prev)) in enumerate(zip(template.steps, waits)):
+                deps = {base + p for p in same}
+                deps.update([prev_base + p for p in prev])
+                if pos == 0 and floor is not None:
+                    deps.add(floor)
+                reads, writes = [named[r] for r in step.reads], [named[r] for r in step.writes]
+                node(base + pos, run, step.op_index, step.name, dev, deps, tuple(reads),
+                     tuple(writes), step.read_boxes, step.write_boxes)
+                if step.kind == "host":
+                    barrier[dev] = base + pos
+        return tuple(out)
+
+
+class _Nodes:
+    """``PipelineSchedule.nodes``: a hand-built schedule's given nodes, or
+    a built one's, made from its timeline on first read.  Either way they
+    live in the instance ``__dict__``, absent from it until then."""
+
+    def __get__(self, schedule, owner=None):
+        if schedule is None:
+            return self
+        if "nodes" not in schedule.__dict__:
+            schedule.__dict__["nodes"] = schedule._columns.nodes()
+        return schedule.__dict__["nodes"]
+
+    def __set__(self, schedule, nodes):
+        if nodes is not self:  # ``self`` is the field's default: none given
+            schedule.__dict__["nodes"] = tuple(nodes)
+
+
 @dataclass(frozen=True)
 class PipelineSchedule:
     """A complete schedule of ``runs`` back-to-back program executions."""
@@ -178,7 +259,7 @@ class PipelineSchedule:
     depth: int
     serialize: bool
     serial_us: float
-    nodes: tuple[ScheduledNode, ...] = field(compare=False)
+    nodes: tuple[ScheduledNode, ...] = field(default=_Nodes(), compare=False, repr=False)
     #: fleet shape: device count, per-frame placements (device index per
     #: frame, empty on a one-device schedule) and host-staged migration
     #: accounting — migration time is *extra* work the placement chose to
@@ -191,31 +272,39 @@ class PipelineSchedule:
     _disjoint: _Disjoint = field(
         default_factory=_Disjoint, compare=False, repr=False
     )
+    #: the timeline the totals (and a built schedule's nodes) are read from
+    _columns: _Columns | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self._columns is None or "nodes" in self.__dict__:  # given nodes
+            nodes = self.__dict__.setdefault("nodes", ())
+            object.__setattr__(self, "_columns", _Columns.of_nodes(nodes))
 
     @cached_property
     def _totals(self) -> _Totals:
-        """One pass over the nodes, kept in the instance ``__dict__``
+        """One pass over the columns, kept in the instance ``__dict__``
         (a schedule is immutable; ``replace`` builds a new one).  Busy
         time starts from ``0`` and adds in node order, as ``sum`` did."""
-        busy: dict[str, float] = {}
-        spans: dict[int, list[float]] = {}
-        for n in self.nodes:
-            start, end = n.start_us, n.end_us
-            busy[n.engine] = busy.get(n.engine, 0) + (end - start)
-            span = spans.get(n.run)
-            if span is None:
-                spans[n.run] = [start, end]
-            else:
-                if start < span[0]:
-                    span[0] = start
-                if end > span[1]:
-                    span[1] = end
+        c = self._columns
+        busy = [0] * len(c.engine_names)
+        for e, start, end in zip(c.engine, c.start, c.end):
+            busy[e] += end - start
+        spans: dict[int, tuple[float, float]] = {}
+        for run, first, stop in c.runs:
+            lo, hi = spans.get(run, (c.start[first], c.end[first]))
+            spans[run] = (min(lo, *c.start[first:stop]), max(hi, *c.end[first:stop]))
+        names = c.engine_names
+        used = dict.fromkeys(c.engine)  # in order of first use
         return _Totals(
-            engines=tuple(busy),
-            busy_us=busy,
-            run_spans_us={run: (lo, hi) for run, (lo, hi) in spans.items()},
-            makespan_us=max((hi for _, hi in spans.values()), default=0.0),
+            engines=tuple(names[e] for e in used),
+            busy_us={names[e]: busy[e] for e in used},
+            run_spans_us=spans,
+            makespan_us=max(c.end, default=0.0),
         )
+
+    @property
+    def node_count(self) -> int:  # len(self.nodes), without making them
+        return len(self._columns.start)
 
     @property
     def makespan_us(self) -> float:
@@ -329,7 +418,7 @@ def build_schedule(
             topology=topology, placements=placements, placement=placement,
             frame_batch=frame_batch,
         )
-        span.set(nodes=len(schedule.nodes), makespan_us=schedule.makespan_us)
+        span.set(nodes=schedule.node_count, makespan_us=schedule.makespan_us)
         return schedule
 
 
@@ -454,13 +543,13 @@ class _DependenceTemplate:
                     writers[res] = [(pos, None, step.kind)]
                     readers[res] = []
                 else:
-                    kept = [w for w in writers.get(res, ()) if w[1] != wb]
+                    kept = [w for w in writers.get(res, ()) if w[1] is not wb and w[1] != wb]
                     kept.append((pos, wb, step.kind))
                     writers[res] = kept
             for res, rb in zip(step.reads, step.read_boxes):
                 kept = [
                     r for r in readers.get(res, ())
-                    if not (r[1] == rb and r[2] == step.kind)
+                    if not ((r[1] is rb or r[1] == rb) and r[2] == step.kind)
                 ]
                 kept.append((pos, rb, step.kind))
                 readers[res] = kept
@@ -541,20 +630,20 @@ def _build_schedule(
     disjoint = _Disjoint()
     template = _DependenceTemplate(_steps(program, prices, op_access), disjoint)
     steps = template.steps
+    timed = [(s.dur, s.channel, s.kind == "host") for s in steps]
 
     # every engine (host lanes included) runs FIFO; PCIe transfers
     # additionally queue on the shared staging channels
-    engine_ready = {e: 0.0 for e in topology.engines()}
+    engine_names = topology.engines()
+    engine_index = {e: i for i, e in enumerate(engine_names)}
+    ready = [0.0] * len(engine_names)
     chan_ready = [0.0] * topology.host_channels
+    starts, ends, engine_col, run_col, records = [], [], [], [], []  # the columns
+    migrations: dict[int, tuple[str, int, int | None]] = {}
     #: host-step barriers are per device stream: a host step of one
     #: device's frame must not stall another device's issue
     host_sync: dict[int, float] = {}
-    host_barrier: dict[int, int] = {}
-    prev_node: tuple[int, float] | None = None  # for serialize
-    nodes: list[ScheduledNode] = []
-    ends: list[float] = []  # end of every node, by id
-    serial = 0.0
-    migration_total = 0.0
+    serial = migration_total = 0.0
     migration_count = 0
     mig_nbytes: int | None = None
     frame_floors: dict[int, tuple[float, int]] = {}
@@ -563,61 +652,17 @@ def _build_schedule(
     floor_dep: int | None = None
     #: per device stream, the node id of each of its runs' first step
     history: dict[int, list[int]] = {}
-    #: per device stream, the engine of each step; per (device, slot),
-    #: the device resources' names and each step's (reads, writes) named,
-    #: ``None`` for a step touching a host array (named per run)
-    engines_of: dict[int, list[str]] = {}
-    named_in: dict[tuple[int, int], tuple[dict, list]] = {}
-    host_arrays = dict.fromkeys(
-        r for s in steps for r in s.reads + s.writes if r[0] == HOST
-    )
-
-    def place(
-        run: int, op_index: int, name: str, engine: str, dur: float,
-        after: float, deps: set[int], stream: int, channel: bool,
-        reads: tuple = (), writes: tuple = (),
-        read_boxes: tuple = (), write_boxes: tuple = (),
-    ) -> ScheduledNode:
-        nonlocal prev_node, floor_dep
-        barrier = host_barrier.get(stream)
-        if barrier is not None:
-            deps.add(barrier)
-        after = max(after, host_sync.get(stream, 0.0))
-        if op_index >= 0 and floor_end > 0.0:
-            # the frame migrated here: nothing runs before its working
-            # set landed (the dep edge goes on the run's first node)
-            after = max(after, floor_end)
-            if floor_dep is not None:
-                deps.add(floor_dep)
-                floor_dep = None
-        if serialize and prev_node is not None:
-            deps.add(prev_node[0])
-            after = max(after, prev_node[1])
-        start = max(engine_ready[engine], after)
-        if channel:
-            # the PCIe wire: this transfer occupies one of the shared
-            # host staging channels for exactly its duration.  Best fit:
-            # take the latest-freed channel already free when the
-            # transfer is otherwise ready (keeping earlier-freed wires
-            # open); only when every wire is still busy does the
-            # transfer wait — the fleet's saturation point.
-            limit = start + _EPS
-            freed = max([t for t in chan_ready if t <= limit], default=None)
-            if freed is None:
-                freed = start = min(chan_ready)
-            chan_ready[chan_ready.index(freed)] = start + dur
-        end = start + dur
-        engine_ready[engine] = end
-        node = _node(
-            len(nodes), run, op_index, name, engine, start, end, stream,
-            tuple(sorted(deps)), reads, writes, read_boxes, write_boxes,
-        )
-        nodes.append(node)
-        ends.append(end)
-        prev_node = (node.id, end)
-        return node
+    #: per device stream, the engine index of each step
+    engines_of = [
+        [
+            engine_index[topology.host_lane(k) if s.kind == "host" else d.engine(s.kind)]
+            for s in steps
+        ]
+        for k, d in enumerate(topology)
+    ]
 
     for run in range(runs):
+        first = len(ends)
         if decisions is not None:
             frame = run // frame_batch
             dcsn = decisions[frame]
@@ -635,15 +680,20 @@ def _build_schedule(
                     mig_nbytes = upload_nbytes(program)
                 d2h_us, h2d_us = topology.migration_us(mig_nbytes)
                 src, dst = dcsn.migrate_from, cur_dev
-                nsrc = place(
-                    run, -1, f"migrate-d2h:{src}->{dst}", f"d{src}:d2h",
-                    d2h_us, 0.0, set(), src, True,
-                )
-                ndst = place(
-                    run, -1, f"migrate-h2d:{src}->{dst}", f"d{dst}:h2d",
-                    h2d_us, nsrc.end_us, {nsrc.id}, dst, True,
-                )
-                frame_floors[frame] = (ndst.end_us, ndst.id)
+                after, dep = 0.0, None
+                for stream, kind, dur in ((src, "d2h", d2h_us), (dst, "h2d", h2d_us)):
+                    e = engine_index[topology.device(stream).engine(kind)]
+                    after = max(after, host_sync.get(stream, 0.0))
+                    if serialize and ends:
+                        after = max(after, ends[-1])
+                    start = _wire(chan_ready, max(ready[e], after), dur)
+                    after = ready[e] = start + dur
+                    migrations[len(ends)] = (f"migrate-{kind}:{src}->{dst}", stream, dep)
+                    dep = len(ends)
+                    starts.append(start)
+                    ends.append(after)
+                    engine_col.append(e)
+                frame_floors[frame] = (after, dep)
                 migration_total += d2h_us + h2d_us
                 migration_count += 1
             if frame in frame_floors:
@@ -654,56 +704,43 @@ def _build_schedule(
         # occupant's, ``depth`` runs back on the same stream
         runs_here = history.setdefault(cur_dev, [])
         count = len(runs_here)
-        base = len(nodes)
+        base = len(ends)
         runs_here.append(base)
         if count >= depth:
-            waits = template.recycled
-            prev_base = runs_here[count - depth]
+            waits, prev_base = template.recycled, runs_here[count - depth]
         else:
-            waits, prev_base = template.fresh, base
-        slot = count % depth
-        device = topology.device(cur_dev)
-        engines = engines_of.get(cur_dev)
-        if engines is None:
-            engines = engines_of[cur_dev] = [
-                topology.host_lane(cur_dev) if s.kind == "host"
-                else device.engine(s.kind)
-                for s in steps
-            ]
-        named = named_in.get((cur_dev, slot))
-        if named is None:
-            dev_names = {
-                r: (DEV, device.slot(r[1], slot))
-                for s in steps for r in s.reads + s.writes if r[0] == DEV
-            }
-            named = named_in[(cur_dev, slot)] = (dev_names, [
-                None if any(r[0] == HOST for r in s.reads + s.writes) else (
-                    tuple([dev_names[r] for r in s.reads]),
-                    tuple([dev_names[r] for r in s.writes]),
-                )
-                for s in steps
-            ])
-        # host arrays are per run
-        names = named[0] | {r: (HOST, f"{r[1]}@r{run}") for r in host_arrays}
-
-        for step, engine, (same, prev), rw in zip(steps, engines, waits, named[1]):
-            serial += step.dur
-            deps = {base + p for p in same}
-            if prev:
-                deps.update([prev_base + p for p in prev])
-            after = max([ends[d] for d in deps], default=0.0)
-            reads, writes = rw or (
-                tuple([names[r] for r in step.reads]),
-                tuple([names[r] for r in step.writes]),
-            )
-            node = place(
-                run, step.op_index, step.name, engine, step.dur, after, deps,
-                cur_dev, step.channel, reads, writes,
-                step.read_boxes, step.write_boxes,
-            )
-            if step.kind == "host":
-                host_sync[cur_dev] = node.end_us
-                host_barrier[cur_dev] = node.id
+            waits, prev_base = template.fresh, None
+        # nothing of the run starts before the stream's last host step
+        # ends, nor (a migrated frame) before its working set landed
+        sync = host_sync.get(cur_dev, 0.0)
+        lower = max(sync, floor_end)
+        for (dur, channel, host), e, (same, prev) in zip(timed, engines_of[cur_dev], waits):
+            serial += dur
+            after = lower
+            for p in same:
+                if ends[base + p] > after:
+                    after = ends[base + p]
+            for p in prev:
+                if ends[prev_base + p] > after:
+                    after = ends[prev_base + p]
+            if serialize and ends and ends[-1] > after:
+                after = ends[-1]
+            start = ready[e]
+            if after > start:
+                start = after
+            if channel:
+                start = _wire(chan_ready, start, dur)
+            ready[e] = end = start + dur
+            starts.append(start)
+            ends.append(end)
+            engine_col.append(e)
+            if host:
+                sync = end
+                lower = max(end, floor_end)
+        host_sync[cur_dev] = sync
+        run_col.append((run, first, len(ends)))
+        floor = floor_dep if floor_end > 0.0 else None
+        records.append((base, prev_base, cur_dev, count % depth, floor))
 
     return PipelineSchedule(
         program=program.name,
@@ -711,7 +748,6 @@ def _build_schedule(
         depth=depth,
         serialize=serialize,
         serial_us=serial,
-        nodes=tuple(nodes),
         devices=len(topology),
         placements=(
             tuple(d.device for d in decisions) if decisions is not None else ()
@@ -719,7 +755,25 @@ def _build_schedule(
         migrations=migration_count,
         migration_us=migration_total,
         _disjoint=disjoint,
+        _columns=_Timeline(
+            engine_names, engine_col, starts, ends, run_col,
+            topology=topology, template=template, serialize=serialize,
+            records=records, migrations=migrations,
+        ),
     )
+
+
+def _wire(chan_ready: list[float], start: float, dur: float) -> float:
+    """When a PCIe transfer ready at ``start`` starts: it holds one of the
+    shared host staging channels for its duration.  Best fit: the latest
+    freed of the channels free by then (keeping earlier-freed wires open);
+    only if all are busy does it wait — the fleet's saturation point."""
+    limit = start + _EPS
+    freed = max([t for t in chan_ready if t <= limit], default=None)
+    if freed is None:
+        freed = start = min(chan_ready)
+    chan_ready[chan_ready.index(freed)] = start + dur
+    return start
 
 
 def schedule_violations(schedule: PipelineSchedule) -> list[str]:
@@ -739,9 +793,18 @@ def schedule_violations(schedule: PipelineSchedule) -> list[str]:
     memo, but the replay below is the checker's own.
     """
     disjoint = schedule._disjoint
+    #: one representative per value of a box tuple, so that the pruning
+    #: below tests equality by identity; a node's boxes are its op's,
+    #: shared by every run, so each is mapped once (and kept: no id reuse)
+    shared: dict = {}
+    mapped: dict[int, tuple] = {}
 
     def aligned(boxes, resources):
-        return boxes if boxes else (None,) * len(resources)
+        if not boxes:
+            return (None,) * len(resources)
+        if id(boxes) not in mapped:
+            mapped[id(boxes)] = (tuple([shared.setdefault(b, b) for b in boxes]), boxes)
+        return mapped[id(boxes)][0]
 
     out: list[str] = []
 
@@ -766,7 +829,9 @@ def schedule_violations(schedule: PipelineSchedule) -> list[str]:
     writer_hist: dict[tuple[str, str], list] = {}
     reader_hist: dict[tuple[str, str], list] = {}
     for n in schedule.nodes:
-        for res, rb in zip(n.reads, aligned(n.read_boxes, n.reads)):
+        read_boxes = aligned(n.read_boxes, n.reads)
+        write_boxes = aligned(n.write_boxes, n.writes)
+        for res, rb in zip(n.reads, read_boxes):
             for w, wb in writer_hist.get(res, ()):
                 if disjoint(rb, wb):
                     continue
@@ -776,7 +841,7 @@ def schedule_violations(schedule: PipelineSchedule) -> list[str]:
                         f"{n.start_us:.3f} before writer {w.id} ({w.name}) "
                         f"ends at {w.end_us:.3f}"
                     )
-        for res, wb in zip(n.writes, aligned(n.write_boxes, n.writes)):
+        for res, wb in zip(n.writes, write_boxes):
             for w, owb in writer_hist.get(res, ()):
                 if disjoint(wb, owb):
                     continue
@@ -795,18 +860,18 @@ def schedule_violations(schedule: PipelineSchedule) -> list[str]:
                         f"{n.start_us:.3f} before reader {r.id} ({r.name}) "
                         f"ends at {r.end_us:.3f}"
                     )
-        for res, wb in zip(n.writes, aligned(n.write_boxes, n.writes)):
+        for res, wb in zip(n.writes, write_boxes):
             if wb is None:
                 writer_hist[res] = [(n, None)]
                 reader_hist[res] = []
             else:
-                kept = [w for w in writer_hist.get(res, ()) if w[1] != wb]
+                kept = [w for w in writer_hist.get(res, ()) if w[1] is not wb]
                 kept.append((n, wb))
                 writer_hist[res] = kept
-        for res, rb in zip(n.reads, aligned(n.read_boxes, n.reads)):
+        for res, rb in zip(n.reads, read_boxes):
             kept = [
                 r for r in reader_hist.get(res, ())
-                if not (r[1] == rb and r[0].engine == n.engine)
+                if not (r[1] is rb and r[0].engine == n.engine)
             ]
             kept.append((n, rb))
             reader_hist[res] = kept

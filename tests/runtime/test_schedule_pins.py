@@ -128,48 +128,79 @@ def digest(records: list) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def single_device_digest(program, executor) -> str:
-    return digest([
-        schedule_record(build_schedule(
-            program, executor, runs=runs, depth=depth, serialize=serialize,
-        ))
-        for depth in DEPTHS
-        for serialize in (False, True)
-        for runs in RUNS
-    ])
+def totals_record(s) -> list:
+    """The engines in order of first use, each one's busy time, the run
+    spans and the makespan, as the schedule reads them off its columns."""
+    return [
+        list(s.engines), [s.engine_busy_us(e).hex() for e in s.engines],
+        [[run, lo.hex(), hi.hex()] for run, (lo, hi) in s.run_spans_us.items()],
+        s.makespan_us.hex(),
+    ]
 
 
-def fleet_digest(program, executor) -> str:
-    records = []
+def totals_of_nodes(s) -> list:
+    """The same, recomputed from the made nodes in node order."""
+    busy: dict[str, float] = {}
+    spans: dict[int, tuple[float, float]] = {}
+    for n in s.nodes:
+        busy[n.engine] = busy.get(n.engine, 0) + (n.end_us - n.start_us)
+        lo, hi = spans.get(n.run, (n.start_us, n.end_us))
+        spans[n.run] = (min(lo, n.start_us), max(hi, n.end_us))
+    return [
+        list(busy), [t.hex() for t in busy.values()],
+        [[run, lo.hex(), hi.hex()] for run, (lo, hi) in spans.items()],
+        max((n.end_us for n in s.nodes), default=0.0).hex(),
+    ]
+
+
+def single_device_schedules(program, executor):
+    for depth in DEPTHS:
+        for serialize in (False, True):
+            for runs in RUNS:
+                yield build_schedule(
+                    program, executor, runs=runs, depth=depth, serialize=serialize,
+                )
+
+
+def fleet_schedules(program, executor):
     for serialize in (False, True):
         for devices in (2, 3):
             topology = DeviceTopology.build(devices)
             for policy in POLICIES:
                 for runs, frame_batch, depth in FLEET_SHAPES:
-                    records.append(schedule_record(build_schedule(
+                    yield build_schedule(
                         program, executor, runs=runs, depth=depth,
                         serialize=serialize, topology=topology,
                         placement=policy, frame_batch=frame_batch,
-                    )))
+                    )
             # an eager expander: every cold placement stages a migration
-            records.append(schedule_record(build_schedule(
+            yield build_schedule(
                 program, executor, runs=6, depth=2, serialize=serialize,
                 topology=topology,
                 placement=CacheAffinityPlacement(
                     devices, spread_factor=0.0, migrate=True
                 ),
-            )))
+            )
         for devices, frame_batch, moves in MIGRATIONS:
             decisions = [
                 PlacementDecision(frame=f, device=d, migrate_from=src)
                 for f, (d, src) in enumerate(moves)
             ]
-            records.append(schedule_record(build_schedule(
+            yield build_schedule(
                 program, executor, runs=len(moves) * frame_batch, depth=2,
                 serialize=serialize, topology=DeviceTopology.build(devices),
                 placements=decisions, frame_batch=frame_batch,
-            )))
-    return digest(records)
+            )
+
+
+def single_device_digest(program, executor) -> str:
+    return digest([
+        schedule_record(s) for s in single_device_schedules(program, executor)
+    ])
+
+
+def fleet_digest(program, executor) -> str:
+    return digest([schedule_record(s) for s in fleet_schedules(program, executor)])
 
 
 @pytest.mark.parametrize("name", sorted(PINS))
@@ -180,6 +211,15 @@ def test_single_device_schedules_are_pinned(name, cache, executor):
 @pytest.mark.parametrize("name", sorted(FLEET_PINS))
 def test_fleet_schedules_are_pinned(name, cache, executor):
     assert fleet_digest(_program(name, cache), executor) == FLEET_PINS[name]
+
+
+@pytest.mark.parametrize("grid", [single_device_schedules, fleet_schedules])
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_totals_from_columns_equal_totals_from_nodes(name, grid, cache, executor):
+    """What the reports read off a built schedule's columns, against the
+    same quantities summed over its nodes (migration nodes included)."""
+    for s in grid(_program(name, cache), executor):
+        assert totals_record(s) == totals_of_nodes(s)
 
 
 @pytest.mark.parametrize("name", sorted(PINS))

@@ -29,7 +29,11 @@ from repro.runtime import build_schedule, schedule_violations
 from repro.runtime.fleet import DeviceTopology
 from repro.runtime.schedule import DEV, HOST, PipelineSchedule, ScheduledNode
 from tests.analysis.test_region_hazards import racy_programs
-from tests.runtime.test_schedule_pins import schedule_record
+from tests.runtime.test_schedule_pins import (
+    schedule_record,
+    totals_of_nodes,
+    totals_record,
+)
 
 _EPS = 1e-9
 
@@ -419,4 +423,6 @@ def test_template_schedules_match_the_per_run_walk(program, frame_batch):
                         program, executor, runs, depth, serialize, **fleet
                     )
                     assert schedule_record(s) == schedule_record(want)
+                    assert totals_record(s) == totals_of_nodes(s)
+                    assert totals_record(want) == totals_of_nodes(want)
                     assert schedule_violations(s) == []
