@@ -50,7 +50,7 @@ def main() -> None:
     assert np.allclose(sac_res.outputs[sac.program.host_outputs[0]], golden)
     [fused] = sac.program.kernels
     print(f"SaC:      {sac.kernel_count} kernel, "
-          f"{fused.reads_per_item()} reads/output (recomputed h-pass), "
+          f"{fused.facts.reads} reads/output (recomputed h-pass), "
           f"kernel time {sac_res.kernel_us:8.1f} us")
 
     # ArrayOL route: one kernel per pass, intermediate buffer in between
@@ -61,7 +61,7 @@ def main() -> None:
     gas_ex = GPUExecutor(CostModel(GTX480_CALIBRATED))
     gas_res = gas_ex.run(ctx.program, {"image": image})
     assert np.allclose(gas_res.outputs["blurred"], golden)
-    per_pass_reads = ctx.program.kernels[0].reads_per_item()
+    per_pass_reads = ctx.program.kernels[0].facts.reads
     print(f"Gaspard2: {ctx.program.launch_count} kernels, "
           f"{per_pass_reads} reads/output per pass (+ intermediate buffer), "
           f"kernel time {gas_res.kernel_us:8.1f} us")

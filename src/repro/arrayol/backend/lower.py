@@ -106,8 +106,6 @@ def kernel_for_repetitive(
         return e
 
     body: list[irs.Stmt] = []
-    reads: set[str] = set()
-    writes: set[str] = set()
     for name, expr in inner.locals:
         body.append(irs.Assign(name, substitute(expr)))
     for pe in inner.body:
@@ -116,11 +114,8 @@ def kernel_for_repetitive(
         value = substitute(pe.expr)
         index = tiler_index_exprs(conn.tiler, (pe.index,))
         body.append(irs.Store(target, index, value))
-        writes.add(target)
-    for s in body:
-        for e in irs.expressions_of((s,)):
-            if isinstance(e, ir.Read):
-                reads.add(e.array)
+    facts = irs.body_facts(body)
+    reads, writes = facts.arrays("read"), facts.arrays("store")
 
     shapes: dict[str, tuple[int, ...]] = {}
     dtypes: dict[str, str] = {}

@@ -324,9 +324,9 @@ def _emit_program(ctx: GaspardContext, transfers: str = "boundary") -> None:
                     writes=tuple(out_bufs),
                     work=HostWork(
                         items=kernel.space.size,
-                        reads_per_item=kernel.reads_per_item(),
-                        writes_per_item=kernel.writes_per_item(),
-                        flops_per_item=kernel.flops_per_item(),
+                        reads_per_item=kernel.facts.reads,
+                        writes_per_item=kernel.facts.writes,
+                        flops_per_item=kernel.facts.flops,
                     ),
                 )
             )

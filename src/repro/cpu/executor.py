@@ -54,9 +54,9 @@ class CPUExecutor:
         if cached is None:
             cached = self.cost.sequential_time_us(
                 items=kernel.space.size,
-                reads=kernel.reads_per_item(),
-                writes=kernel.writes_per_item(),
-                flops=kernel.flops_per_item(),
+                reads=kernel.facts.reads,
+                writes=kernel.facts.writes,
+                flops=kernel.facts.flops,
             )
             self._kernel_time_cache[kernel] = cached
         return cached

@@ -31,7 +31,6 @@ from dataclasses import dataclass, replace
 
 from repro.gpu.coalescing import mean_inflation
 from repro.gpu.device import GTX480, I7_930, DeviceSpec, HostSpec
-from repro.ir.kernel import Kernel
 from repro.ir.metrics import AccessProfile
 from repro.ir.program import HostWork
 
@@ -120,7 +119,6 @@ class CostModel:
 
     def kernel_cost(
         self,
-        kernel: Kernel,
         profile: AccessProfile,
         unique_read_bytes: int,
         unique_write_bytes: int,

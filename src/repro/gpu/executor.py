@@ -121,7 +121,7 @@ class GPUExecutor:
             )
         ci = self.kernel_cost_inputs(kernel)
         return self.cost.kernel_cost(
-            kernel, ci.profile, ci.unique_read_bytes, ci.unique_write_bytes, ci.itemsize
+            ci.profile, ci.unique_read_bytes, ci.unique_write_bytes, ci.itemsize
         )
 
     def price(self, program: DeviceProgram) -> tuple[float, ...]:

@@ -9,13 +9,13 @@ backend, *one kernel corresponds to one WITH-loop generator* (SaC route) or
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from math import prod
 
 import numpy as np
 
 from repro.errors import IRError
-from repro.ir.expr import LocalRef, ParamRef, Read, ThreadIdx
-from repro.ir.stmt import Assign, For, Stmt, Store, expressions_of, walk_stmts
+from repro.ir.stmt import BodyFacts, Stmt, body_facts
 
 __all__ = ["IndexSpace", "ArrayParam", "ScalarParam", "Kernel"]
 
@@ -211,97 +211,12 @@ class Kernel:
     def output_arrays(self) -> tuple[ArrayParam, ...]:
         return tuple(a for a in self.arrays if a.intent in ("out", "inout"))
 
-    # -- static summaries (consumed by the cost model) ----------------------
+    # -- static summary ------------------------------------------------------
 
-    def reads_per_item(self) -> int:
-        """Number of array-element reads one work-item performs."""
-        return self._count_per_item(lambda e: isinstance(e, Read))
-
-    def writes_per_item(self) -> int:
-        """Number of array-element writes one work-item performs."""
-        count = 0
-        for s, mult in self._stmts_with_multiplicity():
-            if isinstance(s, Store):
-                count += mult
-        return count
-
-    def flops_per_item(self) -> int:
-        """Number of scalar arithmetic operations one work-item performs."""
-        from repro.ir.expr import BinOp, Select, UnOp
-
-        return self._count_per_item(lambda e: isinstance(e, (BinOp, UnOp, Select)))
-
-    def _stmts_with_multiplicity(self):
-        """Yield (stmt, multiplicity) accounting for enclosing static loops."""
-
-        def go(stmts: tuple[Stmt, ...], mult: int):
-            for s in stmts:
-                yield s, mult
-                if isinstance(s, For):
-                    yield from go(s.body, mult * s.trip_count)
-
-        yield from go(self.body, 1)
-
-    def _count_per_item(self, pred) -> int:
-        from repro.ir.expr import walk
-
-        count = 0
-        for s, mult in self._stmts_with_multiplicity():
-            if isinstance(s, Assign):
-                count += mult * sum(1 for e in walk(s.value) if pred(e))
-            elif isinstance(s, Store):
-                here = sum(1 for e in walk(s.value) if pred(e))
-                for idx in s.index:
-                    here += sum(1 for e in walk(idx) if pred(e))
-                count += mult * here
-        return count
-
-    def referenced_arrays(self) -> set[str]:
-        """Names of array parameters actually read or written by the body."""
-        names: set[str] = set()
-        for e in expressions_of(self.body):
-            if isinstance(e, Read):
-                names.add(e.array)
-        for s in walk_stmts(self.body):
-            if isinstance(s, Store):
-                names.add(s.array)
-        return names
-
-    def free_locals(self) -> set[str]:
-        """Local names used before any binding (should be empty when valid)."""
-        bound: set[str] = set()
-        free: set[str] = set()
-
-        def exprs_of(s):
-            if isinstance(s, Assign):
-                yield s.value
-            elif isinstance(s, Store):
-                yield from s.index
-                yield s.value
-
-        def scan(stmts):
-            from repro.ir.expr import walk
-
-            for s in stmts:
-                for root in exprs_of(s):
-                    for e in walk(root):
-                        if isinstance(e, LocalRef) and e.name not in bound:
-                            free.add(e.name)
-                if isinstance(s, Assign):
-                    bound.add(s.name)
-                elif isinstance(s, For):
-                    bound.add(s.var)
-                    scan(s.body)
-
-        scan(self.body)
-        return free
-
-    def referenced_scalars(self) -> set[str]:
-        return {
-            e.name for e in expressions_of(self.body) if isinstance(e, ParamRef)
-        }
-
-    def max_thread_dim(self) -> int:
-        """Highest ThreadIdx dimension used, or -1 when none."""
-        dims = [e.dim for e in expressions_of(self.body) if isinstance(e, ThreadIdx)]
-        return max(dims, default=-1)
+    @cached_property
+    def facts(self) -> BodyFacts:
+        """:func:`~repro.ir.stmt.body_facts` of the body, walked on first
+        read and kept in the instance ``__dict__``, as :func:`memo_hash`
+        keeps the hash: ``==``, ``hash``, ``repr``, ``canonical`` and
+        ``replace`` never see it."""
+        return body_facts(self.body)

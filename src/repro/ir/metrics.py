@@ -107,9 +107,9 @@ def probe_access_profile(kernel: Kernel) -> AccessProfile:
     return AccessProfile(
         read_strides=tuple(strides["read"]),
         write_strides=tuple(strides["store"]),
-        reads_per_item=kernel.reads_per_item(),
-        writes_per_item=kernel.writes_per_item(),
-        flops_per_item=kernel.flops_per_item(),
+        reads_per_item=kernel.facts.reads,
+        writes_per_item=kernel.facts.writes,
+        flops_per_item=kernel.facts.flops,
         items=kernel.space.size,
     )
 

@@ -7,6 +7,8 @@ A kernel body is a sequence of statements executed once per work-item:
   GPU kernels in this system need — e.g. the tiler pattern-filling loop of
   the paper's Figure 11).  The vectorised evaluator unrolls it;
 * :class:`Store` writes one element of an output array.
+
+:func:`body_facts` answers the static questions about a body in one walk.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import IRError
-from repro.ir.expr import Expr, walk
+from repro.ir.expr import BinOp, Expr, LocalRef, ParamRef, Read, Select, ThreadIdx, UnOp
 
-__all__ = ["Stmt", "Assign", "For", "Store", "walk_stmts", "expressions_of"]
+__all__ = ["Stmt", "Assign", "For", "Store", "walk_stmts", "BodyFacts", "body_facts"]
 
 
 class Stmt:
@@ -90,13 +92,91 @@ def walk_stmts(stmts):
             yield from walk_stmts(s.body)
 
 
-def expressions_of(stmts):
-    """Yield every expression appearing in ``stmts`` (including loop bodies),
-    each expanded to all of its sub-expressions."""
-    for s in walk_stmts(stmts):
-        if isinstance(s, Assign):
-            yield from walk(s.value)
-        elif isinstance(s, Store):
-            for e in s.index:
-                yield from walk(e)
-            yield from walk(s.value)
+@dataclass(frozen=True)
+class BodyFacts:
+    """What one walk of a statement body finds (:func:`body_facts`)."""
+
+    #: each distinct ``(kind, array, index rank)``, kind ``"read"`` or
+    #: ``"store"``, in program order: a store before the reads nested in it
+    accesses: tuple[tuple[str, str, int], ...]
+    scalars: frozenset[str]  # scalar parameters used
+    unbound_locals: frozenset[str]  # locals used before any binding
+    highest_thread_dim: int  # of any ThreadIdx, -1 when the body uses none
+    #: array-element reads, stores and scalar operations (BinOp, UnOp,
+    #: Select) one work-item performs, static loops unrolled
+    reads: int
+    writes: int
+    flops: int
+
+    def arrays(self, kind: str) -> set[str]:
+        """Names of the arrays accessed as ``kind`` (``"read"`` or ``"store"``)."""
+        return {array for k, array, _ in self.accesses if k == kind}
+
+
+def body_facts(stmts) -> BodyFacts:
+    """Walk ``stmts`` (loop bodies included) once, depth first in program
+    order, and return their :class:`BodyFacts`.
+
+    A local is bound from the statement after its ``Assign`` on, and a
+    loop variable inside and after its ``For``.
+    """
+    accesses: dict[tuple[str, str, int], None] = {}
+    scalars: set[str] = set()
+    bound: set[str] = set()
+    free: set[str] = set()
+    max_dim = -1
+    reads = writes = flops = 0
+
+    def expr(e: Expr, mult: int) -> None:
+        nonlocal max_dim, reads, flops
+        if isinstance(e, Read):
+            accesses.setdefault(("read", e.array, len(e.index)))
+            reads += mult
+            for c in e.index:
+                expr(c, mult)
+        elif isinstance(e, BinOp):
+            flops += mult
+            expr(e.lhs, mult)
+            expr(e.rhs, mult)
+        elif isinstance(e, UnOp):
+            flops += mult
+            expr(e.operand, mult)
+        elif isinstance(e, Select):
+            flops += mult
+            expr(e.cond, mult)
+            expr(e.if_true, mult)
+            expr(e.if_false, mult)
+        elif isinstance(e, ThreadIdx):
+            max_dim = max(max_dim, e.dim)
+        elif isinstance(e, LocalRef):
+            if e.name not in bound:
+                free.add(e.name)
+        elif isinstance(e, ParamRef):
+            scalars.add(e.name)
+
+    def body(block, mult: int) -> None:
+        nonlocal writes
+        for s in block:
+            if isinstance(s, Assign):
+                expr(s.value, mult)
+                bound.add(s.name)
+            elif isinstance(s, Store):
+                accesses.setdefault(("store", s.array, len(s.index)))
+                writes += mult
+                for c in s.index:
+                    expr(c, mult)
+                expr(s.value, mult)
+            elif isinstance(s, For):
+                bound.add(s.var)
+                body(s.body, mult * s.trip_count)
+
+    body(stmts, 1)
+    return BodyFacts(
+        accesses=tuple(accesses),
+        scalars=frozenset(scalars),
+        unbound_locals=frozenset(free),
+        highest_thread_dim=max_dim,
+        reads=reads,
+        writes=writes,
+        flops=flops,
+    )

@@ -19,70 +19,53 @@ from repro.ir.program import (
     HostToDevice,
     LaunchKernel,
 )
-from repro.ir.stmt import Store, walk_stmts
 
 __all__ = ["validate_kernel", "validate_program"]
 
 
 def validate_kernel(kernel: Kernel) -> None:
-    """Raise :class:`IRError` when ``kernel`` is structurally invalid."""
-    free = kernel.free_locals()
-    if free:
-        raise IRError(f"kernel {kernel.name!r}: locals used before binding: {sorted(free)}")
+    """Raise :class:`IRError` when ``kernel`` is structurally invalid.
+
+    The checks read :attr:`Kernel.facts <repro.ir.kernel.Kernel.facts>`,
+    so an instance's body is walked once however often it is validated.
+    """
+    facts = kernel.facts
+    if facts.unbound_locals:
+        raise IRError(
+            f"kernel {kernel.name!r}: locals used before binding: "
+            f"{sorted(facts.unbound_locals)}"
+        )
 
     declared_arrays = {a.name: a for a in kernel.arrays}
-    declared_scalars = {s.name for s in kernel.scalars}
-
-    used = kernel.referenced_arrays()
-    unknown = used - set(declared_arrays)
+    unknown = {array for _, array, _ in facts.accesses} - declared_arrays.keys()
     if unknown:
         raise IRError(
             f"kernel {kernel.name!r}: undeclared arrays referenced: {sorted(unknown)}"
         )
-    unknown_scalars = kernel.referenced_scalars() - declared_scalars
+    unknown_scalars = facts.scalars - {s.name for s in kernel.scalars}
     if unknown_scalars:
         raise IRError(
             f"kernel {kernel.name!r}: undeclared scalars referenced: "
             f"{sorted(unknown_scalars)}"
         )
 
-    max_dim = kernel.max_thread_dim()
+    max_dim = facts.highest_thread_dim
     if max_dim >= kernel.space.rank:
         raise IRError(
             f"kernel {kernel.name!r}: ThreadIdx({max_dim}) exceeds index space "
             f"rank {kernel.space.rank}"
         )
 
-    from repro.ir.expr import Read, walk
-
-    for s in walk_stmts(kernel.body):
-        if isinstance(s, Store):
-            param = declared_arrays.get(s.array)
-            if param is not None and param.intent == "in":
-                raise IRError(
-                    f"kernel {kernel.name!r}: store to read-only array {s.array!r}"
-                )
-            if param is not None and len(s.index) != len(param.shape):
-                raise IRError(
-                    f"kernel {kernel.name!r}: store to {s.array!r} with index rank "
-                    f"{len(s.index)}, array rank {len(param.shape)}"
-                )
-        from repro.ir.stmt import Assign
-
-        roots = []
-        if isinstance(s, Assign):
-            roots = [s.value]
-        elif isinstance(s, Store):
-            roots = list(s.index) + [s.value]
-        for root in roots:
-            for e in walk(root):
-                if isinstance(e, Read):
-                    param = declared_arrays.get(e.array)
-                    if param is not None and len(e.index) != len(param.shape):
-                        raise IRError(
-                            f"kernel {kernel.name!r}: read of {e.array!r} with index "
-                            f"rank {len(e.index)}, array rank {len(param.shape)}"
-                        )
+    for kind, array, rank in facts.accesses:
+        param = declared_arrays[array]
+        if kind == "store" and param.intent == "in":
+            raise IRError(f"kernel {kernel.name!r}: store to read-only array {array!r}")
+        if rank != len(param.shape):
+            access = "store to" if kind == "store" else "read of"
+            raise IRError(
+                f"kernel {kernel.name!r}: {access} {array!r} with index rank "
+                f"{rank}, array rank {len(param.shape)}"
+            )
 
 
 def validate_program(program: DeviceProgram) -> None:

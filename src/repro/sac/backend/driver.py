@@ -375,11 +375,11 @@ class _Builder:
                 writes=nest.writes,
                 work=HostWork(
                     items=kernel.space.size,
-                    reads_per_item=kernel.reads_per_item(),
-                    writes_per_item=kernel.writes_per_item(),
+                    reads_per_item=kernel.facts.reads,
+                    writes_per_item=kernel.facts.writes,
                     # the naive host compilation of the nest keeps the full
                     # generic tiler index arithmetic per element
-                    flops_per_item=max(nest.ops_per_item, kernel.flops_per_item()),
+                    flops_per_item=max(nest.ops_per_item, kernel.facts.flops),
                 ),
             )
         )

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.ir.kernel import ArrayParam, IndexSpace, Kernel
-from repro.ir import expr as ir
 from repro.ir import stmt as irs
 from repro.sac import ast
 from repro.sac.backend.lowerexpr import LoweringContext, LoweringError, lower_expr
@@ -153,10 +152,7 @@ def lower_host_fornest(
     if not writes:
         return None
 
-    reads: set[str] = set()
-    for e in irs.expressions_of(tuple(lowered)):
-        if isinstance(e, ir.Read):
-            reads.add(e.array)
+    reads = irs.body_facts(lowered).arrays("read")
 
     arrays = []
     for name in sorted(reads | writes):

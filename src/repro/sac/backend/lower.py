@@ -34,16 +34,10 @@ class LoweredGenerator:
     provenance: str = ""
 
     def reads(self) -> set[str]:
-        out: set[str] = set()
-        for e in irs.expressions_of(self.body):
-            if isinstance(e, ir.Read):
-                out.add(e.array)
-        return out
+        return irs.body_facts(self.body).arrays("read")
 
     def writes(self) -> set[str]:
-        return {
-            s.array for s in irs.walk_stmts(self.body) if isinstance(s, irs.Store)
-        }
+        return irs.body_facts(self.body).arrays("store")
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from repro.sac import ast
 from repro.sac.builtins import BUILTINS
 from repro.sac.values import BASE_DTYPES, to_python
 
-__all__ = ["fold_program", "fold_function", "AVal"]
+__all__ = ["fold_function", "AVal"]
 
 #: arrays up to this many elements are literalised / tracked element-wise
 SMALL_ARRAY = 64
@@ -749,9 +749,3 @@ def fold_function(fun: ast.FunDef) -> ast.FunDef:
     env = {p.name: _param_aval(p) for p in fun.params}
     folder = _Folder(env)
     return replace(fun, body=folder.fold_stmts(fun.body))
-
-
-def fold_program(program: ast.Program) -> ast.Program:
-    return replace(
-        program, functions=tuple(fold_function(f) for f in program.functions)
-    )

@@ -14,7 +14,7 @@ from dataclasses import replace
 from repro.sac import ast
 from repro.sac.opt.rewrite import assigned_names_stmts, free_vars_expr
 
-__all__ = ["dce_program", "dce_function", "dce_stmts"]
+__all__ = ["dce_function", "dce_stmts"]
 
 
 def _expr_uses(e: ast.Expr) -> set[str]:
@@ -115,9 +115,3 @@ def dce_function(fun: ast.FunDef) -> ast.FunDef:
     live: set[str] = set()
     body = dce_stmts(fun.body, live)
     return replace(fun, body=body)
-
-
-def dce_program(program: ast.Program) -> ast.Program:
-    return replace(
-        program, functions=tuple(dce_function(f) for f in program.functions)
-    )

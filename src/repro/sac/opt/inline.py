@@ -29,7 +29,7 @@ from repro.sac.opt.rewrite import (
     used_names_stmts,
 )
 
-__all__ = ["inline_program", "inline_function", "is_inlinable"]
+__all__ = ["inline_function", "is_inlinable"]
 
 _MAX_ROUNDS = 32
 
@@ -56,15 +56,6 @@ def is_inlinable(fun: ast.FunDef) -> bool:
         return False
 
     return not has_return(fun.body[:-1])
-
-
-def inline_program(program: ast.Program, entry: str | None = None) -> ast.Program:
-    """Inline user calls in every function (or just ``entry``)."""
-    result = program
-    targets = [program.function(entry)] if entry else list(program.functions)
-    for fun in targets:
-        result = result.replace_function(inline_function(result, fun.name))
-    return result
 
 
 def inline_function(program: ast.Program, name: str) -> ast.FunDef:

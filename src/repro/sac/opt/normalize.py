@@ -14,7 +14,7 @@ from dataclasses import replace
 from repro.sac import ast
 from repro.sac.opt.rewrite import map_expr, map_stmt_exprs
 
-__all__ = ["normalize_program", "normalize_function", "combine_indices"]
+__all__ = ["normalize_function", "combine_indices"]
 
 
 def _as_vector(e: ast.Expr) -> ast.Expr:
@@ -71,9 +71,3 @@ def normalize_function(fun: ast.FunDef) -> ast.FunDef:
         map_stmt_exprs(s, lambda e: map_expr(e, _collapse)) for s in fun.body
     )
     return replace(fun, body=body)
-
-
-def normalize_program(program: ast.Program) -> ast.Program:
-    return replace(
-        program, functions=tuple(normalize_function(f) for f in program.functions)
-    )

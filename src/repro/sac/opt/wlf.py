@@ -74,13 +74,7 @@ from repro.sac.opt.rewrite import (
 from repro.sac.opt.withinfo import is_full_coverage_single_generator
 from repro.sac.parser import MAX_DEPTH
 
-__all__ = ["wlf_function", "wlf_program", "count_withloops"]
-
-
-def wlf_program(program: ast.Program) -> ast.Program:
-    return replace(
-        program, functions=tuple(wlf_function(f) for f in program.functions)
-    )
+__all__ = ["wlf_function", "count_withloops"]
 
 
 def wlf_function(fun: ast.FunDef) -> ast.FunDef:

@@ -22,7 +22,6 @@ __all__ = [
     "BASE_DTYPES",
     "is_scalar",
     "shape_of",
-    "rank_of",
     "as_index_vector",
     "select",
     "with_cell_set",
@@ -46,10 +45,6 @@ def is_scalar(v: Value) -> bool:
 
 def shape_of(v: Value) -> tuple[int, ...]:
     return v.shape if isinstance(v, np.ndarray) else ()
-
-
-def rank_of(v: Value) -> int:
-    return v.ndim if isinstance(v, np.ndarray) else 0
 
 
 def to_python(v: Value) -> Value:

@@ -11,7 +11,6 @@ from repro.gpu import (
     mean_inflation,
     transactions_per_warp,
 )
-from repro.ir import ArrayParam, Const, IndexSpace, Kernel, Store, ThreadIdx
 from repro.ir.metrics import AccessProfile
 from repro.ir.program import HostWork
 
@@ -72,15 +71,6 @@ def profile(items=100, reads=2, writes=1, flops=3, rs=(1, 1), ws=(1,)):
     )
 
 
-def dummy_kernel():
-    return Kernel(
-        name="k",
-        space=IndexSpace((0,), (4,)),
-        arrays=(ArrayParam("dst", (4,), intent="out"),),
-        body=(Store("dst", (ThreadIdx(0),), Const(0)),),
-    )
-
-
 class TestTransferTimes:
     def test_linear_in_bytes(self):
         m = model(h2d_bandwidth=100.0, transfer_latency_us=5.0)
@@ -100,14 +90,14 @@ class TestTransferTimes:
 class TestKernelCost:
     def test_issue_time_scales_with_items_and_ops(self):
         m = model(issue_rate_ops_per_us=100.0, launch_overhead_us=0.0, model_memory=False)
-        b1 = m.kernel_cost(dummy_kernel(), profile(items=100, reads=1, writes=1, flops=0), 0, 0)
-        b2 = m.kernel_cost(dummy_kernel(), profile(items=200, reads=1, writes=1, flops=0), 0, 0)
+        b1 = m.kernel_cost(profile(items=100, reads=1, writes=1, flops=0), 0, 0)
+        b2 = m.kernel_cost(profile(items=200, reads=1, writes=1, flops=0), 0, 0)
         assert b2.issue_time_us == pytest.approx(2 * b1.issue_time_us)
         assert b1.total_us == b1.issue_time_us
 
     def test_launch_overhead_added(self):
         m = model(launch_overhead_us=7.0, model_memory=False)
-        b = m.kernel_cost(dummy_kernel(), profile(), 0, 0)
+        b = m.kernel_cost(profile(), 0, 0)
         assert b.launch_overhead_us == 7.0
         assert b.total_us == 7.0 + b.issue_time_us
 
@@ -117,14 +107,14 @@ class TestKernelCost:
             dram_bandwidth=100.0,
             launch_overhead_us=0.0,
         )
-        b = m.kernel_cost(dummy_kernel(), profile(rs=(1,), ws=(1,)), 1000, 500)
+        b = m.kernel_cost(profile(rs=(1,), ws=(1,)), 1000, 500)
         assert b.bound == "memory"
         assert b.memory_time_us == pytest.approx(15.0)
 
     def test_coalescing_inflates_memory_time(self):
         m = model(issue_rate_ops_per_us=1e12, dram_bandwidth=100.0, launch_overhead_us=0.0)
-        good = m.kernel_cost(dummy_kernel(), profile(rs=(1,), ws=(1,)), 1000, 0)
-        bad = m.kernel_cost(dummy_kernel(), profile(rs=(8,), ws=(1,)), 1000, 0)
+        good = m.kernel_cost(profile(rs=(1,), ws=(1,)), 1000, 0)
+        bad = m.kernel_cost(profile(rs=(8,), ws=(1,)), 1000, 0)
         assert bad.memory_time_us == pytest.approx(8 * good.memory_time_us)
 
     def test_coalescing_flag_disables_inflation(self):
@@ -134,18 +124,18 @@ class TestKernelCost:
             launch_overhead_us=0.0,
             model_coalescing=False,
         )
-        bad = m.kernel_cost(dummy_kernel(), profile(rs=(8,), ws=(1,)), 1000, 0)
+        bad = m.kernel_cost(profile(rs=(8,), ws=(1,)), 1000, 0)
         assert bad.memory_time_us == pytest.approx(10.0)
 
     def test_memory_flag_disables_memory_term(self):
         m = model(model_memory=False)
-        b = m.kernel_cost(dummy_kernel(), profile(), 10**9, 10**9)
+        b = m.kernel_cost(profile(), 10**9, 10**9)
         assert b.memory_time_us == 0.0
         assert b.bound == "issue"
 
     def test_total_is_max_of_terms_plus_overhead(self):
         m = model(launch_overhead_us=3.0)
-        b = m.kernel_cost(dummy_kernel(), profile(items=1000), 10**6, 0)
+        b = m.kernel_cost(profile(items=1000), 10**6, 0)
         assert b.total_us == pytest.approx(3.0 + max(b.issue_time_us, b.memory_time_us))
 
 

@@ -115,9 +115,7 @@ class TestKernel:
 
     def test_static_counts(self):
         k = copy_kernel()
-        assert k.reads_per_item() == 1
-        assert k.writes_per_item() == 1
-        assert k.flops_per_item() == 1
+        assert (k.facts.reads, k.facts.writes, k.facts.flops) == (1, 1, 1)
 
     def test_counts_scale_with_loops(self):
         body = (
@@ -148,15 +146,15 @@ class TestKernel:
             ),
             body=body,
         )
-        assert k.reads_per_item() == 6
-        assert k.writes_per_item() == 1
-        assert k.flops_per_item() == 6  # one add per trip
+        assert k.facts.reads == 6
+        assert k.facts.writes == 1
+        assert k.facts.flops == 6  # one add per trip
 
     def test_referenced_arrays_and_free_locals(self):
         k = copy_kernel()
-        assert k.referenced_arrays() == {"src", "dst"}
-        assert k.free_locals() == set()
-        assert k.max_thread_dim() == 1
+        assert k.facts.accesses == (("store", "dst", 2), ("read", "src", 2))
+        assert k.facts.unbound_locals == set()
+        assert k.facts.highest_thread_dim == 1
 
     def test_array_param_nbytes(self):
         p = ArrayParam("a", (10, 10), "int32")

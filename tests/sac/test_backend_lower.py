@@ -125,6 +125,17 @@ class TestLowering:
             lower_withloop(wl, "b", {"a": (8,)})
 
 
+def mods_of(gen):
+    """The ``%`` operations in a store-only generator body."""
+    return [
+        e
+        for s in gen.body
+        for root in (*s.index, s.value)
+        for e in ir.walk(root)
+        if isinstance(e, ir.BinOp) and e.op == "%"
+    ]
+
+
 class TestWrapSplitting:
     def _gen(self, extent, body):
         return LoweredGenerator(
@@ -142,13 +153,7 @@ class TestWrapSplitting:
         g = self._gen(8, [irs.Store("out", (ir.ThreadIdx(0),), read)])
         out = split_wrap_regions(g)
         assert len(out) == 1
-        mods = [
-            e
-            for s in out[0].body
-            for e in irs.expressions_of((s,))
-            if isinstance(e, ir.BinOp) and e.op == "%"
-        ]
-        assert mods == []
+        assert mods_of(out[0]) == []
 
     def test_suffix_wrap_split(self):
         # (iv + 4) % 8 over [0,8): wraps for iv >= 4
@@ -163,14 +168,6 @@ class TestWrapSplitting:
         assert bulk.space.upper == (4,)
         assert edge.space.lower == (4,)
         # bulk lost the modulo, the edge kept it
-        def mods_of(gen):
-            return [
-                e
-                for s in gen.body
-                for e in irs.expressions_of((s,))
-                if isinstance(e, ir.BinOp) and e.op == "%"
-            ]
-
         assert mods_of(bulk) == []
         assert len(mods_of(edge)) == 1
 
@@ -194,13 +191,7 @@ class TestWrapSplitting:
         )
         out = split_wrap_regions(g)
         assert len(out) == 1
-        mods = [
-            e
-            for s in out[0].body
-            for e in irs.expressions_of((s,))
-            if isinstance(e, ir.BinOp) and e.op == "%"
-        ]
-        assert len(mods) == 1  # kept
+        assert len(mods_of(out[0])) == 1  # kept
 
     def test_split_preserves_semantics(self):
         read = ir.Read(
