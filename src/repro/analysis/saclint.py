@@ -18,8 +18,6 @@ fills (``[iv] : 0``) are idiomatic SaC.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from repro.analysis.diagnostics import Diagnostic
@@ -32,23 +30,6 @@ __all__ = ["find_binding_lints", "find_generator_overlaps", "lint_sac_program"]
 _MASK_LIMIT = 4_000_000
 
 
-def _child_nodes(node: ast.Node):
-    for f in dataclasses.fields(node):
-        v = getattr(node, f.name)
-        if isinstance(v, ast.Node):
-            yield v
-        elif isinstance(v, tuple):
-            for x in v:
-                if isinstance(x, ast.Node):
-                    yield x
-
-
-def _walk(node: ast.Node):
-    yield node
-    for child in _child_nodes(node):
-        yield from _walk(child)
-
-
 # ---------------------------------------------------------------------------
 # SAC001: unused bindings
 # ---------------------------------------------------------------------------
@@ -56,7 +37,7 @@ def _walk(node: ast.Node):
 
 def _used_names(fun: ast.FunDef) -> set[str]:
     used: set[str] = set()
-    for node in _walk(fun):
+    for node in ast.walk(fun):
         if isinstance(node, ast.Var):
             used.add(node.name)
         elif isinstance(node, ast.IndexedAssign):
@@ -80,7 +61,7 @@ def _unused_bindings(fun: ast.FunDef) -> list[Diagnostic]:
                 )
             )
     first_assign: dict[str, ast.Assign] = {}
-    for node in _walk(fun):
+    for node in ast.walk(fun):
         if isinstance(node, ast.Assign):
             first_assign.setdefault(node.name, node)
     for name, node in first_assign.items():
@@ -124,10 +105,9 @@ class _ShadowScan:
 
     def scan_stmts(self, stmts, defined, enclosing, local) -> None:
         for s in stmts:
-            for f in dataclasses.fields(s):
-                v = getattr(s, f.name)
-                if isinstance(v, ast.Expr):
-                    self.scan_expr(v, defined)
+            for child in ast.children(s):
+                if isinstance(child, ast.Expr):
+                    self.scan_expr(child, defined)
             if isinstance(s, ast.Assign):
                 if s.name in enclosing and s.name not in local:
                     self.flag("generator-local binding", s.name, s.loc)
@@ -149,24 +129,19 @@ class _ShadowScan:
             elif isinstance(s, ast.Block):
                 self.scan_stmts(s.stmts, defined, enclosing, local)
 
-    def scan_expr(self, e: ast.Expr, defined) -> None:
+    def scan_expr(self, e: ast.Node, defined) -> None:
+        """Scan an expression, or a WITH-loop part (bound, operation)."""
         if isinstance(e, ast.WithLoop):
             self.scan_withloop(e, defined)
             return
-        for child in _child_nodes(e):
-            if isinstance(child, ast.Expr):
-                self.scan_expr(child, defined)
-            elif isinstance(child, ast.GenBound) and child.expr is not None:
-                self.scan_expr(child.expr, defined)
+        for child in ast.children(e):
+            self.scan_expr(child, defined)
 
     def scan_withloop(self, wl: ast.WithLoop, defined) -> None:
         for gen in wl.generators:
-            for b in (gen.lower, gen.upper):
-                if b is not None and b.expr is not None:
-                    self.scan_expr(b.expr, defined)
-            for sub in (gen.step, gen.width):
-                if sub is not None:
-                    self.scan_expr(sub, defined)
+            for part in (gen.lower, gen.upper, gen.step, gen.width):
+                if part is not None:
+                    self.scan_expr(part, defined)
             for v in gen.vars:
                 if v in defined:
                     self.flag("WITH-loop index variable", v, gen.loc)
@@ -176,10 +151,7 @@ class _ShadowScan:
             )
             if gen.expr is not None:
                 self.scan_expr(gen.expr, inner)
-        if wl.operation is not None:
-            for child in _child_nodes(wl.operation):
-                if isinstance(child, ast.Expr):
-                    self.scan_expr(child, defined)
+        self.scan_expr(wl.operation, defined)
 
 
 def find_binding_lints(program: ast.Program) -> list[Diagnostic]:
@@ -201,7 +173,7 @@ def find_generator_overlaps(program: ast.Program) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     for fun in program.functions:
         where = f"function {fun.name!r}"
-        for node in _walk(fun):
+        for node in ast.walk(fun):
             if not isinstance(node, ast.WithLoop) or len(node.generators) < 2:
                 continue
             frame = static_frame_shape(node)

@@ -15,11 +15,22 @@ enough generality to write other array programs:
 
 All nodes are immutable dataclasses carrying a source location, so passes
 rewrite by reconstruction and errors point at source positions.
+
+Which fields hold sub-expressions and sub-statements is written down once,
+as each class's ``_child_fields``, and read by :func:`children`,
+:func:`walk` and :func:`map_children`.  A WITH-loop's generators, their
+bounds and its operation are *parts* of the loop, not children: their
+expressions and statements are the loop's own children, so a walker
+visits every expression and statement without knowing the parts.  A
+rebuild (:func:`map_children`, :func:`rebuild`) returns the node itself
+when nothing under it changed, so an unchanged subtree stays shared.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import is_
+from typing import Callable, Iterator
 
 from repro.errors import SacSemanticError, SourceLocation
 
@@ -29,6 +40,7 @@ __all__ = [
     "BinExpr", "UnExpr", "Call", "WithLoop", "Generator", "GenBound", "Dot",
     "GenArray", "ModArray", "Fold", "Operation",
     "Stmt", "Assign", "IndexedAssign", "ForLoop", "IfElse", "Return", "Block",
+    "children", "walk", "map_children", "rebuild",
 ]
 
 _NOLOC = SourceLocation(0, 0, "<builtin>")
@@ -39,6 +51,10 @@ class Node:
     """Base of all AST nodes."""
 
     loc: SourceLocation = field(default=_NOLOC, compare=False, kw_only=True)
+
+    #: the fields holding sub-expressions, sub-statements or WITH-loop
+    #: parts, in field order (a class attribute, not a dataclass field)
+    _child_fields = ()
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +125,8 @@ class ArrayLit(Expr):
 
     elements: tuple[Expr, ...] = ()
 
+    _child_fields = ("elements",)
+
 
 @dataclass(frozen=True)
 class Var(Expr):
@@ -128,6 +146,8 @@ class IndexExpr(Expr):
     array: Expr = None  # type: ignore[assignment]
     index: Expr = None  # type: ignore[assignment]
 
+    _child_fields = ("array", "index")
+
 
 @dataclass(frozen=True)
 class BinExpr(Expr):
@@ -137,6 +157,8 @@ class BinExpr(Expr):
     lhs: Expr = None  # type: ignore[assignment]
     rhs: Expr = None  # type: ignore[assignment]
 
+    _child_fields = ("lhs", "rhs")
+
 
 @dataclass(frozen=True)
 class UnExpr(Expr):
@@ -145,11 +167,15 @@ class UnExpr(Expr):
     op: str = ""
     operand: Expr = None  # type: ignore[assignment]
 
+    _child_fields = ("operand",)
+
 
 @dataclass(frozen=True)
 class Call(Expr):
     name: str = ""
     args: tuple[Expr, ...] = ()
+
+    _child_fields = ("args",)
 
 
 # -- WITH-loops ---------------------------------------------------------------
@@ -166,6 +192,8 @@ class GenBound(Node):
 
     expr: Expr = None  # type: ignore[assignment]
     op: str = "<="  # "<=" or "<"
+
+    _child_fields = ("expr",)
 
 
 @dataclass(frozen=True)
@@ -186,6 +214,8 @@ class Generator(Node):
     body: tuple["Stmt", ...] = ()
     expr: Expr = None  # type: ignore[assignment]
 
+    _child_fields = ("lower", "upper", "step", "width", "body", "expr")
+
     @property
     def var(self) -> str:
         """The vector index variable name (only when not destructured)."""
@@ -205,12 +235,16 @@ class GenArray(Operation):
     shape: Expr = None  # type: ignore[assignment]
     default: Expr | None = None
 
+    _child_fields = ("shape", "default")
+
 
 @dataclass(frozen=True)
 class ModArray(Operation):
     """``modarray(array)`` — start from a copy of ``array``."""
 
     array: Expr = None  # type: ignore[assignment]
+
+    _child_fields = ("array",)
 
 
 @dataclass(frozen=True)
@@ -220,11 +254,15 @@ class Fold(Operation):
     fun: str = ""
     neutral: Expr = None  # type: ignore[assignment]
 
+    _child_fields = ("neutral",)
+
 
 @dataclass(frozen=True)
 class WithLoop(Expr):
     generators: tuple[Generator, ...] = ()
     operation: Operation = None  # type: ignore[assignment]
+
+    _child_fields = ("generators", "operation")
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +279,8 @@ class Assign(Stmt):
     name: str = ""
     value: Expr = None  # type: ignore[assignment]
 
+    _child_fields = ("value",)
+
 
 @dataclass(frozen=True)
 class IndexedAssign(Stmt):
@@ -250,10 +290,14 @@ class IndexedAssign(Stmt):
     index: Expr = None  # type: ignore[assignment]
     value: Expr = None  # type: ignore[assignment]
 
+    _child_fields = ("index", "value")
+
 
 @dataclass(frozen=True)
 class Block(Stmt):
     stmts: tuple[Stmt, ...] = ()
+
+    _child_fields = ("stmts",)
 
 
 @dataclass(frozen=True)
@@ -265,6 +309,8 @@ class ForLoop(Stmt):
     update: Stmt = None  # type: ignore[assignment]
     body: tuple[Stmt, ...] = ()
 
+    _child_fields = ("init", "cond", "update", "body")
+
 
 @dataclass(frozen=True)
 class IfElse(Stmt):
@@ -272,10 +318,14 @@ class IfElse(Stmt):
     then: tuple[Stmt, ...] = ()
     orelse: tuple[Stmt, ...] = ()
 
+    _child_fields = ("cond", "then", "orelse")
+
 
 @dataclass(frozen=True)
 class Return(Stmt):
     value: Expr | None = None
+
+    _child_fields = ("value",)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +339,8 @@ class FunDef(Node):
     name: str = ""
     params: tuple[Param, ...] = ()
     body: tuple[Stmt, ...] = ()
+
+    _child_fields = ("body",)
 
 
 @dataclass(frozen=True)
@@ -307,3 +359,94 @@ class Program(Node):
     def replace_function(self, fun: FunDef) -> "Program":
         funs = tuple(fun if f.name == fun.name else f for f in self.functions)
         return Program(functions=funs, loc=self.loc)
+
+
+# ---------------------------------------------------------------------------
+# the child map
+# ---------------------------------------------------------------------------
+
+#: nodes whose expressions and statements belong to the enclosing WITH-loop
+_PARTS = (GenBound, Generator, Operation)
+
+
+def children(node: Node) -> list[Node]:
+    """The sub-expressions and sub-statements directly under ``node``, in
+    field order.
+
+    A WITH-loop's are each generator's bounds, step, width, body statements
+    and cell, then its operation's expressions.  An absent optional field
+    (a step, a ``return;`` value) contributes nothing.
+    """
+    out: list[Node] = []
+    for name in node._child_fields:
+        _collect(getattr(node, name), out)
+    return out
+
+
+def _collect(value, out: list[Node]) -> None:
+    if value is None:
+        return
+    if type(value) is tuple:
+        for x in value:
+            _collect(x, out)
+    elif isinstance(value, _PARTS):
+        for name in value._child_fields:
+            _collect(getattr(value, name), out)
+    else:
+        out.append(value)
+
+
+def walk(node: Node) -> Iterator[Node]:
+    """``node`` and every node under it, pre-order through :func:`children`."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
+
+
+def map_children(node: Node, f: Callable[[Node], Node]) -> Node:
+    """``node`` rebuilt from ``f`` of each of its :func:`children`.
+
+    Returns ``node`` itself when every child comes back as the same object,
+    and keeps each part (generator, bound, operation) whose children all
+    did.
+    """
+    changed = {}
+    for name in node._child_fields:
+        old = getattr(node, name)
+        new = _map(old, f)
+        if new is not old:
+            changed[name] = new
+    return replace(node, **changed) if changed else node
+
+
+def _map(value, f):
+    if value is None:
+        return None
+    if type(value) is tuple:
+        new = tuple([_map(x, f) for x in value])
+        return value if all(map(is_, new, value)) else new
+    if isinstance(value, _PARTS):
+        return map_children(value, f)
+    return f(value)
+
+
+def rebuild(node: Node, **fields) -> Node:
+    """``node`` with ``fields`` replaced, or ``node`` itself when each new
+    value is the object the field holds.
+
+    A tuple counts as the same when each of its elements is, so a pass
+    that rebuilds a statement list from the very statements it held
+    returns ``node``.
+    """
+    for name, value in fields.items():
+        old = getattr(node, name)
+        if value is not old and not (
+            type(value) is tuple
+            and type(old) is tuple
+            and len(value) == len(old)
+            and all(map(is_, value, old))
+        ):
+            return replace(node, **fields)
+    return node

@@ -49,7 +49,7 @@ from repro.sac.backend.split import split_loop
 from repro.sac.interp import Interpreter
 from repro.sac.opt import OptimisationFlags, optimize_program
 from repro.sac.backend.estimates import estimate_ops, static_value_shape
-from repro.sac.opt.rewrite import used_names_stmts
+from repro.sac.opt.rewrite import assigned_names_stmts, used_names_stmts
 from repro.stages import Stage
 
 __all__ = ["CompileOptions", "CompiledFunction", "compile_function", "compile_stages"]
@@ -526,8 +526,6 @@ class _Builder:
         reads = used_names_stmts(stmts) & (self.host_defined | self.on_device | set(self.shapes))
         for name in sorted(reads):
             self.ensure_on_host(name)
-        from repro.sac.opt.rewrite import assigned_names_stmts
-
         writes = assigned_names_stmts(stmts)
         interp = self.interp
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sac import ast
-from repro.sac.opt.withinfo import const_int_vector
+from repro.sac.opt.withinfo import const_int_vector, static_frame_shape
 
 __all__ = ["estimate_ops", "expr_ops", "loop_trips", "static_value_shape"]
 
@@ -38,8 +38,6 @@ def static_value_shape(e: ast.Expr, shapes) -> tuple[int, ...] | None:
     if isinstance(e, ast.Var):
         return shapes.get(e.name)
     if isinstance(e, ast.WithLoop):
-        from repro.sac.opt.withinfo import static_frame_shape
-
         base_shape = None
         if isinstance(e.operation, ast.ModArray) and isinstance(
             e.operation.array, ast.Var
@@ -49,35 +47,27 @@ def static_value_shape(e: ast.Expr, shapes) -> tuple[int, ...] | None:
     return None
 
 
+#: the expressions that count one operation each
+_OPS = (ast.BinExpr, ast.UnExpr, ast.IndexExpr, ast.Call)
+
+
 def expr_ops(e: ast.Expr) -> int:
     """Scalar-operation estimate of one expression evaluation.
 
     Counts operations (arithmetic, selections, calls, vector construction);
-    literals and variable references are free.
+    literals and variable references are free.  A WITH-loop charges its
+    generator bodies' assignments and its cells once per frame point, and
+    nothing for its bounds or its operation.
     """
-    count = 0
-    if isinstance(e, (ast.BinExpr, ast.UnExpr, ast.IndexExpr, ast.Call)):
-        count = 1
-    for name in ("elements", "args"):
-        for c in getattr(e, name, ()) or ():
-            count += expr_ops(c)
-    for name in ("array", "index", "lhs", "rhs", "operand"):
-        c = getattr(e, name, None)
-        if isinstance(c, ast.Expr):
-            count += expr_ops(c)
     if isinstance(e, ast.WithLoop):
-        inner = 0
-        for g in e.generators:
-            inner += sum(expr_ops(s.value) for s in g.body if isinstance(s, ast.Assign))
-            inner += expr_ops(g.expr)
-        points = 1
-        from repro.sac.opt.withinfo import static_frame_shape
-
+        inner = sum(
+            sum(expr_ops(s.value) for s in g.body if isinstance(s, ast.Assign))
+            + expr_ops(g.expr)
+            for g in e.generators
+        )
         shape = static_frame_shape(e)
-        if shape is not None:
-            points = int(np.prod(shape))
-        count += inner * points
-    return count
+        return inner * (1 if shape is None else int(np.prod(shape)))
+    return (1 if isinstance(e, _OPS) else 0) + sum(expr_ops(c) for c in ast.children(e))
 
 
 def loop_trips(s: ast.ForLoop) -> int | None:

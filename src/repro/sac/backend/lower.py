@@ -9,12 +9,14 @@ the unit the CUDA backend outlines as a kernel, following the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from repro.ir import expr as ir
 from repro.ir import stmt as irs
 from repro.ir.kernel import IndexSpace
+from repro.ir.stmt import BodyFacts, body_facts
 from repro.sac import ast
 from repro.sac.backend.lowerexpr import LoweringContext, LoweringError, lower_expr, lower_stmts
 from repro.sac.opt.withinfo import (
@@ -33,11 +35,18 @@ class LoweredGenerator:
     body: tuple[irs.Stmt, ...]  # includes the Store statements
     provenance: str = ""
 
+    @cached_property
+    def facts(self) -> BodyFacts:
+        """:func:`~repro.ir.stmt.body_facts` of the body, walked on first
+        read and kept in the instance ``__dict__``, as ``Kernel.facts`` is:
+        ``==`` and ``hash`` never see it."""
+        return body_facts(self.body)
+
     def reads(self) -> set[str]:
-        return irs.body_facts(self.body).arrays("read")
+        return self.facts.arrays("read")
 
     def writes(self) -> set[str]:
-        return irs.body_facts(self.body).arrays("store")
+        return self.facts.arrays("store")
 
 
 @dataclass(frozen=True)

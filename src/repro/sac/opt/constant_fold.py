@@ -20,7 +20,7 @@ vector of scalar expressions, a known shape, and scalarness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from repro.errors import OptimisationError
 from repro.ir.expr import c_div, c_mod
 from repro.sac import ast
 from repro.sac.builtins import BUILTINS
+from repro.sac.opt.rewrite import assigned_names_stmts
 from repro.sac.values import BASE_DTYPES, to_python
 
 __all__ = ["fold_function", "AVal"]
@@ -146,7 +147,7 @@ class _Folder:
     def _fold_array_lit(self, e: ast.ArrayLit):
         folded = [self.fold(x) for x in e.elements]
         exprs = tuple(f for f, _ in folded)
-        out = replace(e, elements=exprs)
+        out = ast.rebuild(e, elements=exprs)
         avals = [a for _, a in folded]
         if avals and all(a.value is not None for a in avals):
             shapes = {np.shape(a.value) for a in avals}
@@ -209,7 +210,7 @@ class _Folder:
             if lv is not None and rv is not None:
                 out = ast.ArrayLit(elements=lv + rv, loc=e.loc)
                 return out, AVal.vec(lv + rv)
-            return replace(e, lhs=lhs, rhs=rhs), _TOP
+            return ast.rebuild(e, lhs=lhs, rhs=rhs), _TOP
 
         # scalar identities
         if la.scalar and ra.scalar:
@@ -223,7 +224,7 @@ class _Folder:
                 return lhs, la
             if op == "*" and (_is_const_zero(la) or _is_const_zero(ra)):
                 return ast.IntLit(value=0, loc=e.loc), AVal.const(0)
-            return replace(e, lhs=lhs, rhs=rhs), AVal.scalar_unknown()
+            return ast.rebuild(e, lhs=lhs, rhs=rhs), AVal.scalar_unknown()
 
         # element-wise over symbolic vectors
         if op in ("+", "-", "*", "/", "%"):
@@ -258,7 +259,7 @@ class _Folder:
             out_aval = AVal.shaped(ra.shape)
         elif la.shape is not None and la.shape == ra.shape:
             out_aval = AVal.shaped(la.shape)
-        return replace(e, lhs=lhs, rhs=rhs), out_aval
+        return ast.rebuild(e, lhs=lhs, rhs=rhs), out_aval
 
     def _fold_unexpr(self, e: ast.UnExpr):
         operand, aval = self.fold(e.operand)
@@ -271,7 +272,7 @@ class _Folder:
         if isinstance(operand, ast.UnExpr) and operand.op == e.op:
             inner, ia = self.fold(operand.operand)
             return inner, ia
-        return replace(e, operand=operand), AVal(scalar=aval.scalar, shape=aval.shape)
+        return ast.rebuild(e, operand=operand), AVal(scalar=aval.scalar, shape=aval.shape)
 
     def _const_index(self, aval: AVal) -> tuple[int, ...] | None:
         if aval.value is None:
@@ -323,7 +324,7 @@ class _Folder:
                 index = ast.ArrayLit(elements=vf, loc=index.loc)
             elif ia.scalar:
                 index = ast.ArrayLit(elements=(index,), loc=index.loc)
-        out = replace(e, array=array, index=index)
+        out = ast.rebuild(e, array=array, index=index)
         # scalarness: selecting with a full-rank index yields a scalar
         if aa.shape is not None and ia.shape is not None and len(ia.shape) == 1:
             if ia.shape[0] == len(aa.shape):
@@ -340,7 +341,7 @@ class _Folder:
         folded = [self.fold(a) for a in e.args]
         exprs = [f for f, _ in folded]
         avals = [a for _, a in folded]
-        out = replace(e, args=tuple(exprs))
+        out = ast.rebuild(e, args=tuple(exprs))
         name = e.name
 
         if name == "shape" and len(avals) == 1:
@@ -446,7 +447,7 @@ class _Folder:
         lower, upper = gen.lower, gen.upper
         if isinstance(lower.expr, ast.Dot):
             base = 0 if lower.op == "<=" else -1
-            lower = replace(
+            lower = ast.rebuild(
                 lower,
                 expr=ast.ArrayLit(
                     elements=tuple(ast.IntLit(value=base, loc=loc) for _ in frame_shape),
@@ -455,7 +456,7 @@ class _Folder:
             )
         if isinstance(upper.expr, ast.Dot):
             off = -1 if upper.op == "<=" else 0
-            upper = replace(
+            upper = ast.rebuild(
                 upper,
                 expr=ast.ArrayLit(
                     elements=tuple(
@@ -464,7 +465,7 @@ class _Folder:
                     loc=loc,
                 ),
             )
-        return replace(gen, lower=lower, upper=upper)
+        return ast.rebuild(gen, lower=lower, upper=upper)
 
     def _fold_withloop(self, e: ast.WithLoop):
         op = e.operation
@@ -475,7 +476,7 @@ class _Folder:
             default_e, default_a = (None, None)
             if op.default is not None:
                 default_e, default_a = self.fold(op.default)
-            op = replace(op, shape=shape_e, default=default_e)
+            op = ast.rebuild(op, shape=shape_e, default=default_e)
             shp = self._const_index(shape_a)
             if shp is not None:
                 frame_shape = shp
@@ -483,13 +484,13 @@ class _Folder:
                 cell_shape = default_a.shape
         elif isinstance(op, ast.ModArray):
             arr_e, arr_a = self.fold(op.array)
-            op = replace(op, array=arr_e)
+            op = ast.rebuild(op, array=arr_e)
             if arr_a.shape is not None:
                 frame_shape = arr_a.shape
                 cell_shape = ()
         elif isinstance(op, ast.Fold):
             neutral_e, _ = self.fold(op.neutral)
-            op = replace(op, neutral=neutral_e)
+            op = ast.rebuild(op, neutral=neutral_e)
 
         frame_rank = None if frame_shape is None else len(frame_shape)
         gens = []
@@ -535,10 +536,10 @@ class _Folder:
             if first_cell_aval is None:
                 first_cell_aval = expr_a
             gens.append(
-                replace(
+                ast.rebuild(
                     gen,
-                    lower=replace(gen.lower, expr=lo_e),
-                    upper=replace(gen.upper, expr=hi_e),
+                    lower=ast.rebuild(gen.lower, expr=lo_e),
+                    upper=ast.rebuild(gen.upper, expr=hi_e),
                     step=step_e,
                     width=width_e,
                     body=body,
@@ -546,7 +547,7 @@ class _Folder:
                 )
             )
 
-        out = replace(e, generators=tuple(gens), operation=op)
+        out = ast.rebuild(e, generators=tuple(gens), operation=op)
         if isinstance(op, ast.Fold):
             return out, AVal.scalar_unknown()
         if frame_shape is not None:
@@ -573,7 +574,7 @@ class _Folder:
             self._invalidate_copies(s.name)
             if isinstance(value, ast.Var) and value.name != s.name:
                 self.copies[s.name] = value.name
-            return [replace(s, value=value)]
+            return [ast.rebuild(s, value=value)]
         if isinstance(s, ast.IndexedAssign):
             self._invalidate_copies(s.name)
             index, ia = self.fold(s.index)
@@ -627,9 +628,9 @@ class _Folder:
             self.env[s.name] = (
                 AVal.shaped(base.shape) if base.shape is not None else _TOP
             )
-            return [replace(s, index=index, value=value)]
+            return [ast.rebuild(s, index=index, value=value)]
         if isinstance(s, ast.Block):
-            return [replace(s, stmts=self.fold_stmts(s.stmts))]
+            return [ast.rebuild(s, stmts=self.fold_stmts(s.stmts))]
         if isinstance(s, ast.ForLoop):
             return [self._fold_for(s)]
         if isinstance(s, ast.IfElse):
@@ -649,17 +650,15 @@ class _Folder:
                 for k, v in then_folder.copies.items()
                 if else_folder.copies.get(k) == v
             }
-            return [replace(s, cond=cond, then=then, orelse=orelse)]
+            return [ast.rebuild(s, cond=cond, then=then, orelse=orelse)]
         if isinstance(s, ast.Return):
             if s.value is None:
                 return [s]
             value, _ = self.fold(s.value)
-            return [replace(s, value=value)]
+            return [ast.rebuild(s, value=value)]
         raise OptimisationError(f"cannot fold statement {type(s).__name__}")
 
     def _fold_for(self, s: ast.ForLoop) -> ast.Stmt:
-        from repro.sac.opt.rewrite import assigned_names_stmts
-
         init = self.fold_stmt(s.init)[0]
         # everything assigned inside the loop becomes unknown (we keep the
         # shape when an array variable is only updated element-wise)
@@ -677,7 +676,7 @@ class _Folder:
         cond, _ = self.fold(s.cond)
         update = self.fold_stmt(s.update)[0]
         body = _Folder(dict(self.env), dict(self.copies)).fold_stmts(s.body)
-        return replace(s, init=init, cond=cond, update=update, body=body)
+        return ast.rebuild(s, init=init, cond=cond, update=update, body=body)
 
     def _join(self, a: dict[str, AVal], b: dict[str, AVal]) -> None:
         """Merge two branch environments into self.env (meet over paths)."""
@@ -748,4 +747,4 @@ def _param_aval(p: ast.Param) -> AVal:
 def fold_function(fun: ast.FunDef) -> ast.FunDef:
     env = {p.name: _param_aval(p) for p in fun.params}
     folder = _Folder(env)
-    return replace(fun, body=folder.fold_stmts(fun.body))
+    return ast.rebuild(fun, body=folder.fold_stmts(fun.body))

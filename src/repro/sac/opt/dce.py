@@ -9,16 +9,15 @@ statement either assigns or returns).
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.sac import ast
-from repro.sac.opt.rewrite import assigned_names_stmts, free_vars_expr
+from repro.sac.opt.rewrite import (
+    assigned_names_stmts,
+    free_vars_expr,
+    map_expr,
+    used_names_stmts,
+)
 
 __all__ = ["dce_function", "dce_stmts"]
-
-
-def _expr_uses(e: ast.Expr) -> set[str]:
-    return free_vars_expr(e)
 
 
 def dce_stmts(stmts: tuple[ast.Stmt, ...], live: set[str]) -> tuple[ast.Stmt, ...]:
@@ -33,34 +32,32 @@ def dce_stmts(stmts: tuple[ast.Stmt, ...], live: set[str]) -> tuple[ast.Stmt, ..
             if s.name not in live:
                 continue  # dead
             live.discard(s.name)
-            live.update(_expr_uses(s.value))
+            live.update(free_vars_expr(s.value))
             # generator bodies may read names too — free_vars_expr covers them
             out.append(_dce_nested_withloops(s))
         elif isinstance(s, ast.IndexedAssign):
             if s.name not in live:
                 continue
             # reads the previous array value, so the name stays live
-            live.update(_expr_uses(s.index))
-            live.update(_expr_uses(s.value))
+            live.update(free_vars_expr(s.index))
+            live.update(free_vars_expr(s.value))
             live.add(s.name)
             out.append(s)
         elif isinstance(s, ast.Block):
             inner = dce_stmts(s.stmts, live)
             if inner:
-                out.append(replace(s, stmts=inner))
+                out.append(ast.rebuild(s, stmts=inner))
         elif isinstance(s, ast.ForLoop):
             # keep loops whose body assigns something live; loop-carried
             # dependences force a fixpoint over the body's reads
             assigned = assigned_names_stmts(s.body) | {s.init.name, s.update.name}
             if not (assigned & live):
                 continue  # nothing the loop produces is needed
-            body_reads: set[str] = set()
-            _collect_stmt_reads(s.body, body_reads)
-            live.update(body_reads)
-            live.update(_expr_uses(s.cond))
-            live.update(_expr_uses(s.update.value))
+            live.update(used_names_stmts(s.body))
+            live.update(free_vars_expr(s.cond))
+            live.update(free_vars_expr(s.update.value))
             live.discard(s.init.name)
-            live.update(_expr_uses(s.init.value))
+            live.update(free_vars_expr(s.init.value))
             # conservatively keep every statement inside the loop
             out.append(s)
         elif isinstance(s, ast.IfElse):
@@ -73,21 +70,15 @@ def dce_stmts(stmts: tuple[ast.Stmt, ...], live: set[str]) -> tuple[ast.Stmt, ..
             orelse = dce_stmts(s.orelse, else_live)
             live.clear()
             live.update(then_live | else_live)
-            live.update(_expr_uses(s.cond))
-            out.append(replace(s, then=then, orelse=orelse))
+            live.update(free_vars_expr(s.cond))
+            out.append(ast.rebuild(s, then=then, orelse=orelse))
         elif isinstance(s, ast.Return):
             if s.value is not None:
-                live.update(_expr_uses(s.value))
+                live.update(free_vars_expr(s.value))
             out.append(s)
         else:
             out.append(s)
     return tuple(reversed(out))
-
-
-def _collect_stmt_reads(stmts, acc: set[str]) -> None:
-    from repro.sac.opt.rewrite import used_names_stmts
-
-    acc |= used_names_stmts(stmts)
 
 
 def _dce_nested_withloops(s: ast.Assign) -> ast.Assign:
@@ -97,21 +88,18 @@ def _dce_nested_withloops(s: ast.Assign) -> ast.Assign:
     their enclosing ones; each visit only has to prune its own generator
     bodies.
     """
-    from repro.sac.opt.rewrite import map_expr
 
     def clean(e: ast.Expr) -> ast.Expr:
         if isinstance(e, ast.WithLoop):
-            gens = []
-            for g in e.generators:
-                live = _expr_uses(g.expr)
-                gens.append(replace(g, body=dce_stmts(g.body, live)))
-            return replace(e, generators=tuple(gens))
+            gens = tuple(
+                ast.rebuild(g, body=dce_stmts(g.body, free_vars_expr(g.expr)))
+                for g in e.generators
+            )
+            return ast.rebuild(e, generators=gens)
         return e
 
-    return replace(s, value=map_expr(s.value, clean))
+    return map_expr(s, clean)
 
 
 def dce_function(fun: ast.FunDef) -> ast.FunDef:
-    live: set[str] = set()
-    body = dce_stmts(fun.body, live)
-    return replace(fun, body=body)
+    return ast.rebuild(fun, body=dce_stmts(fun.body, set()))

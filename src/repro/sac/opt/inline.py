@@ -17,8 +17,6 @@ host.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.errors import OptimisationError
 from repro.sac import ast
 from repro.sac.builtins import is_builtin
@@ -42,18 +40,11 @@ def is_inlinable(fun: ast.FunDef) -> bool:
         return False
 
     def has_return(stmts) -> bool:
-        for s in stmts:
-            if isinstance(s, ast.Return):
-                return True
-            if isinstance(s, ast.Block) and has_return(s.stmts):
-                return True
-            if isinstance(s, ast.ForLoop) and has_return(s.body):
-                return True
-            if isinstance(s, ast.IfElse) and (
-                has_return(s.then) or has_return(s.orelse)
-            ):
-                return True
-        return False
+        return any(
+            isinstance(s, ast.Return)
+            or has_return(c for c in ast.children(s) if isinstance(c, ast.Stmt))
+            for s in stmts
+        )
 
     return not has_return(fun.body[:-1])
 
@@ -69,7 +60,7 @@ def inline_function(program: ast.Program, name: str) -> ast.FunDef:
         fresh = FreshNames(assigned_names_stmts(body) | used_names_stmts(body) | {name})
         changed, body = _inline_round(body, functions, name, fresh, recursive)
         if not changed:
-            return replace(fun, body=body)
+            return ast.rebuild(fun, body=body)
     raise OptimisationError(
         f"inlining {name!r} did not converge after {_MAX_ROUNDS} rounds"
     )
@@ -77,20 +68,14 @@ def inline_function(program: ast.Program, name: str) -> ast.FunDef:
 
 def _recursive_functions(functions: dict[str, ast.FunDef]) -> frozenset[str]:
     """Functions on a call-graph cycle (never inlined)."""
-    callees: dict[str, set[str]] = {}
-    for name, fun in functions.items():
-        called: set[str] = set()
-
-        def collect(e: ast.Expr) -> ast.Expr:
-            if isinstance(e, ast.Call) and e.name in functions:
-                called.add(e.name)
-            return e
-
-        from repro.sac.opt.rewrite import map_expr, map_stmt_exprs
-
-        for s in fun.body:
-            map_stmt_exprs(s, lambda x: map_expr(x, collect))
-        callees[name] = called
+    callees = {
+        name: {
+            node.name
+            for node in ast.walk(fun)
+            if isinstance(node, ast.Call) and node.name in functions
+        }
+        for name, fun in functions.items()
+    }
 
     recursive: set[str] = set()
     for start in functions:
@@ -129,31 +114,27 @@ def _inline_round(stmts, functions, self_name, fresh, recursive=frozenset()):
         """Replace nested user calls with temporaries assigned in ``pre``.
 
         WITH-loops are a scope boundary: calls inside generator internals
-        may depend on index variables, so they lift into the generator's
-        own body via :func:`_lift_in_expr`, never into the outer ``pre``.
+        may depend on index variables, so a generator's body and cell lift
+        into that body, never into the outer ``pre``.  Bounds are left as
+        they are.
         """
         nonlocal changed
         if isinstance(e, ast.WithLoop):
-            return _lift_in_expr(e, pre, lift, process_stmts)
-        if isinstance(e, (ast.IntLit, ast.FloatLit, ast.BoolLit, ast.Var, ast.Dot)):
-            return e
-        if isinstance(e, ast.ArrayLit):
-            return replace(e, elements=tuple(lift(x, pre) for x in e.elements))
-        if isinstance(e, ast.IndexExpr):
-            return replace(e, array=lift(e.array, pre), index=lift(e.index, pre))
-        if isinstance(e, ast.BinExpr):
-            return replace(e, lhs=lift(e.lhs, pre), rhs=lift(e.rhs, pre))
-        if isinstance(e, ast.UnExpr):
-            return replace(e, operand=lift(e.operand, pre))
-        if isinstance(e, ast.Call):
-            e = replace(e, args=tuple(lift(a, pre) for a in e.args))
-            if is_user_call(e):
-                tmp = fresh.fresh(f"call_{e.name}")
-                pre.append(ast.Assign(name=tmp, value=e, loc=e.loc))
-                changed = True
-                return ast.Var(name=tmp, loc=e.loc)
-            return e
-        raise OptimisationError(f"cannot lift calls in {type(e).__name__}")
+            gens = []
+            for g in e.generators:
+                gpre: list[ast.Stmt] = []
+                body = process_stmts(g.body)
+                expr = lift(g.expr, gpre)
+                gens.append(ast.rebuild(g, body=tuple(body + gpre), expr=expr))
+            operation = ast.map_children(e.operation, lambda c: lift(c, pre))
+            return ast.rebuild(e, generators=tuple(gens), operation=operation)
+        e = ast.map_children(e, lambda c: lift(c, pre))
+        if is_user_call(e):
+            tmp = fresh.fresh(f"call_{e.name}")
+            pre.append(ast.Assign(name=tmp, value=e, loc=e.loc))
+            changed = True
+            return ast.Var(name=tmp, loc=e.loc)
+        return e
 
     def expand_call(target: str, call: ast.Call, loc) -> list[ast.Stmt]:
         """Splice the callee body for ``target = f(args)``."""
@@ -185,29 +166,29 @@ def _inline_round(stmts, functions, self_name, fresh, recursive=frozenset()):
         if isinstance(s, ast.Assign):
             if is_user_call(s.value):
                 return expand_call(s.name, s.value, s.loc)
-            value = _lift_in_expr(s.value, pre, lift, process_stmts)
-            return [*pre, replace(s, value=value)]
+            value = lift(s.value, pre)
+            return [*pre, ast.rebuild(s, value=value)]
         if isinstance(s, ast.IndexedAssign):
             index = lift(s.index, pre)
-            value = _lift_in_expr(s.value, pre, lift, process_stmts)
-            return [*pre, replace(s, index=index, value=value)]
+            value = lift(s.value, pre)
+            return [*pre, ast.rebuild(s, index=index, value=value)]
         if isinstance(s, ast.Return):
             if s.value is None:
                 return [s]
-            value = _lift_in_expr(s.value, pre, lift, process_stmts)
-            return [*pre, replace(s, value=value)]
+            value = lift(s.value, pre)
+            return [*pre, ast.rebuild(s, value=value)]
         if isinstance(s, ast.Block):
-            return [replace(s, stmts=tuple(process_stmts(s.stmts)))]
+            return [ast.rebuild(s, stmts=tuple(process_stmts(s.stmts)))]
         if isinstance(s, ast.ForLoop):
             # calls in loop bodies are handled recursively; calls in the
             # condition/update would need per-iteration lifting — inline
             # them in place only if direct statement form appears inside.
-            return [replace(s, body=tuple(process_stmts(s.body)))]
+            return [ast.rebuild(s, body=tuple(process_stmts(s.body)))]
         if isinstance(s, ast.IfElse):
             cond = lift(s.cond, pre)
             return [
                 *pre,
-                replace(
+                ast.rebuild(
                     s,
                     cond=cond,
                     then=tuple(process_stmts(s.then)),
@@ -224,28 +205,3 @@ def _inline_round(stmts, functions, self_name, fresh, recursive=frozenset()):
 
     out = process_stmts(stmts)
     return changed, tuple(out)
-
-
-def _lift_in_expr(e: ast.Expr, pre: list[ast.Stmt], lift, process_stmts) -> ast.Expr:
-    """Lift calls in ``e``; WITH-loop generator internals lift into the
-    generator's own body (they may depend on the index variable)."""
-    if isinstance(e, ast.WithLoop):
-        gens = []
-        for g in e.generators:
-            gpre: list[ast.Stmt] = []
-            body = process_stmts(g.body)
-            expr = lift(g.expr, gpre)
-            gens.append(replace(g, body=tuple(body + gpre), expr=expr))
-        op = e.operation
-        if isinstance(op, ast.GenArray):
-            op = replace(
-                op,
-                shape=lift(op.shape, pre),
-                default=None if op.default is None else lift(op.default, pre),
-            )
-        elif isinstance(op, ast.ModArray):
-            op = replace(op, array=lift(op.array, pre))
-        elif isinstance(op, ast.Fold):
-            op = replace(op, neutral=lift(op.neutral, pre))
-        return replace(e, generators=tuple(gens), operation=op)
-    return lift(e, pre)

@@ -9,10 +9,8 @@ vectors are flattened immediately.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.sac import ast
-from repro.sac.opt.rewrite import map_expr, map_stmt_exprs
+from repro.sac.opt.rewrite import map_expr
 
 __all__ = ["normalize_function", "combine_indices"]
 
@@ -67,7 +65,4 @@ def _collapse(e: ast.Expr) -> ast.Expr:
 
 
 def normalize_function(fun: ast.FunDef) -> ast.FunDef:
-    body = tuple(
-        map_stmt_exprs(s, lambda e: map_expr(e, _collapse)) for s in fun.body
-    )
-    return replace(fun, body=body)
+    return map_expr(fun, _collapse)

@@ -3,8 +3,12 @@
 Mirrors the structure the paper describes for the SaC compiler: inline,
 then iterate partial evaluation, WITH-loop folding and dead-code
 elimination to a fixpoint.  Every pass is semantics-preserving (checked by
-the interpreter-equivalence property tests), and each can be disabled for
-the ablation benchmarks.
+the interpreter-equivalence property tests).  WITH-loop folding can be
+turned off, for the paper's ablation; the other passes always run.
+
+Each pass returns the very object it was given when it changes nothing
+under it (see :mod:`repro.sac.opt.rewrite`), so the fixpoint check, a
+structural ``==``, resolves by identity on the last round.
 """
 
 from __future__ import annotations
@@ -26,16 +30,9 @@ _MAX_ITERATIONS = 24
 
 @dataclass(frozen=True)
 class OptimisationFlags:
-    """Pass toggles (for ablations; everything on by default)."""
+    """Whether WITH-loop folding runs (on by default)."""
 
-    inline: bool = True
-    fold: bool = True
     wlf: bool = True
-    dce: bool = True
-
-    @staticmethod
-    def none() -> "OptimisationFlags":
-        return OptimisationFlags(inline=False, fold=False, wlf=False, dce=False)
 
     @staticmethod
     def no_wlf() -> "OptimisationFlags":
@@ -53,21 +50,15 @@ def optimize_function(
     Returns the optimised definition; callers needing a whole program use
     :func:`optimize_program`.
     """
-    fun = program.function(name)
-    if flags.inline:
-        fun = inline_function(program.replace_function(fun), name)
-    fun = normalize_function(fun)
+    fun = normalize_function(inline_function(program, name))
 
     for _ in range(_MAX_ITERATIONS):
         before = fun
-        if flags.fold:
-            fun = fold_function(fun)
+        fun = fold_function(fun)
         if flags.wlf:
             fun = wlf_function(fun)
-        if flags.fold:
-            fun = fold_function(fun)
-        if flags.dce:
-            fun = dce_function(fun)
+        fun = fold_function(fun)
+        fun = dce_function(fun)
         if fun == before:
             return fun
     raise OptimisationError(

@@ -57,21 +57,17 @@ passes walk is one the parser could have built.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.sac import ast
 from repro.sac.opt.rewrite import (
     FreshNames,
     assigned_names_stmts,
     free_vars_expr,
-    map_expr,
-    map_stmt_exprs,
     nests_within,
     rename_locals,
     substitute_vars,
     used_names_stmts,
 )
-from repro.sac.opt.withinfo import is_full_coverage_single_generator
+from repro.sac.opt.withinfo import is_full_coverage_single_generator, static_frame_shape
 from repro.sac.parser import MAX_DEPTH
 
 __all__ = ["wlf_function", "count_withloops"]
@@ -83,23 +79,12 @@ def wlf_function(fun: ast.FunDef) -> ast.FunDef:
         | used_names_stmts(fun.body)
         | {p.name for p in fun.params}
     )
-    body = _fold_stmt_list(fun.body, fresh)
-    return replace(fun, body=body)
+    return ast.rebuild(fun, body=_fold_stmt_list(fun.body, fresh))
 
 
 def count_withloops(fun: ast.FunDef) -> int:
     """Number of WITH-loop expressions anywhere in a function (diagnostics)."""
-    count = 0
-
-    def visit(e: ast.Expr) -> ast.Expr:
-        nonlocal count
-        if isinstance(e, ast.WithLoop):
-            count += 1
-        return e
-
-    for s in fun.body:
-        map_stmt_exprs(s, lambda e: map_expr(e, visit))
-    return count
+    return sum(isinstance(node, ast.WithLoop) for node in ast.walk(fun))
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +98,6 @@ class _Producer:
         self.wl = wl
         self.gen = wl.generators[0]
         # frame shape from the genarray shape (static by construction)
-        from repro.sac.opt.withinfo import static_frame_shape
-
         shape = static_frame_shape(wl)
         assert shape is not None
         self.frame_shape = shape
@@ -211,7 +194,7 @@ def _fold_stmt_list(stmts, fresh: FreshNames, levels: int = MAX_DEPTH) -> tuple[
         if isinstance(s, ast.Assign):
             pre: list[ast.Stmt] = []
             value = _fold_expr(s.value, producers, pre, fresh, scope)
-            value = emit(s, pre, replace(s, value=value)).value
+            value = emit(s, pre, ast.rebuild(s, value=value)).value
             invalidate({s.name})
             _define(producers, s.name, value)
         elif isinstance(s, ast.IndexedAssign):
@@ -219,7 +202,7 @@ def _fold_stmt_list(stmts, fresh: FreshNames, levels: int = MAX_DEPTH) -> tuple[
             pre = []
             index = _fold_expr(s.index, producers, pre, fresh, scope)
             value = _fold_expr(s.value, producers, pre, fresh, scope)
-            emit(s, pre, replace(s, index=index, value=value))
+            emit(s, pre, ast.rebuild(s, index=index, value=value))
             invalidate({s.name})
         elif isinstance(s, ast.Return):
             pre = []
@@ -228,20 +211,20 @@ def _fold_stmt_list(stmts, fresh: FreshNames, levels: int = MAX_DEPTH) -> tuple[
                 if s.value is None
                 else _fold_expr(s.value, producers, pre, fresh, scope)
             )
-            emit(s, pre, replace(s, value=value))
+            emit(s, pre, ast.rebuild(s, value=value))
         elif isinstance(s, ast.Block):
             invalidate(assigned_names_stmts(s.stmts))
-            out.append(replace(s, stmts=_fold_stmt_list(s.stmts, fresh, levels - 1)))
+            out.append(ast.rebuild(s, stmts=_fold_stmt_list(s.stmts, fresh, levels - 1)))
         elif isinstance(s, ast.ForLoop):
             # the paper: WLF "does not attempt to fuse program constructs
             # other than WITH-loops" — for-loop internals are left alone,
             # and anything they mutate stops being a producer
             invalidate(assigned_names_stmts((s.init, s.update)) | assigned_names_stmts(s.body))
-            out.append(replace(s, body=_fold_stmt_list(s.body, fresh, levels - 1)))
+            out.append(ast.rebuild(s, body=_fold_stmt_list(s.body, fresh, levels - 1)))
         elif isinstance(s, ast.IfElse):
             invalidate(assigned_names_stmts(s.then) | assigned_names_stmts(s.orelse))
             out.append(
-                replace(
+                ast.rebuild(
                     s,
                     then=_fold_stmt_list(s.then, fresh, levels - 1),
                     orelse=_fold_stmt_list(s.orelse, fresh, levels - 1),
@@ -259,6 +242,10 @@ def _fold_expr(e: ast.Expr, producers, pre: list[ast.Stmt], fresh, scope: _Scope
     statement context, and ``scope`` the splices its selections may reuse.
     WITH-loops switch both to their own generator bodies.
     """
+
+    def fold(c: ast.Expr) -> ast.Expr:
+        return _fold_expr(c, producers, pre, fresh, scope)
+
     if isinstance(e, ast.WithLoop):
         gens = []
         for g in e.generators:
@@ -271,50 +258,15 @@ def _fold_expr(e: ast.Expr, producers, pre: list[ast.Stmt], fresh, scope: _Scope
             gpre: list[ast.Stmt] = []
             # the cell expression sees producers defined in the body too
             expr = _fold_expr(g.expr, body_producers, gpre, fresh, _Scope(cells))
-            gens.append(replace(g, body=tuple(body) + tuple(gpre), expr=expr))
-        op = e.operation
-        if isinstance(op, ast.GenArray):
-            op = replace(
-                op,
-                shape=_fold_expr(op.shape, producers, pre, fresh, scope),
-                default=None
-                if op.default is None
-                else _fold_expr(op.default, producers, pre, fresh, scope),
-            )
-        elif isinstance(op, ast.ModArray):
-            op = replace(op, array=_fold_expr(op.array, producers, pre, fresh, scope))
-        elif isinstance(op, ast.Fold):
-            op = replace(op, neutral=_fold_expr(op.neutral, producers, pre, fresh, scope))
-        return replace(e, generators=tuple(gens), operation=op)
+            gens.append(ast.rebuild(g, body=body + tuple(gpre), expr=expr))
+        return ast.rebuild(e, generators=tuple(gens), operation=ast.map_children(e.operation, fold))
 
-    if isinstance(e, ast.IndexExpr):
-        array = _fold_expr(e.array, producers, pre, fresh, scope)
-        index = _fold_expr(e.index, producers, pre, fresh, scope)
-        if isinstance(array, ast.Var) and array.name in producers:
-            idx = _scalarised_index(index)
-            prod = producers[array.name]
-            if idx is not None and len(idx) >= prod.rank:
-                return _inline_cell(prod, idx, pre, fresh, scope)
-        return replace(e, array=array, index=index)
-
-    if isinstance(e, (ast.IntLit, ast.FloatLit, ast.BoolLit, ast.Var, ast.Dot)):
-        return e
-    if isinstance(e, ast.ArrayLit):
-        return replace(
-            e, elements=tuple(_fold_expr(x, producers, pre, fresh, scope) for x in e.elements)
-        )
-    if isinstance(e, ast.BinExpr):
-        return replace(
-            e,
-            lhs=_fold_expr(e.lhs, producers, pre, fresh, scope),
-            rhs=_fold_expr(e.rhs, producers, pre, fresh, scope),
-        )
-    if isinstance(e, ast.UnExpr):
-        return replace(e, operand=_fold_expr(e.operand, producers, pre, fresh, scope))
-    if isinstance(e, ast.Call):
-        return replace(
-            e, args=tuple(_fold_expr(a, producers, pre, fresh, scope) for a in e.args)
-        )
+    e = ast.map_children(e, fold)
+    if isinstance(e, ast.IndexExpr) and isinstance(e.array, ast.Var) and e.array.name in producers:
+        idx = _scalarised_index(e.index)
+        prod = producers[e.array.name]
+        if idx is not None and len(idx) >= prod.rank:
+            return _inline_cell(prod, idx, pre, fresh, scope)
     return e
 
 
@@ -332,7 +284,7 @@ def _fold_stmt_list_with(stmts, producers, fresh, cells: dict):
         scope = _Scope(cells)
         if isinstance(s, ast.Assign):
             pre: list[ast.Stmt] = []
-            s = replace(s, value=_fold_expr(s.value, inner, pre, fresh, scope))
+            s = ast.rebuild(s, value=_fold_expr(s.value, inner, pre, fresh, scope))
             out.extend(pre)
             out.append(s)
         elif isinstance(s, ast.IndexedAssign):
@@ -340,7 +292,7 @@ def _fold_stmt_list_with(stmts, producers, fresh, cells: dict):
             index = _fold_expr(s.index, inner, pre, fresh, scope)
             value = _fold_expr(s.value, inner, pre, fresh, scope)
             out.extend(pre)
-            out.append(replace(s, index=index, value=value))
+            out.append(ast.rebuild(s, index=index, value=value))
         else:
             # loops/conditionals inside generator bodies: same rules as the
             # top level
@@ -370,7 +322,7 @@ def _inline_cell(
             mapping = {v: t for v, t in zip(g.vars, take)}
         else:
             mapping = {g.var: ast.ArrayLit(elements=tuple(take), loc=g.loc)}
-        pre.extend(map_stmt_exprs(s, lambda e: substitute_vars(e, mapping)) for s in body)
+        pre.extend(substitute_vars(s, mapping) for s in body)
         target = substitute_vars(cell, mapping)
         if not isinstance(target, ast.Var):
             tmp = fresh.fresh(f"wlf_{prod.name}")

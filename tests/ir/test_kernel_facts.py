@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 import repro.ir.kernel as kernel_module
+import repro.sac.backend.lower as lower_module
 from repro.apps.convolution import (
     convolution_allocation,
     convolution_model,
@@ -25,6 +26,7 @@ from repro.ir import (
     BinOp,
     For,
     FusedKernel,
+    IndexSpace,
     LocalRef,
     ParamRef,
     Read,
@@ -175,3 +177,29 @@ def test_a_tuner_search_walks_each_kernel_instance_once(monkeypatch):
     assert result.candidates == 6
     assert walked
     assert len({id(b) for b in walked}) == len(walked)
+
+
+def test_a_sac_compile_walks_each_lowered_body_once(monkeypatch):
+    """Lowering, the driver's residency pass and kernel outlining each read
+    a generator's read set; only the first read walks its body."""
+    walked = []
+    real = lower_module.body_facts
+
+    def counting(stmts):
+        walked.append(stmts)  # held, so no id is reused
+        return real(stmts)
+
+    monkeypatch.setattr(lower_module, "body_facts", counting)
+    downscaler_job("sac", size=CIF, variant=NONGENERIC).compile(CompileCache())
+    assert len(walked) == 19
+    assert len({id(b) for b in walked}) == len(walked)
+
+
+def test_lowered_facts_are_kept_per_instance_and_invisible():
+    body = (Store("out", (ThreadIdx(0),), Read("a", (ThreadIdx(0),))),)
+    gen = lower_module.LoweredGenerator(IndexSpace((0,), (4,)), body)
+    fresh = replace(gen)
+    assert gen.reads() == {"a"} and gen.writes() == {"out"}
+    assert gen.facts is gen.facts
+    assert "facts" in gen.__dict__ and "facts" not in fresh.__dict__
+    assert fresh == gen and hash(fresh) == hash(gen)
