@@ -27,14 +27,32 @@ kernel's first launch, and keeps the result on the kernel object:
   scatter;
 * a read of one array at one static index is performed once per launch,
   until the next store (any store: two parameters may be bound to one
-  buffer), and released after its last use.
+  buffer), and released after its last use;
+* a sliced read is a view of its buffer, not the interpreter's copy.  Only
+  a local read after a later store (again any store) can tell the two
+  apart, so the ``Assign`` that binds a local to a sliced read, or to a
+  local bound to one through ``y = x`` chains, copies the value exactly
+  when that local is read after a later store (:attr:`KernelPlan.copies`
+  counts them).  Nothing else needs a copy: arithmetic, ``np.take``, fancy
+  reads and ``Select`` make fresh arrays, shared reads end at every store,
+  and NumPy reads a store's overlapping value before it writes, on the
+  sliced and the fancy path alike.
 
 What is left per launch is the data-dependent arithmetic, through the
-interpreter's operator table.  A kernel with an index that depends on data
-or on a scalar parameter, a construct the plan does not lower, or a failed
-static check gets no plan: ``evaluate_kernel`` then runs the interpreter,
-which raises its own error at its own point.  Any other exception while
-building a plan is a bug in this module and propagates.
+interpreter's operator table, with one difference: a ``/`` or ``%`` whose
+divisor is a static Python ``int`` in ``1 … 2**31 − 1`` gets it as
+``np.int32``, so a C ``int`` dividend divides at int32 instead of
+promoting to int64.  Quotient and remainder of a C ``int`` by a positive C
+``int`` fit 32 bits, and every later operation is right modulo 2**32 or
+cuts with :func:`~repro.ir.expr.c_int` first, so every stored value is the
+interpreter's.  A zero or negative divisor stays a Python ``int``: at
+int32, ``INT_MIN / -1`` would overflow with a warning.
+
+A kernel with an index that depends on data or on a scalar parameter, a
+construct the plan does not lower, or a failed static check gets no plan:
+``evaluate_kernel`` then runs the interpreter, which raises its own error
+at its own point.  Any other exception while building a plan is a bug in
+this module and propagates.
 """
 
 from __future__ import annotations
@@ -45,6 +63,7 @@ import numpy as np
 
 from repro.errors import IRError
 from repro.ir.evalvec import (
+    _INT_MAX,
     _Evaluator,
     binary_function,
     broadcast_index,
@@ -84,15 +103,18 @@ class KernelPlan:
 
     ``accesses`` names how each distinct read and each store was lowered:
     ``("read", "slice" | "take" | "fancy")`` or ``("store", "slice" |
-    "fancy")``, in program order.
+    "fancy")``, in program order.  ``copies`` counts the assignments (with
+    ``For`` unrolled) that copy a view, because their local is read after
+    a later store.
     """
 
-    __slots__ = ("steps", "nregisters", "accesses")
+    __slots__ = ("steps", "nregisters", "accesses", "copies")
 
-    def __init__(self, steps: tuple, nregisters: int, accesses: tuple):
+    def __init__(self, steps: tuple, nregisters: int, accesses: tuple, copies: int):
         self.steps = steps
         self.nregisters = nregisters
         self.accesses = accesses
+        self.copies = copies
 
     def run(self, arrays: dict[str, np.ndarray], scalars: dict) -> None:
         """Execute one launch against ``arrays`` (mutated in place)."""
@@ -127,12 +149,13 @@ class _NoPlan(Exception):
 
 class _SharedRead:
     """One read of an array at a static index, shared by its occurrences
-    until the next store; the last occurrence releases the value."""
+    until the next store; the last occurrence releases the value.  ``view``:
+    the value may be a view of the buffer (a sliced read)."""
 
-    __slots__ = ("array", "load", "register", "uses")
+    __slots__ = ("array", "load", "register", "view", "uses")
 
-    def __init__(self, array: str, load, register: int):
-        self.array, self.load, self.register = array, load, register
+    def __init__(self, array: str, load, register: int, view: bool):
+        self.array, self.load, self.register, self.view = array, load, register, view
         self.uses = 0
 
     def occurrence(self) -> _Fn:
@@ -158,6 +181,22 @@ class _SharedRead:
         return again
 
 
+def _assign(reg: int, fn: _Fn, copy: bool = False) -> _Fn:
+    """The step binding register ``reg`` to the value of ``fn``, copied
+    when ``copy``."""
+    if copy:
+
+        def assign_copy(arrays, scalars, registers):
+            registers[reg] = fn(arrays, scalars, registers).copy()
+
+        return assign_copy
+
+    def assign(arrays, scalars, registers):
+        registers[reg] = fn(arrays, scalars, registers)
+
+    return assign
+
+
 class _Compiler:
     """Walks a kernel body once, in program order, with ``For`` unrolled."""
 
@@ -176,10 +215,17 @@ class _Compiler:
         self.reads: dict[tuple, _SharedRead] = {}
         self.steps: list[_Fn] = []
         self.accesses: list[tuple[str, str]] = []
+        self.stores = 0  # stores built so far
+        # local -> (step, register, value fn, stores before it) of a binding
+        # whose value may be a view of a buffer and is not copied (yet)
+        self.views: dict[str, tuple] = {}
+        self.copies = 0
 
     def compile(self) -> KernelPlan:
         self.stmts(self.kernel.body)
-        return KernelPlan(tuple(self.steps), self.nregisters, tuple(self.accesses))
+        return KernelPlan(
+            tuple(self.steps), self.nregisters, tuple(self.accesses), self.copies
+        )
 
     def register(self) -> int:
         self.nregisters += 1
@@ -204,6 +250,7 @@ class _Compiler:
         self.static.env[name] = value
         self.tokens[name] = token
         self.dynamic.pop(name, None)
+        self.views.pop(name, None)
 
     def assign(self, s: Assign) -> None:
         fn = self.expr(s.value)
@@ -214,14 +261,35 @@ class _Compiler:
         reg = self.dynamic.get(s.name)
         if reg is None:
             reg = self.register()
-
-        def assign(arrays, scalars, registers):
-            registers[reg] = fn(arrays, scalars, registers)
-
-        self.steps.append(assign)
+        if self.may_view(s.value):
+            self.views[s.name] = (len(self.steps), reg, fn, self.stores)
+        else:
+            self.views.pop(s.name, None)
+        self.steps.append(_assign(reg, fn))
         self.static.env.pop(s.name, None)
         self.tokens.pop(s.name, None)
         self.dynamic[s.name] = reg
+
+    def may_view(self, e: Expr) -> bool:
+        """Whether the value of ``e`` may be a view of a buffer: a sliced
+        read, or a local bound to one, directly or through ``y = x`` chains,
+        by a binding that does not copy (yet).  Any other expression makes
+        a fresh array or scalar."""
+        if isinstance(e, LocalRef):
+            return e.name in self.views
+        return isinstance(e, Read) and self.reads[self.read_key(e)].view
+
+    def read_local(self, name: str) -> None:
+        """A read of local ``name``: after a store that came after its
+        binding, the binding copies its value if that may be a view."""
+        view = self.views.get(name)
+        if view is None:
+            return
+        step, reg, fn, stores = view
+        if stores < self.stores:
+            del self.views[name]
+            self.steps[step] = _assign(reg, fn, copy=True)
+            self.copies += 1
 
     def store(self, s: Store) -> None:
         shape = self.shapes.get(s.array)
@@ -232,6 +300,7 @@ class _Compiler:
         write, how = _lower_store(comps, self.extent)
         self.accesses.append(("store", how))
         self.reads.clear()
+        self.stores += 1
         array = s.array
 
         def store(arrays, scalars, registers):
@@ -252,6 +321,7 @@ class _Compiler:
                 if e.name not in self.tokens:
                     raise _NoPlan(f"unbound local {e.name!r}")
                 return None
+            self.read_local(e.name)
             return lambda arrays, scalars, registers: registers[reg]
         if isinstance(e, ParamRef):
             if e.name not in self.scalar_names:
@@ -264,7 +334,8 @@ class _Compiler:
             lhs, rhs = self.expr(e.lhs), self.expr(e.rhs)
             if lhs is None and rhs is None:
                 return None
-            lhs, rhs = self.operand(e.lhs, lhs), self.operand(e.rhs, rhs)
+            lhs = self.operand(e.lhs, lhs)
+            rhs = self.operand(e.rhs, rhs, divisor=e.op in ("/", "%"))
             fn = binary_function(e.op)
             return lambda arrays, scalars, registers: fn(
                 lhs(arrays, scalars, registers), rhs(arrays, scalars, registers)
@@ -291,26 +362,36 @@ class _Compiler:
             )
         raise _NoPlan(f"expression {type(e).__name__}")
 
-    def operand(self, e: Expr, fn: _Fn | None) -> _Fn:
-        """``fn``, or a closure returning the static value of ``e``."""
+    def operand(self, e: Expr, fn: _Fn | None, divisor: bool = False) -> _Fn:
+        """``fn``, or a closure returning the static value of ``e``; a
+        positive C ``int`` ``divisor`` as ``np.int32``, so that a C ``int``
+        dividend divides at int32."""
         if fn is not None:
             return fn
         value = self.static.eval(e)
+        if divisor and type(value) is int and 0 < value <= _INT_MAX:
+            value = np.int32(value)
         return lambda arrays, scalars, registers: value
 
     def read(self, e: Read) -> _Fn:
         shape = self.shapes.get(e.array)
         if shape is None:
             raise _NoPlan(f"read of undeclared array {e.array!r}")
-        bindings = self.bindings_of(e.index)
-        key = (e.array, e.index, bindings)
+        key = self.read_key(e)
         shared = self.reads.get(key)
         if shared is None:
-            comps = self.index(e.index, bindings, shape, e.array, "read")
+            comps = self.index(e.index, key[2], shape, e.array, "read")
             load, how = _lower_read(comps, len(self.extent))
             self.accesses.append(("read", how))
-            shared = self.reads[key] = _SharedRead(e.array, load, self.register())
+            shared = self.reads[key] = _SharedRead(
+                e.array, load, self.register(), how == "slice"
+            )
         return shared.occurrence()
+
+    def read_key(self, e: Read) -> tuple:
+        """The key of ``e``'s shared read: equal keys read equal values
+        until the next store."""
+        return e.array, e.index, self.bindings_of(e.index)
 
     def bindings_of(self, index) -> tuple[tuple, ...]:
         """Per component of a static index, the bindings of the locals it
@@ -385,7 +466,8 @@ def _progression(values: np.ndarray) -> slice | None:
 def _lower_read(comps: list[_Component], rank: int):
     """(load, how): ``load(buffer)`` returns what the interpreter's read
     returns — same values, dtype and shape — through slicing and
-    ``np.take`` when the components allow it."""
+    ``np.take`` when the components allow it; a ``"slice"`` load may
+    return a view of the buffer."""
     values = tuple(c.value for c in comps)
     shape = np.broadcast_shapes(*(v.shape for v in values))
     slicer, takes, axes = [], [], []
@@ -410,9 +492,7 @@ def _lower_read(comps: list[_Component], rank: int):
         v = buf[slicer]
         for pos, index in takes:
             v = v.take(index, axis=pos)
-        v = v.transpose(perm).reshape(shape)
-        # a view of the buffer (no take): copy it, as the interpreter's gather does
-        return v if takes else v.copy()
+        return v.transpose(perm).reshape(shape)
 
     return load, ("take" if takes else "slice")
 

@@ -301,12 +301,17 @@ def kernels_2d(draw):
         if kind == "store":  # possibly shared by several work-items
             body.append(Store("dst", draw(index_tuples(DST, spans)), draw(values_2d(spans))))
         elif kind == "reread":  # one read before and after a store to its buffer
-            again = Read(draw(st.sampled_from(["dst", "alias"])), draw(index_tuples(DST, spans)))
+            index = draw(index_tuples(DST, spans))
+            again = Read(draw(st.sampled_from(["dst", "alias"])), index)
             body += [
                 Assign("before", again),
-                Store("dst", draw(index_tuples(DST, spans)), BinOp("+", again, Const(1))),
+                Assign("kept", LocalRef("before")),  # a chain: a view, if before is one
+                Store("dst", draw(st.one_of(st.just(index), index_tuples(DST, spans))),
+                      BinOp("+", again, Const(1))),
                 Store("dst", draw(index_tuples(DST, spans)),
-                      BinOp("-", BinOp("*", again, Const(2)), LocalRef("before"))),
+                      BinOp("-", BinOp("*", again, Const(2)),
+                            LocalRef(draw(st.sampled_from(["before", "kept"]))))),
+                Store("dst", draw(index_tuples(DST, spans)), LocalRef("kept")),
             ]
         elif kind == "local":
             body.append(Assign("v", draw(values_2d(spans))))
@@ -358,6 +363,35 @@ def test_plan_interpreter_and_reference_agree(kernel, seed, alias_src):
     for name in ("dst", "alias"):
         np.testing.assert_array_equal(planned[name], interpreted[name])
         np.testing.assert_array_equal(planned[name], ref[name].astype(np.int32))
+
+
+_INT_EDGES = np.array([-(2**31), -(2**31) + 1, -7, 0, 7, 2**31 - 1], np.int32)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", [-6, -1, 1, 6])
+@pytest.mark.parametrize("op", ["/", "%"])
+def test_literal_divisor_at_the_c_int_edges(op, c):
+    """C ``int`` lanes from INT_MIN to INT_MAX divided by a literal: the
+    plan (which types a positive divisor int32) and the interpreter both
+    equal the scalar reference, with no warning, ``INT_MIN / -1``
+    wrapping silently."""
+    kernel = Kernel(
+        "edges",
+        IndexSpace((0,), (6,)),
+        (ArrayParam("a", (6,), intent="in"), ArrayParam("b", (6,), intent="out")),
+        body=(Store("b", (ThreadIdx(0),), BinOp(op, Read("a", (ThreadIdx(0),)), Const(c))),),
+    )
+    assert plan_of(kernel) is not None
+    planned = {"a": _INT_EDGES.copy(), "b": np.zeros(6, np.int32)}
+    interpreted = {"a": _INT_EDGES.copy(), "b": np.zeros(6, np.int32)}
+    evaluate_kernel(kernel, planned)
+    _Evaluator(interpreted, {}, kernel.space).exec(kernel.body)
+    ref = {"a": _INT_EDGES.astype(object), "b": np.zeros(6, dtype=object)}
+    _ref_kernel(kernel, ref)
+    want = ref["b"].astype(np.int32)
+    np.testing.assert_array_equal(planned["b"], want)
+    np.testing.assert_array_equal(interpreted["b"], want)
 
 
 def _error_kernels():

@@ -3,9 +3,11 @@
 The differential properties (plan, interpreter and scalar reference agree
 bit-exactly, errors included) live in ``test_evalvec_properties.py``.
 These pin what makes the plan pay: every kernel the backends emit gets
-one, lowered to slices and ``np.take`` with no fancy index, each is built
-once per kernel object, and keeping it on the kernel changes nothing a
-kernel is compared, hashed, printed or keyed by.
+one, lowered to slices and ``np.take`` with no fancy index and no copy of
+a read, its divisions run at int32, each is built once per kernel object,
+and keeping it on the kernel changes nothing a kernel is compared, hashed,
+printed or keyed by.  The copy rule has its own traps here: a local bound
+to a view of a buffer and read after a store to it.
 """
 
 import dataclasses
@@ -25,12 +27,14 @@ from repro.apps.downscaler.sac_sources import GENERIC, NONGENERIC
 from repro.apps.downscaler.serving import downscaler_job
 from repro.ir import (
     ArrayParam,
+    Assign,
     BinOp,
     Const,
     FusedKernel,
     IndexSpace,
     Kernel,
     LaunchKernel,
+    LocalRef,
     Read,
     Store,
     ThreadIdx,
@@ -68,6 +72,7 @@ def _assert_sliced_plans(program):
         assert all(how in ("slice", "take") for _, how in plan.accesses), (
             kernel.name, plan.accesses
         )
+        assert plan.copies == 0, f"{kernel.name} copies {plan.copies} read(s)"
 
 
 @pytest.mark.parametrize("opt", [None, OptOptions()], ids=["default", "opt"])
@@ -95,6 +100,40 @@ def test_every_convolution_kernel_gets_a_sliced_plan(route, opt, cache):
             convolution_model(config), convolution_allocation(), opt=opt
         )[0].program
     _assert_sliced_plans(program)
+
+
+@pytest.mark.parametrize("opt", [None, OptOptions()], ids=["default", "opt"])
+@pytest.mark.parametrize(
+    "route,variant",
+    [("sac", NONGENERIC), ("sac", GENERIC), ("gaspard", NONGENERIC)],
+    ids=["sac", "sac-generic", "gaspard"],
+)
+def test_every_downscaler_division_runs_at_int32(route, variant, opt, monkeypatch):
+    """Every ``/`` and ``%`` the launches of a checked CIF frame evaluate,
+    host loops and fused stages included, returns int32: the plan types
+    the positive literal divisor, so a C ``int`` never widens to int64."""
+    dtypes = []
+    real_binary_function = plan_module.binary_function
+
+    def binary_function_spy(op):
+        fn = real_binary_function(op)
+        if op not in ("/", "%"):
+            return fn
+
+        def divide(lhs, rhs):
+            out = fn(lhs, rhs)
+            dtypes.append(out.dtype)
+            return out
+
+        return divide
+
+    monkeypatch.setattr(plan_module, "binary_function", binary_function_spy)
+    # every launch builds its plan afresh, under the spy
+    monkeypatch.setattr(plan_module, "plan_of", lambda k: plan_module._Compiler(k).compile())
+    job = downscaler_job(route, size=CIF, variant=variant, opt=opt)
+    report = FramePipeline(validate="all").run(job, 1)
+    assert report.validated_instances == job.instances_per_frame
+    assert dtypes and set(dtypes) == {np.dtype(np.int32)}
 
 
 def test_data_dependent_index_runs_in_the_interpreter():
@@ -217,3 +256,57 @@ def test_shared_read_is_reread_after_any_store():
     buf = np.arange(6, dtype=np.int32)
     evaluate_kernel(kernel, {"a": buf, "b": buf})
     np.testing.assert_array_equal(buf, (np.arange(6) + 1) * 10)
+
+
+_I = (ThreadIdx(0),)
+
+
+def _copy_rule_kernels() -> dict[str, tuple[Kernel, int]]:
+    """Kernels whose launch differs from the interpreter when a read is a
+    view of ``a`` that a store reaches, with the plan's expected copies:
+    a local read after a store (to ``a``, or to ``b``, which may share its
+    buffer), the same through a chain, and a store whose value is a view
+    of its own buffer on the sliced and the fancy store path."""
+    space = IndexSpace((0,), (6,))
+    arrays = (ArrayParam("a", (6,), intent="inout"), ArrayParam("b", (6,), intent="inout"))
+    x, y = Assign("x", Read("a", _I)), Assign("y", LocalRef("x"))
+    kernels = {}
+    for mid in ("a", "b"):
+        seven = Store(mid, _I, Const(7))
+        kernels[f"bare-{mid}"] = (x, seven, Store("b", _I, LocalRef("x"))), 1
+        kernels[f"chain-{mid}"] = (x, y, seven, Store("b", _I, LocalRef("y"))), 1
+    reversed_a = Read("a", (BinOp("-", Const(5), ThreadIdx(0)),))
+    kernels["sliced-store"] = (Store("b", _I, reversed_a),), 0
+    rotated = (BinOp("%", BinOp("+", ThreadIdx(0), Const(1)), Const(6)),)
+    kernels["fancy-store"] = (Store("b", rotated, Read("a", _I)),), 0
+    return {
+        name: (Kernel(name, space, arrays, body=body), copies)
+        for name, (body, copies) in kernels.items()
+    }
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["one-buffer", "two-buffers"])
+@pytest.mark.parametrize("name", sorted(_copy_rule_kernels()))
+def test_views_a_store_reaches_are_copied(name, shared):
+    """With ``a`` and ``b`` bound to one buffer or to two, the launch
+    equals the interpreter, whose reads are copies.  ``chain-*`` is the
+    trap of a rule that copies bare reads only: ``x`` is never read after
+    the store, ``y`` is, and without a copy ``b`` would read the 7s the
+    store wrote to the shared buffer."""
+    kernel, copies = _copy_rule_kernels()[name]
+    plan = plan_of(kernel)
+    assert ("read", "slice") in plan.accesses
+    assert plan.copies == copies
+    if name.endswith("-store"):
+        assert ("store", "fancy" if name == "fancy-store" else "slice") in plan.accesses
+    results = []
+    for run in (evaluate_kernel, lambda k, arr: _Evaluator(arr, {}, k.space).exec(k.body)):
+        a = np.arange(6, dtype=np.int32)
+        arrays = {"a": a, "b": a if shared else np.full(6, -1, np.int32)}
+        run(kernel, arrays)
+        results.append(arrays)
+    launched, interpreted = results
+    for array in ("a", "b"):
+        np.testing.assert_array_equal(launched[array], interpreted[array])
+    if name.startswith(("bare", "chain")):
+        np.testing.assert_array_equal(launched["b"], np.arange(6))
